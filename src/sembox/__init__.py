@@ -2,15 +2,14 @@
 
 from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, DenseCloud,
                           Frame, MotionGrid, build_dense_cloud,
-                          build_motion_grid, default_epsilon, register_window)
+                          build_motion_grid, register_window)
 from .clustering import BoxCandidate, ClusterParams, dbscan, fit_box, \
     multi_scale_cluster
 from .config import ClassConfig, ConfigError, PipelineConfig
 from .evaluation import EvalReport, compute_report, match_labels, write_report
 from .geometry import (BevGridSpec, Box3D, PointCloud, Pose, bev_iou,
-                       grid_index, iou_3d, point_in_box, points_in_box,
-                       transform_box, transform_points)
-from .pipeline import generate_labels, process_frame
+                       grid_indices, iou_3d, points_in_box, transform_box)
+from .pipeline import aggregate_window, generate_labels, process_frame
 from .refine import (NoiseModel, Prediction, RefinedLabelSet,
                      box_absent_foreground_filter, mock_detector, refine_round,
                      semantic_consistency_filter, spatial_temporal_fine_tune)

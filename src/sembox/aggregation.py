@@ -11,7 +11,6 @@ ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +41,13 @@ class MotionGrid:
     label: np.ndarray  # (nx, ny) uint8: CELL_* constants
     epsilon: int
 
-    def cell_label(self, x: float, y: float) -> int:
-        """Label of the cell containing (x, y); EMPTY when off-grid."""
-        i = math.floor((x - self.spec.x0) / self.spec.cell_size)
-        j = math.floor((y - self.spec.y0) / self.spec.cell_size)
-        if 0 <= i < self.spec.nx and 0 <= j < self.spec.ny:
-            return int(self.label[i, j])
-        return CELL_EMPTY
+    def labels_at(self, xy: np.ndarray) -> np.ndarray:
+        """Labels of the cells holding BEV points (N, 2); EMPTY when off-grid."""
+        ij = grid_indices(xy, self.spec)
+        out = np.full(len(ij), CELL_EMPTY, dtype=np.uint8)
+        on = ij[:, 0] >= 0
+        out[on] = self.label[ij[on, 0], ij[on, 1]]
+        return out
 
 
 @dataclass
@@ -57,11 +56,6 @@ class DenseCloud:
 
     target_frame_id: int
     points: PointCloud  # frame_index tags the source frame offset
-
-
-def default_epsilon(window_len: int) -> int:
-    """Run-length threshold scaled to the window: ceil(0.6 * window_len)."""
-    return int(math.ceil(0.6 * window_len))
 
 
 def register_window(frames: list[Frame], target_index: int) -> list[PointCloud]:
@@ -141,11 +135,6 @@ def build_dense_cloud(registered: list[PointCloud], grid: MotionGrid,
             continue
         fg = cloud.foreground
         drop = np.zeros(len(cloud), dtype=bool)
-        if fg.any():
-            ij = grid_indices(cloud.xyz[fg, :2], grid.spec)
-            on_grid = ij[:, 0] >= 0
-            moving = np.zeros(int(fg.sum()), dtype=bool)
-            moving[on_grid] = grid.label[ij[on_grid, 0], ij[on_grid, 1]] == CELL_MOVING
-            drop[np.flatnonzero(fg)[moving]] = True
+        drop[fg] = grid.labels_at(cloud.xyz[fg, :2]) == CELL_MOVING
         kept.append(cloud.select(~drop))
     return DenseCloud(target_frame_id, PointCloud.concatenate(kept))

@@ -22,21 +22,29 @@ import sys
 from pathlib import Path
 
 from . import dataio, evaluation, pipeline
-from .aggregation import build_dense_cloud, build_motion_grid, register_window
 from .config import ConfigError, PipelineConfig
 from .dataio import FormatError
-from .geometry import BevGridSpec
 from .refine import NOISE_PROFILES, NoiseModel, mock_detector, refine_round
-from .scoring import PseudoLabel, label_weight, msf_score
+from .scoring import PseudoLabel, label_weight
 from .synth import PRESET_NAMES, generate_sequence, preset_scene
 
 logger = logging.getLogger("sembox")
 
 
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
+    return threads
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="pipeline config JSON (defaults used when omitted)")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_thread_count, default=None,
                    help="worker count (default: all cores, or "
                         f"${pipeline.THREADS_ENV_VAR})")
     p.add_argument("--seed", type=int, default=None,
@@ -55,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, default=None)
 
     p = sub.add_parser("generate", help="generate pseudo-labels for a dataset")
     p.add_argument("dataset", type=Path)
@@ -172,21 +180,11 @@ def cmd_score_labels(args) -> int:
     for fid in sorted(loaded):
         if fid not in index_of:
             raise FormatError(f"labels reference unknown frame {fid}")
-        i = index_of[fid]
-        n = config.window_half_size
-        lo = max(0, i - n)
-        window = frames[lo:min(len(frames), i + n + 1)]
-        registered = register_window(window, i - lo)
-        grid = build_motion_grid(
-            registered, BevGridSpec.centered(config.detection_range, config.cell_size),
-            config.effective_epsilon(len(window)))
-        dense = build_dense_cloud(registered, grid, fid)
+        dense = pipeline.aggregate_window(frames, index_of[fid], config)
         out: list[PseudoLabel] = []
         for lab in loaded[fid]:
             cls_xyz = dense.points.xyz[dense.points.class_id == lab.class_id]
-            scores = msf_score(lab.box, cls_xyz, config.meta_shape(lab.class_id),
-                               config.lambdas, config.occ_grid_r,
-                               config.shape_score_literal)
+            scores = config.score_box(lab.box, lab.class_id, cls_xyz)
             out.append(PseudoLabel(
                 lab.box, lab.class_id, scores,
                 label_weight(scores.msf, config.theta_low, config.theta_high),

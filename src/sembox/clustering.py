@@ -59,50 +59,127 @@ class BoxCandidate:
     class_id: int
 
 
+class _Members:
+    """Some points of a _CellGrid, grouped by cell: cell k holds
+    order[start[k]:start[k] + length[k]]. lo and hi bound each cell's
+    members per axis (+inf and -inf for a cell with none)."""
+
+    def __init__(self, pts: np.ndarray, order: np.ndarray, cell_of: np.ndarray,
+                 ncells: int):
+        self.order = order
+        self.length = np.bincount(cell_of[order], minlength=ncells)
+        self.start = np.r_[0, np.cumsum(self.length)[:-1]]
+        d = pts.shape[1]
+        self.lo = np.full((ncells, d), np.inf)
+        self.hi = np.full((ncells, d), -np.inf)
+        full = self.length > 0
+        if full.any():
+            self.lo[full] = np.minimum.reduceat(pts[order], self.start[full])
+            self.hi[full] = np.maximum.reduceat(pts[order], self.start[full])
+
+    def extremes(self, pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """(ncells, ndirs) point of each cell furthest along each direction,
+        ties to the first in `order`; -1 where the cell has no members."""
+        proj = pts[self.order] @ dirs.T
+        full = self.length > 0
+        seg = np.repeat(np.arange(int(full.sum())), self.length[full])
+        top = np.maximum.reduceat(proj, self.start[full])
+        pos = np.where(proj == top[seg], np.arange(len(proj))[:, None],
+                       len(proj))
+        out = np.full((len(self.length), len(dirs)), -1)
+        out[full] = self.order[np.minimum.reduceat(pos, self.start[full])]
+        return out
+
+
 class _CellGrid:
     """Points bucketed into square cells of side eps / sqrt(d).
 
     The side is chosen so that any two points sharing a cell are within eps
     of each other (the cell diagonal is exactly eps), and any two points
-    within eps sit in cells no more than 2 apart per axis.
+    within eps sit in cells no more than `reach` apart per axis. Along each
+    axis, a step longer than reach + 1 between consecutive occupied cell
+    coordinates shrinks to reach + 1: no neighbourhood changes, and the
+    packed cell keys cannot overflow however far apart the points lie.
     """
 
     def __init__(self, pts: np.ndarray, eps: float):
         n, d = pts.shape
         self.pts = pts
-        self.eps = eps
-        side = eps / math.sqrt(d)
-        ij = np.floor(pts / side).astype(np.int64)
-        ij -= ij.min(axis=0)
-        strides = np.cumprod([1, *(ij.max(axis=0) + 1)][:d])
-        keys = ij @ strides
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        first = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        self.order = order  # point indices grouped by cell
-        self.starts = np.r_[first, n]  # group k is order[starts[k]:starts[k+1]]
+        self.reach = r = math.ceil(math.sqrt(d))
+        ij = np.empty((n, d), dtype=np.int64)
+        for axis in range(d):
+            rows, at = np.unique(np.floor(pts[:, axis] / (eps / math.sqrt(d))),
+                                 return_inverse=True)
+            steps = np.minimum(np.diff(rows), r + 1).astype(np.int64)
+            ij[:, axis] = np.r_[r, r + np.cumsum(steps)][at.reshape(-1)]
+        self.strides = np.cumprod([1, *(ij.max(axis=0) + r + 1)][:d])
+        keys = ij @ self.strides
+        self.order = np.argsort(keys, kind="stable")  # points grouped by cell
+        sorted_keys = keys[self.order]
+        opens = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+        self.keys = sorted_keys[opens]  # ascending, one per cell
         self.cell_of = np.empty(n, dtype=np.int64)
-        self.cell_of[order] = np.repeat(np.arange(len(first)), np.diff(self.starts))
-        self.coords = ij[order[first]]  # (ncells, d) integer cell coordinates
-        self.lookup = {tuple(c): k for k, c in enumerate(self.coords)}
-        self.pop = np.diff(self.starts)
-        self.reach = math.ceil(math.sqrt(d))  # cells per axis covering eps
+        self.cell_of[self.order] = np.cumsum(opens) - 1
 
-    def members(self, cell: int) -> np.ndarray:
-        return self.order[self.starts[cell]:self.starts[cell + 1]]
+    def members(self, mask: np.ndarray) -> _Members:
+        """The points where mask holds, grouped by cell."""
+        return _Members(self.pts, self.order[mask[self.order]], self.cell_of,
+                        len(self.keys))
 
-    def neighbor_cells(self, cell: int, include_self: bool = True) -> list[int]:
-        """Existing cells within Chebyshev distance `reach` of this cell."""
-        base = self.coords[cell]
-        out = []
-        for off in np.ndindex(*(2 * self.reach + 1,) * base.shape[0]):
-            delta = np.array(off) - self.reach
-            if not include_self and not delta.any():
-                continue
-            hit = self.lookup.get(tuple(base + delta))
-            if hit is not None:
-                out.append(hit)
-        return out
+    def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cell, neighbour, offset) for every ordered pair of cells no more
+        than `reach` apart per axis, each cell paired with itself too."""
+        d = len(self.strides)
+        span = np.arange(-self.reach, self.reach + 1)
+        offsets = np.stack(np.meshgrid(*[span] * d, indexing="ij"),
+                           -1).reshape(-1, d)
+        target = self.keys[:, None] + offsets @ self.strides
+        pos = np.minimum(np.searchsorted(self.keys, target), len(self.keys) - 1)
+        cell, k = np.nonzero(self.keys[pos] == target)
+        return cell, pos[cell, k], offsets[k]
+
+
+# Point pairs a cross-product chunk holds: bounds the memory of a step.
+_PAIR_CHUNK = 1 << 20
+
+
+def _pair_chunks(a: _Members, b: _Members, ca: np.ndarray, cb: np.ndarray):
+    """Yield (k, i, j) over every member i of cell ca[k] in `a` times every
+    member j of cell cb[k] in `b`, in chunks of about _PAIR_CHUNK pairs; a
+    larger product is split by rows."""
+    a_len, b_len = a.length[ca], b.length[cb]
+    rows = np.maximum(1, _PAIR_CHUNK // np.maximum(b_len, 1))
+    pieces = -(-a_len // rows)
+    k = np.repeat(np.arange(len(ca)), pieces)
+    skip = (np.arange(len(k)) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * rows[k]
+    a_at = a.start[ca[k]] + skip
+    size = np.minimum(rows[k], a_len[k] - skip) * b_len[k]
+    chunk = (np.cumsum(size) - size) // _PAIR_CHUNK
+    bounds = np.r_[0, np.flatnonzero(np.diff(chunk)) + 1, len(size)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        piece = np.repeat(np.arange(lo, hi), size[lo:hi])
+        r = np.arange(len(piece)) - np.repeat(np.cumsum(size[lo:hi]) - size[lo:hi],
+                                             size[lo:hi])
+        width = b_len[k[piece]]
+        yield (k[piece], a.order[a_at[piece] + r // width],
+               b.order[b.start[cb[k[piece]]] + r % width])
+
+
+def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per node 0..n-1 of the graph with edges a[k]-b[k], the smallest node
+    of its connected component: hook each root to the smaller root across
+    an edge, then jump pointers until every node points at a root."""
+    root = np.arange(n)
+    while True:
+        low = np.minimum(root[a], root[b])
+        hooked = root.copy()
+        np.minimum.at(hooked, root[a], low)
+        np.minimum.at(hooked, root[b], low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            return root
+        root = hooked
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -115,11 +192,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     distance-based rule that keeps the partition invariant under input
     permutation. Cluster ids follow each component's smallest point index.
 
-    Grid-accelerated exact implementation: cells whose population reaches
-    min_pts are wholly core (their diagonal is eps); sparse cells are
-    checked against their 5x5 neighborhood; clusters are connected
-    components of core cells, with cell pairs linked when their closest
-    core points are within eps.
+    Exact grid implementation (Gunawan 2013; Gan & Tao, SIGMOD 2015),
+    vectorised over all cells at once: cells whose population reaches
+    min_pts are wholly core (their diagonal is eps); points of sparse cells
+    count their neighbours over the 5x5 (2D) neighbourhood; clusters are
+    connected components of core cells, with cell pairs linked when their
+    closest core points are within eps. A cell pair whose member bounding
+    boxes lie further apart than eps is never expanded into point pairs.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -134,105 +213,74 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return labels
 
     grid = _CellGrid(pts, eps)
+    cell, nbr, off = grid.neighbor_pairs()
     eps2 = eps * eps
 
-    core = np.zeros(n, dtype=bool)
-    dense_cells = np.flatnonzero(grid.pop >= min_pts)
-    for cell in dense_cells:
-        core[grid.members(cell)] = True
-    for cell in np.flatnonzero(grid.pop < min_pts):
-        cand = np.concatenate([grid.members(c)
-                               for c in grid.neighbor_cells(cell)])
-        mine = grid.members(cell)
-        d2 = ((pts[mine, None, :] - pts[cand][None, :, :]) ** 2).sum(-1)
-        core[mine] = (d2 <= eps2).sum(axis=1) >= min_pts
+    def d2(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return ((pts[i] - pts[j]) ** 2).sum(-1)
 
+    def near(a: _Members, b: _Members, ca: np.ndarray,
+             cb: np.ndarray) -> np.ndarray:
+        # Exact reject: the box gap never exceeds the distance of any
+        # member pair, rounding included.
+        gap = np.maximum(np.maximum(b.lo[cb] - a.hi[ca], a.lo[ca] - b.hi[cb]), 0.0)
+        return (gap ** 2).sum(-1) <= eps2
+
+    # Core points: every point of a cell holding min_pts points; a point of
+    # a sparse cell counts its eps-neighbours in the neighbouring cells.
+    every = grid.members(np.ones(n, dtype=bool))
+    core = np.zeros(n, dtype=bool)
+    core[every.order] = np.repeat(every.length >= min_pts, every.length)
+    sel = (every.length[cell] < min_pts) & near(every, every, cell, nbr)
+    count = np.zeros(n, dtype=np.int64)
+    for _, i, j in _pair_chunks(every, every, cell[sel], nbr[sel]):
+        count += np.bincount(i[d2(i, j) <= eps2], minlength=n)
+    core |= count >= min_pts
     if not core.any():
         return labels
 
-    # Union-find over cells that contain core points.
-    has_core = np.bincount(grid.cell_of, weights=core,
-                           minlength=len(grid.pop)) > 0
-    core_cells = np.flatnonzero(has_core)
-    parent = {int(c): int(c) for c in core_cells}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    core_members = {int(c): grid.members(c)[core[grid.members(c)]]
-                    for c in core_cells}
-    for c in core_cells:
-        c = int(c)
-        for m in grid.neighbor_cells(c, include_self=False):
-            if m <= c or m not in parent:
-                continue
-            ra, rb = find(c), find(m)
-            if ra == rb:
-                continue  # already hooked together through other cells
-            if _sets_within(pts, core_members[c], core_members[m], eps2):
-                parent[max(ra, rb)] = min(ra, rb)
+    # Link core cells. The two points furthest towards each other along the
+    # cells' offset settle most linked pairs at once; the full cross
+    # product then runs only for pairs still in different components.
+    cores = grid.members(core)
+    sel = (nbr > cell) & near(cores, cores, cell, nbr)
+    ca, cb = cell[sel], nbr[sel]
+    dirs, dir_of = np.unique(off[sel], axis=0, return_inverse=True)
+    dir_of = dir_of.reshape(-1)
+    dirs = dirs.astype(np.float64)
+    linked = d2(cores.extremes(pts, dirs)[ca, dir_of],
+                cores.extremes(pts, -dirs)[cb, dir_of]) <= eps2
+    root = connected_components(len(grid.keys), ca[linked], cb[linked])
+    todo = np.flatnonzero(root[ca] != root[cb])
+    for k, i, j in _pair_chunks(cores, cores, ca[todo], cb[todo]):
+        linked[todo[k[d2(i, j) <= eps2]]] = True
+    root = connected_components(len(grid.keys), ca[linked], cb[linked])
 
     # Components numbered by their smallest core point index: the order in
     # which ascending-seed expansion would discover them.
-    comp_points: dict[int, list[np.ndarray]] = {}
-    for c in core_cells:
-        comp_points.setdefault(find(int(c)), []).append(core_members[int(c)])
-    comp_min = {root: min(m.min() for m in members)
-                for root, members in comp_points.items()}
-    cluster_of_root = {root: k for k, root in
-                       enumerate(sorted(comp_min, key=comp_min.get))}
-    for root, members in comp_points.items():
-        labels[np.concatenate(members)] = cluster_of_root[root]
+    comp = root[grid.cell_of[cores.order]]
+    first = np.full(len(grid.keys), n)
+    np.minimum.at(first, comp, cores.order)
+    found = np.flatnonzero(first < n)
+    cluster = np.empty(len(grid.keys), dtype=np.int64)
+    cluster[found[np.argsort(first[found])]] = np.arange(len(found))
+    labels[cores.order] = cluster[comp]
 
     # Border points: non-core, adopted by the cluster of their nearest
-    # core within eps (exact ties to the smaller cluster id); else noise.
-    border = ~core
-    for cell in np.unique(grid.cell_of[border]):
-        mine = grid.members(cell)
-        mine = mine[border[mine]]
-        cand = [core_members[c] for c in grid.neighbor_cells(int(cell))
-                if c in core_members]
-        if not cand:
-            continue
-        cand = np.concatenate(cand)
-        d2 = ((pts[mine, None, :] - pts[cand][None, :, :]) ** 2).sum(-1)
-        cand_labels = labels[cand]
-        for row, j in enumerate(mine):
-            valid = d2[row] <= eps2
-            if valid.any():
-                pick = np.lexsort((cand_labels[valid], d2[row][valid]))[0]
-                labels[j] = cand_labels[valid][pick]
+    # core within eps (exact ties to the smaller cluster id); else noise. A
+    # border point has fewer than min_pts such cores, so all hits fit.
+    borders = grid.members(~core)
+    sel = near(borders, cores, cell, nbr)
+    hit_i, hit_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for _, i, j in _pair_chunks(borders, cores, cell[sel], nbr[sel]):
+        keep = d2(i, j) <= eps2
+        hit_i.append(i[keep])
+        hit_j.append(j[keep])
+    i, j = np.concatenate(hit_i), np.concatenate(hit_j)
+    pick = np.lexsort((labels[j], d2(i, j), i))
+    _, first = np.unique(i[pick], return_index=True)
+    labels[i[pick[first]]] = labels[j[pick[first]]]
     return labels
-
-
-_FAST_PAIR_K = 48
-
-
-def _sets_within(pts: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 eps2: float) -> bool:
-    """True iff some point of `a` is within sqrt(eps2) of some point of `b`.
-
-    Fast path checks only the points of each set that are extreme along the
-    direction joining the set means; a hit there is conclusive, a miss
-    falls back to the exact full product.
-    """
-    pa, pb = pts[a], pts[b]
-    if len(a) * len(b) > _FAST_PAIR_K * _FAST_PAIR_K:
-        u = pb.mean(axis=0) - pa.mean(axis=0)
-        sa = pa @ u
-        sb = pb @ u
-        ka = np.argpartition(sa, -min(_FAST_PAIR_K, len(sa)))[-_FAST_PAIR_K:] \
-            if len(sa) > _FAST_PAIR_K else np.arange(len(sa))
-        kb = np.argpartition(sb, min(_FAST_PAIR_K, len(sb)) - 1)[:_FAST_PAIR_K] \
-            if len(sb) > _FAST_PAIR_K else np.arange(len(sb))
-        d2 = ((pa[ka, None, :] - pb[kb][None, :, :]) ** 2).sum(-1)
-        if (d2 <= eps2).any():
-            return True
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1)
-    return bool((d2 <= eps2).any())
 
 
 # Distance floor for the closeness criterion: points closer to an edge

@@ -13,8 +13,11 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .clustering import ClusterParams
-from .scoring import MetaShape
+from .geometry import Box3D
+from .scoring import MetaShape, ScoreBreakdown, msf_score, validate_lambdas
 
 
 class ConfigError(ValueError):
@@ -83,10 +86,10 @@ class PipelineConfig:
             raise ConfigError("fit_criterion: must be 'area' or 'closeness'")
         if self.occ_grid_r < 1:
             raise ConfigError("occ_grid_r: must be >= 1")
-        if len(self.lambdas) != 3 or any(v < 0 for v in self.lambdas):
-            raise ConfigError("lambdas: must be three non-negative values")
-        if abs(sum(self.lambdas) - 1.0) > 1e-9:
-            raise ConfigError(f"lambdas: must sum to 1, got {sum(self.lambdas)!r}")
+        try:
+            validate_lambdas(self.lambdas)
+        except ValueError as e:
+            raise ConfigError(f"lambdas: {e}") from e
         if not (0.0 <= self.nms_iou_threshold <= 1.0):
             raise ConfigError("nms_iou_threshold: must be in [0, 1]")
         if not (0.0 <= self.theta_low < self.theta_high <= 1.0):
@@ -133,6 +136,13 @@ class PipelineConfig:
         if cc is None:
             raise ConfigError(f"classes: no configuration for class id {class_id}")
         return MetaShape(*cc.meta_shape)
+
+    def score_box(self, box: Box3D, class_id: int,
+                  class_xyz: np.ndarray) -> ScoreBreakdown:
+        """Score breakdown of a box against its class's points under this
+        config's shape prior, score weights and occupancy grid."""
+        return msf_score(box, class_xyz, self.meta_shape(class_id),
+                         self.lambdas, self.occ_grid_r, self.shape_score_literal)
 
     @property
     def num_classes(self) -> int:

@@ -178,9 +178,9 @@ def read_labels(path: str | Path,
             class_id = int(parts[1])
             nums = [float(v) for v in parts[2:14]]
             source = parts[14]
+            box = Box3D(*nums[0:7], class_id=class_id)
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from e
-        box = Box3D(*nums[0:7], class_id=class_id)
         scores = ScoreBreakdown(occ=nums[7], alg=nums[8], ms=nums[9], msf=nums[10])
         weight = nums[11]
         if weight_thresholds is not None:
@@ -222,10 +222,10 @@ def read_predictions(path: str | Path) -> list[Prediction]:
             frame_id = int(parts[0])
             class_id = int(parts[1])
             nums = [float(v) for v in parts[2:10]]
+            box = Box3D(*nums[0:7], class_id=class_id)
+            out.append(Prediction(box, class_id, nums[7], frame_id))
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from e
-        box = Box3D(*nums[0:7], class_id=class_id)
-        out.append(Prediction(box, class_id, nums[7], frame_id))
     return out
 
 
@@ -253,7 +253,10 @@ def read_box_dir(dir_path: str | Path, kind: str = "labels",
         raise FormatError(f"{dir_path}: not a directory")
     out = {}
     for f in sorted(dir_path.glob("frame_*.txt")):
-        frame_id = int(f.stem.split("_")[1])
+        try:
+            frame_id = int(f.stem.split("_")[1])
+        except ValueError:
+            raise FormatError(f"{f}: frame id in the file name is not an integer")
         if kind == "labels":
             out[frame_id] = read_labels(f, weight_thresholds)
         else:
@@ -331,8 +334,17 @@ def load_dataset(root: str | Path) -> tuple[list[Frame], dict[int, str]]:
 
     frames: list[Frame] = []
     seen = set()
-    for entry in manifest["frames"]:
-        fid = int(entry["frame_id"])
+    for n, entry in enumerate(manifest["frames"]):
+        where = f"{manifest_path}: frames[{n}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where}: expected an object")
+        for key in ("frame_id", "points", "pose"):
+            if key not in entry:
+                raise FormatError(f"{where}: missing {key!r}")
+        try:
+            fid = int(entry["frame_id"])
+        except (TypeError, ValueError):
+            raise FormatError(f"{where}: frame_id {entry['frame_id']!r} is not an integer")
         if fid in seen:
             raise FormatError(f"{manifest_path}: duplicate frame_id {fid}")
         seen.add(fid)

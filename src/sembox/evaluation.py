@@ -149,10 +149,6 @@ class EvalReport:
         }
 
 
-def _folded_yaw_error(a: float, b: float) -> float:
-    return orientation_distance(a, b)
-
-
 def compute_report(per_frame: list[tuple[list[Box3D], list[float], list[Box3D]]],
                    thresholds: tuple[float, ...] = (0.3, 0.5, 0.7),
                    range_bin_edges: tuple[float, ...] = (0.0, 30.0, 50.0),
@@ -208,7 +204,7 @@ def compute_report(per_frame: list[tuple[list[Box3D], list[float], list[Box3D]]]
             rb.count += 1
             rb.position_abs += math.hypot(b.cx - g.cx, b.cy - g.cy)
             rb.size_abs += (abs(b.l - g.l) + abs(b.w - g.w) + abs(b.h - g.h)) / 3.0
-            rb.yaw_abs += _folded_yaw_error(b.yaw, g.yaw)
+            rb.yaw_abs += orientation_distance(b.yaw, g.yaw)
     return report
 
 

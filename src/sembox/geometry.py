@@ -145,11 +145,6 @@ class PointCloud:
         )
 
 
-def transform_points(points: PointCloud, pose: Pose) -> PointCloud:
-    """Rigidly transform a point cloud (R p + t), preserving tags."""
-    return points.transformed(pose)
-
-
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center, extents (length >= width), yaw heading.
@@ -230,11 +225,6 @@ def points_in_box(xyz: np.ndarray, box: Box3D) -> np.ndarray:
         & (np.abs(p[:, 1]) <= box.w / 2.0)
         & (np.abs(p[:, 2]) <= box.h / 2.0)
     )
-
-
-def point_in_box(x: float, y: float, z: float, box: Box3D) -> bool:
-    """Boundary-inclusive containment test for a single point."""
-    return bool(points_in_box(np.array([[x, y, z]]), box)[0])
 
 
 def transform_box(box: Box3D, pose: Pose) -> Box3D:
@@ -360,17 +350,8 @@ class BevGridSpec:
         return BevGridSpec(x_min, y_min, cell_size, nx, ny)
 
 
-def grid_index(x: float, y: float, spec: BevGridSpec) -> tuple[int, int] | None:
-    """Cell coordinates of a point, or None when outside the grid."""
-    i = math.floor((x - spec.x0) / spec.cell_size)
-    j = math.floor((y - spec.y0) / spec.cell_size)
-    if 0 <= i < spec.nx and 0 <= j < spec.ny:
-        return (int(i), int(j))
-    return None
-
-
 def grid_indices(xy: np.ndarray, spec: BevGridSpec) -> np.ndarray:
-    """Vectorized grid_index: (N, 2) int array, -1 rows for out-of-range."""
+    """Cell coordinates of BEV points: (N, 2) int array, -1 rows off-grid."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     ij = np.floor((xy - np.array([spec.x0, spec.y0])) / spec.cell_size).astype(np.int64)
     ok = (ij[:, 0] >= 0) & (ij[:, 0] < spec.nx) & (ij[:, 1] >= 0) & (ij[:, 1] < spec.ny)

@@ -15,12 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .aggregation import (Frame, build_dense_cloud, build_motion_grid,
-                          register_window)
+from .aggregation import (DenseCloud, Frame, build_dense_cloud,
+                          build_motion_grid, register_window)
 from .clustering import multi_scale_cluster
 from .config import PipelineConfig
 from .geometry import BevGridSpec
-from .scoring import PseudoLabel, msf_score, nms_select
+from .scoring import PseudoLabel, label_sort_key, nms_select
 
 THREADS_ENV_VAR = "SEMBOX_THREADS"
 
@@ -28,24 +28,23 @@ THREADS_ENV_VAR = "SEMBOX_THREADS"
 def resolve_threads(cli_value: int | None) -> int:
     """Thread count precedence: explicit CLI value, env override, all cores."""
     if cli_value is not None:
-        return max(1, cli_value)
+        return cli_value
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            if int(env) >= 1:
+                return int(env)
         except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
+            pass
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
     return os.cpu_count() or 1
 
 
-def label_sort_key(lab: PseudoLabel):
-    return (lab.class_id, -lab.scores.msf, lab.box.cx, lab.box.cy,
-            lab.box.cz, lab.box.yaw)
-
-
-def process_frame(frames: list[Frame], index: int,
-                  config: PipelineConfig) -> list[PseudoLabel]:
-    """Generate pseudo-labels for frames[index] from its aggregation window."""
+def aggregate_window(frames: list[Frame], index: int,
+                     config: PipelineConfig) -> DenseCloud:
+    """Dense cloud of frames[index] from its window of up to
+    window_half_size frames on each side: register, classify motion,
+    aggregate."""
     n = config.window_half_size
     lo = max(0, index - n)
     hi = min(len(frames), index + n + 1)
@@ -55,19 +54,21 @@ def process_frame(frames: list[Frame], index: int,
     spec = BevGridSpec.centered(config.detection_range, config.cell_size)
     epsilon = config.effective_epsilon(len(window))
     grid = build_motion_grid(registered, spec, epsilon)
-    dense = build_dense_cloud(registered, grid, frames[index].frame_id)
+    return build_dense_cloud(registered, grid, frames[index].frame_id)
 
+
+def process_frame(frames: list[Frame], index: int,
+                  config: PipelineConfig) -> list[PseudoLabel]:
+    """Generate pseudo-labels for frames[index] from its aggregation window."""
+    dense = aggregate_window(frames, index, config)
     candidates = multi_scale_cluster(dense.points, config.cluster_params(),
                                      config.yaw_step_deg, config.fit_criterion)
     class_xyz = {
         cid: dense.points.xyz[dense.points.class_id == cid]
         for cid in sorted({c.class_id for c in candidates})
     }
-    scores = [
-        msf_score(c.box, class_xyz[c.class_id], config.meta_shape(c.class_id),
-                  config.lambdas, config.occ_grid_r, config.shape_score_literal)
-        for c in candidates
-    ]
+    scores = [config.score_box(c.box, c.class_id, class_xyz[c.class_id])
+              for c in candidates]
     labels = nms_select(candidates, scores, config.nms_iou_threshold,
                         config.theta_low, config.theta_high,
                         frames[index].frame_id)
@@ -75,8 +76,8 @@ def process_frame(frames: list[Frame], index: int,
     return labels
 
 
-# Forked workers read the active job from module state inherited from the
-# parent; only the frame index crosses the process boundary per task.
+# Each worker holds the active job in module state, set once by the pool
+# initializer; only the frame index crosses the process boundary per task.
 _ACTIVE: tuple[list[Frame], PipelineConfig] | None = None
 
 
@@ -100,20 +101,13 @@ def generate_labels(frames: list[Frame], config: PipelineConfig,
         return {frames[i].frame_id: process_frame(frames, i, config)
                 for i in indices}
 
-    global _ACTIVE
-    _ACTIVE = (frames, config)
-    try:
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=threads, mp_context=ctx)
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=threads, initializer=_init_active,
-                initargs=(frames, config))
-        with pool:
-            results = dict(pool.map(_worker, indices))
-    finally:
-        _ACTIVE = None
+    # Under fork the initializer's arguments are inherited, never pickled.
+    ctx = (multiprocessing.get_context("fork")
+           if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx,
+                             initializer=_init_active,
+                             initargs=(frames, config)) as pool:
+        results = dict(pool.map(_worker, indices))
     return {frames[i].frame_id: results[i] for i in indices}
 
 

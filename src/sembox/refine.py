@@ -18,11 +18,12 @@ import numpy as np
 
 from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
+from .clustering import connected_components
 from .config import PipelineConfig
-from .geometry import (BevGridSpec, Box3D, PointCloud, bev_iou, grid_indices,
-                       points_in_box, transform_box)
-from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_weight,
-                      msf_score, selection_order)
+from .geometry import (BevGridSpec, Box3D, PointCloud, bev_iou, points_in_box,
+                       transform_box)
+from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
+                      label_weight, selection_order)
 
 
 @dataclass(frozen=True)
@@ -109,38 +110,20 @@ def _static_class_points(frames: list[Frame], grid: MotionGrid) -> dict[int, np.
         fg = moved.foreground
         xyz = moved.xyz[fg]
         cls = moved.class_id[fg]
-        if len(xyz) == 0:
-            continue
-        ij = grid_indices(xyz[:, :2], grid.spec)
-        static = np.zeros(len(xyz), dtype=bool)
-        on = ij[:, 0] >= 0
-        static[on] = grid.label[ij[on, 0], ij[on, 1]] == CELL_STATIC
+        static = grid.labels_at(xyz[:, :2]) == CELL_STATIC
         for cid in np.unique(cls[static]):
             per_class.setdefault(int(cid), []).append(xyz[static & (cls == cid)])
     return {cid: np.concatenate(chunks) for cid, chunks in per_class.items()}
 
 
 def _connected_groups(boxes: list[Box3D]) -> list[list[int]]:
-    """Connected components under 'any BEV overlap' between boxes."""
+    """Connected components under 'any BEV overlap' between boxes, each
+    ascending and ordered by its smallest index."""
     n = len(boxes)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bev_iou(boxes[i], boxes[j]) > 0.0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
+    edges = np.array([(i, j) for i in range(n) for j in range(i + 1, n)
+                      if bev_iou(boxes[i], boxes[j]) > 0.0], dtype=np.int64)
+    root = connected_components(n, *edges.reshape(-1, 2).T)
+    return [np.flatnonzero(root == r).tolist() for r in np.unique(root)]
 
 
 @dataclass(frozen=True)
@@ -159,8 +142,8 @@ def _prediction_motion_state(pred: Prediction, frame: Frame,
     vote over the cells of the box's own interior foreground points:
     static wins ties, no points at all means no motion evidence (empty).
     """
-    center = frame.pose.apply(pred.box.center.reshape(1, 3))[0]
-    label = grid.cell_label(center[0], center[1])
+    center = frame.pose.apply(pred.box.center.reshape(1, 3))
+    label = int(grid.labels_at(center[:, :2])[0])
     if label != CELL_EMPTY:
         return label
     fg = frame.points.class_id > 0
@@ -170,13 +153,9 @@ def _prediction_motion_state(pred: Prediction, frame: Frame,
     if not inside.any():
         return CELL_EMPTY
     pts = frame.pose.apply(frame.points.xyz[fg][inside])
-    ij = grid_indices(pts[:, :2], grid.spec)
-    on = ij[:, 0] >= 0
-    if not on.any():
-        return CELL_EMPTY
-    cell_labels = grid.label[ij[on, 0], ij[on, 1]]
-    n_static = int((cell_labels == CELL_STATIC).sum())
-    n_moving = int((cell_labels == CELL_MOVING).sum())
+    states = grid.labels_at(pts[:, :2])
+    n_static = int((states == CELL_STATIC).sum())
+    n_moving = int((states == CELL_MOVING).sum())
     if n_static == 0 and n_moving == 0:
         return CELL_EMPTY
     return CELL_STATIC if n_static >= n_moving else CELL_MOVING
@@ -223,12 +202,7 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
             members = by_class[cid]
             global_boxes = [static_entries[i][2] for i in members]
             pts = class_points.get(cid, np.zeros((0, 3)))
-            meta = config.meta_shape(cid)
-            scores = [
-                msf_score(b, pts, meta, config.lambdas, config.occ_grid_r,
-                          config.shape_score_literal)
-                for b in global_boxes
-            ]
+            scores = [config.score_box(b, cid, pts) for b in global_boxes]
             for group in _connected_groups(global_boxes):
                 best_local = selection_order([scores[g] for g in group])[0]
                 winner = global_boxes[group[best_local]]
@@ -290,22 +264,15 @@ def refine_round(frames: list[Frame],
         frame_labels: list[PseudoLabel] = []
         for rb in refined.get(fr.frame_id, []):
             cls_xyz = fr.points.xyz[fr.points.class_id == rb.class_id]
-            scores = msf_score(rb.box, cls_xyz, config.meta_shape(rb.class_id),
-                               config.lambdas, config.occ_grid_r,
-                               config.shape_score_literal)
+            scores = config.score_box(rb.box, rb.class_id, cls_xyz)
             frame_labels.append(PseudoLabel(
                 box=rb.box, class_id=rb.class_id, scores=scores,
                 weight=label_weight(scores.msf, config.theta_low, config.theta_high),
                 source=rb.source, frame_id=fr.frame_id))
-        frame_labels.sort(key=_label_sort_key)
+        frame_labels.sort(key=label_sort_key)
         labels[fr.frame_id] = frame_labels
         retained[fr.frame_id] = box_absent_foreground_filter(fr, frame_labels)
     return RefinedLabelSet(labels, retained)
-
-
-def _label_sort_key(lab: PseudoLabel):
-    return (lab.class_id, -lab.scores.msf, lab.box.cx, lab.box.cy,
-            lab.box.cz, lab.box.yaw)
 
 
 # Mock detector -------------------------------------------------------------

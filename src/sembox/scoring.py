@@ -66,6 +66,12 @@ class PseudoLabel:
     frame_id: int
 
 
+def label_sort_key(lab: PseudoLabel):
+    """Output order of a frame's labels: class, best score first, then box."""
+    return (lab.class_id, -lab.scores.msf, lab.box.cx, lab.box.cy,
+            lab.box.cz, lab.box.yaw)
+
+
 def _box_grid_counts(box: Box3D, xyz: np.ndarray, r: int):
     """Bin in-box points into an r x r BEV grid in the box frame.
 

@@ -46,10 +46,6 @@ class ObjectSpec:
         l, w, h = self.size
         return Box3D(x, y, h / 2.0, l, w, h, self.yaw, self.class_id)
 
-    @property
-    def is_static(self) -> bool:
-        return self.velocity == (0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class SceneSpec:

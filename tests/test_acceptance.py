@@ -455,6 +455,20 @@ class TestC9Determinism:
         verdict(9, f"input point permutation changes boxes by at most "
                    f"{worst:.2e} <= 1e-9: PASS")
 
+    def test_two_workers_byte_identical(self, tmp_path):
+        frames, _ = generate_sequence(preset_scene("mixed", 0))
+        cfg = PipelineConfig()
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for out, n in zip(outs, (1, 2)):
+            dataio.write_box_dir(out, generate_labels(frames, cfg, threads=n))
+        names = sorted(f.name for f in outs[0].glob("*.txt"))
+        assert len(names) == len(frames)
+        assert names == sorted(f.name for f in outs[1].glob("*.txt"))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        verdict(9, f"generate on preset mixed byte-identical with 1 and 2 "
+                   f"workers over {len(names)} label files: PASS")
+
 
 # --------------------------------------------------------------------------
 # 10. Performance sanity

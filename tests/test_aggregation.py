@@ -3,7 +3,8 @@ import pytest
 
 from sembox.aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                                 build_dense_cloud, build_motion_grid,
-                                default_epsilon, register_window)
+                                register_window)
+from sembox.config import PipelineConfig
 from sembox.geometry import BevGridSpec, PointCloud, Pose
 
 SPEC = BevGridSpec(0.0, 0.0, 1.0, 8, 8)
@@ -64,9 +65,20 @@ class TestMotionGrid:
         assert grid.label[1, 1] == CELL_MOVING
         assert (grid.label != CELL_STATIC).all()
 
-    def test_default_epsilon(self):
-        assert default_epsilon(11) == 7
-        assert default_epsilon(1) == 1
+    def test_effective_epsilon_default(self):
+        assert PipelineConfig().effective_epsilon(11) == 7
+        assert PipelineConfig().effective_epsilon(1) == 1
+
+    def test_labels_at_reads_empty_off_grid(self):
+        frames = [cloud_at([(2, 2)]), cloud_at([(2, 2), (5, 5)])]
+        grid = build_motion_grid(frames, SPEC, epsilon=2)
+        xy = np.array([[2.5, 2.5], [5.5, 5.5], [0.5, 0.5], [-0.1, 2.5],
+                       [8.0, 2.5], [2.5, 8.0]])
+        labels = grid.labels_at(xy)
+        assert labels.dtype == np.uint8
+        assert labels.tolist() == [CELL_STATIC, CELL_MOVING, CELL_EMPTY,
+                                   CELL_EMPTY, CELL_EMPTY, CELL_EMPTY]
+        assert len(grid.labels_at(np.zeros((0, 2)))) == 0
 
 
 def make_frame(fid, cloud, pose=None):

@@ -157,3 +157,92 @@ class TestThreadResolution:
         monkeypatch.setenv(THREADS_ENV_VAR, "junk")
         with pytest.raises(ValueError):
             resolve_threads(None)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_flag_below_one_rejected_at_parse(self, dataset, tmp_path,
+                                              capsys, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", str(dataset), "--out", str(out),
+                  "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one_rejected(self, monkeypatch, value):
+        from sembox.pipeline import resolve_threads, THREADS_ENV_VAR
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
+            resolve_threads(None)
+
+
+def _bad_prediction(dataset, tmp):
+    preds = tmp / "preds"
+    preds.mkdir()
+    f = preds / "frame_000000.txt"
+    f.write_text("0 1 10 0 0.8 4 1.8 1.6 0 0.9\n"
+                 "0 1 20 0 0.8 4 1.8 1.6 0 1.5\n")
+    return (["refine", str(dataset), "--preds", str(preds),
+             "--out", str(tmp / "out")], f"{f}:2:")
+
+
+def _bad_label(fields):
+    def build(dataset, tmp):
+        labels = tmp / "labels"
+        labels.mkdir()
+        f = labels / "frame_000000.txt"
+        f.write_text(f"0 1 {fields} 1 1 1 1 1 init\n")
+        return (["evaluate", str(dataset), "--labels", str(labels),
+                 "--gt", str(dataset / "gt_labels"),
+                 "--report", str(tmp / "r.json")], f"{f}:1:")
+    return build
+
+
+def _non_integer_frame_file(dataset, tmp):
+    labels = tmp / "labels"
+    labels.mkdir()
+    (labels / "frame_abc.txt").write_text("")
+    return (["mock-detect", str(dataset), "--labels", str(labels),
+             "--out", str(tmp / "out")], str(labels / "frame_abc.txt"))
+
+
+def _bad_manifest_entry(edit, where):
+    def build(dataset, tmp):
+        import shutil
+        copy = tmp / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        edit(manifest["frames"])
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        return (["generate", str(copy), "--out", str(tmp / "out"),
+                 "--threads", "1"], f"frames[3]: {where}")
+    return build
+
+
+def _manifest_without(key):
+    return _bad_manifest_entry(lambda entries: entries[3].pop(key),
+                               f"missing {key!r}")
+
+
+MALFORMED = {
+    "confidence-1.5": _bad_prediction,
+    "degenerate-label-box": _bad_label("0 0 0.8 0 1.8 1.6 0"),
+    "non-finite-label-box": _bad_label("nan 0 0.8 4 1.8 1.6 0"),
+    "frame_abc.txt": _non_integer_frame_file,
+    "manifest-no-frame_id": _manifest_without("frame_id"),
+    "manifest-no-points": _manifest_without("points"),
+    "manifest-no-pose": _manifest_without("pose"),
+    "manifest-frame_id-abc": _bad_manifest_entry(
+        lambda entries: entries[3].update(frame_id="abc"), "frame_id 'abc'"),
+    "manifest-entry-not-object": _bad_manifest_entry(
+        lambda entries: entries.insert(3, 5), "expected an object"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_naming_the_place(self, dataset, tmp_path, capsys, case):
+        argv, where = MALFORMED[case](dataset, tmp_path)
+        assert main(argv) == 2
+        assert where in capsys.readouterr().err

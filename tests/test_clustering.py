@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sembox import clustering
 from sembox.clustering import ClusterParams, dbscan, fit_box, multi_scale_cluster
 from sembox.geometry import PointCloud, points_in_box
 
@@ -106,6 +107,32 @@ class TestDbscan:
         unshuffled[perm] = shuffled
         got = canonical_partition(unshuffled)
         assert got == base
+
+    def test_labels_equal_brute_force_with_ties(self, rng):
+        # Rounded coordinates give duplicate points and equidistant cores,
+        # so cluster numbering and the border tie rule are both pinned.
+        for _ in range(30):
+            dim = int(rng.choice([2, 3]))
+            pts = np.round(rng.normal(0, 1.5, (int(rng.integers(5, 120)), dim)), 1)
+            eps = float(rng.choice([0.2, 0.3, 0.5, 1.0]))
+            min_pts = int(rng.integers(1, 8))
+            np.testing.assert_array_equal(dbscan(pts, eps, min_pts),
+                                          brute_force_dbscan(pts, eps, min_pts))
+
+    def test_far_outliers_stay_noise(self):
+        # Coordinates this far apart overflow packed cell keys unless the
+        # empty stretches between occupied cells are compressed.
+        pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0],
+                        [1e18, 1e18], [1e18 + 1e3, 0.0]])
+        assert dbscan(pts, 0.15, 2).tolist() == [0, 0, 0, -1, -1]
+
+    def test_small_pair_chunks_change_nothing(self, rng, monkeypatch):
+        pts = np.concatenate([rng.normal(0, 0.4, (150, 2)),
+                              rng.uniform(-3, 3, (50, 2))])
+        want = dbscan(pts, 0.3, 4)
+        monkeypatch.setattr(clustering, "_PAIR_CHUNK", 7)
+        np.testing.assert_array_equal(dbscan(pts, 0.3, 4), want)
+        np.testing.assert_array_equal(want, brute_force_dbscan(pts, 0.3, 4))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

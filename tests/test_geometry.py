@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sembox.geometry import (BevGridSpec, Box3D, PointCloud, Pose, bev_iou,
-                             grid_index, iou_3d, point_in_box, points_in_box,
-                             transform_points)
+                             grid_indices, iou_3d, points_in_box)
 
 from conftest import monte_carlo_bev_iou, random_box
 
@@ -30,13 +29,13 @@ def pose_strategy():
 class TestTransform:
     def test_identity(self):
         cloud = make_cloud([[1, 2, 3], [4, 5, 6]])
-        out = transform_points(cloud, Pose.identity())
+        out = cloud.transformed(Pose.identity())
         np.testing.assert_array_equal(out.xyz, cloud.xyz)
         np.testing.assert_array_equal(out.class_id, cloud.class_id)
 
     def test_quarter_turn(self):
         pose = Pose.from_xyz_yaw(0, 0, 0, math.pi / 2)
-        out = transform_points(make_cloud([[1, 0, 0]]), pose)
+        out = make_cloud([[1, 0, 0]]).transformed(pose)
         np.testing.assert_allclose(out.xyz[0], [0, 1, 0], atol=1e-9)
 
     @settings(max_examples=100, deadline=None)
@@ -44,13 +43,13 @@ class TestTransform:
     def test_inverse_composition(self, pose):
         rng = np.random.default_rng(0)
         cloud = make_cloud(rng.uniform(-30, 30, (40, 3)))
-        back = transform_points(transform_points(cloud, pose), pose.inverse())
+        back = cloud.transformed(pose).transformed(pose.inverse())
         np.testing.assert_allclose(back.xyz, cloud.xyz, atol=1e-6)
 
     def test_tags_preserved(self):
         cloud = PointCloud(np.ones((3, 3)), np.array([0, 1, 2]),
                            np.array([-1, 0, 1]))
-        out = transform_points(cloud, Pose.from_xyz_yaw(1, 2, 3, 0.5))
+        out = cloud.transformed(Pose.from_xyz_yaw(1, 2, 3, 0.5))
         np.testing.assert_array_equal(out.class_id, [0, 1, 2])
         np.testing.assert_array_equal(out.frame_index, [-1, 0, 1])
         assert len(out) == 3
@@ -65,12 +64,12 @@ class TestTransform:
 class TestPointInBox:
     def test_center_inside(self):
         b = Box3D(1, 2, 3, 4, 2, 1.5, 0.3)
-        assert point_in_box(1, 2, 3, b)
+        assert points_in_box(np.array([[1, 2, 3]]), b)[0]
 
     def test_boundary_inclusive(self):
         b = Box3D(0, 0, 0, 4, 2, 2, 0.0)
-        assert point_in_box(2.0, 0, 0, b)
-        assert not point_in_box(2.0 + 1e-9, 0, 0, b)
+        assert points_in_box(np.array([[2.0, 0, 0]]), b)[0]
+        assert not points_in_box(np.array([[2.0 + 1e-9, 0, 0]]), b)[0]
 
     @settings(max_examples=100, deadline=None)
     @given(l=st.floats(0.5, 5), w=st.floats(0.5, 5), yaw=angles,
@@ -158,15 +157,18 @@ class TestIou3d:
 class TestGrid:
     SPEC = BevGridSpec(0.0, 0.0, 0.5, 10, 10)
 
+    def cell(self, x, y):
+        return tuple(grid_indices(np.array([[x, y]]), self.SPEC)[0])
+
     def test_floor_arithmetic(self):
-        assert grid_index(0.7, 1.2, self.SPEC) == (1, 2)
+        assert self.cell(0.7, 1.2) == (1, 2)
 
     def test_origin(self):
-        assert grid_index(0.0, 0.0, self.SPEC) == (0, 0)
+        assert self.cell(0.0, 0.0) == (0, 0)
 
     def test_out_of_range(self):
-        assert grid_index(-0.1, 0.0, self.SPEC) is None
-        assert grid_index(5.0, 0.0, self.SPEC) is None  # right edge exclusive
+        assert self.cell(-0.1, 0.0) == (-1, -1)
+        assert self.cell(5.0, 0.0) == (-1, -1)  # right edge exclusive
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
