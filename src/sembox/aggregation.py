@@ -34,12 +34,11 @@ class Frame:
 
 @dataclass
 class MotionGrid:
-    """BEV occupancy-run classification into static/moving/empty cells."""
+    """BEV cells classified static/moving/empty by their longest run of
+    consecutive foreground-occupied frames (see build_motion_grid)."""
 
     spec: BevGridSpec
-    max_run: np.ndarray  # (nx, ny) int16: longest consecutive occupied run
     label: np.ndarray  # (nx, ny) uint8: CELL_* constants
-    epsilon: int
 
     def labels_at(self, xy: np.ndarray) -> np.ndarray:
         """Labels of the cells holding BEV points (N, 2); EMPTY when off-grid."""
@@ -54,15 +53,14 @@ class MotionGrid:
 class DenseCloud:
     """Aggregated multi-frame cloud in the target frame's coordinates."""
 
-    target_frame_id: int
-    points: PointCloud  # frame_index tags the source frame offset
+    points: PointCloud
 
 
 def register_window(frames: list[Frame], target_index: int) -> list[PointCloud]:
     """Transform each frame's points into the target frame's coordinates.
 
-    The returned clouds carry frame_index = own index - target index.
-    Raises when any frame in the window has no pose.
+    The returned clouds are in window order. Raises when any frame in the
+    window has no pose.
     """
     if not frames:
         raise ValueError("empty aggregation window")
@@ -72,14 +70,7 @@ def register_window(frames: list[Frame], target_index: int) -> list[PointCloud]:
         if f.pose is None:
             raise ValueError(f"missing pose for frame {f.frame_id}")
     to_target = frames[target_index].pose.inverse()
-    out = []
-    for k, f in enumerate(frames):
-        moved = f.points.transformed(to_target.compose(f.pose))
-        moved = PointCloud(
-            moved.xyz, moved.class_id,
-            np.full(len(moved), k - target_index, dtype=np.int32))
-        out.append(moved)
-    return out
+    return [f.points.transformed(to_target.compose(f.pose)) for f in frames]
 
 
 def build_motion_grid(registered: list[PointCloud], spec: BevGridSpec,
@@ -95,7 +86,7 @@ def build_motion_grid(registered: list[PointCloud], spec: BevGridSpec,
     if epsilon < 1:
         raise ValueError("epsilon must be >= 1")
 
-    max_run = np.zeros((spec.nx, spec.ny), dtype=np.int16)
+    longest = np.zeros((spec.nx, spec.ny), dtype=np.int16)
     run = np.zeros((spec.nx, spec.ny), dtype=np.int16)
     ever = np.zeros((spec.nx, spec.ny), dtype=bool)
     for cloud in registered:
@@ -106,35 +97,36 @@ def build_motion_grid(registered: list[PointCloud], spec: BevGridSpec,
             ij = ij[ij[:, 0] >= 0]
             occ[ij[:, 0], ij[:, 1]] = True
         run = np.where(occ, run + 1, 0).astype(np.int16)
-        np.maximum(max_run, run, out=max_run)
+        np.maximum(longest, run, out=longest)
         ever |= occ
 
     label = np.zeros((spec.nx, spec.ny), dtype=np.uint8)
     label[ever] = CELL_MOVING
-    label[max_run >= epsilon] = CELL_STATIC
-    return MotionGrid(spec, max_run, label, epsilon)
+    label[longest >= epsilon] = CELL_STATIC
+    return MotionGrid(spec, label)
 
 
 def build_dense_cloud(registered: list[PointCloud], grid: MotionGrid,
-                      target_frame_id: int) -> DenseCloud:
+                      target_index: int) -> DenseCloud:
     """Aggregate the registered window, dropping motion artifacts.
 
-    Every point of the target frame is kept. For other frames, foreground
-    points falling in moving cells are removed; background points (and
-    points outside the grid, which carry no motion evidence) are kept with
-    their class so semantic checks downstream can see them.
+    Every point of the target frame, registered[target_index], is kept.
+    For other frames, foreground points falling in moving cells are
+    removed; background points (and points outside the grid, which carry
+    no motion evidence) are kept with their class so semantic checks
+    downstream can see them.
     """
     if not registered:
         raise ValueError("empty aggregation window")
+    if not (0 <= target_index < len(registered)):
+        raise ValueError("target_index outside the window")
     kept = []
-    for cloud in registered:
-        if len(cloud) == 0:
-            continue
-        if cloud.frame_index[0] == 0:
+    for k, cloud in enumerate(registered):
+        if k == target_index:
             kept.append(cloud)
             continue
         fg = cloud.foreground
         drop = np.zeros(len(cloud), dtype=bool)
         drop[fg] = grid.labels_at(cloud.xyz[fg, :2]) == CELL_MOVING
         kept.append(cloud.select(~drop))
-    return DenseCloud(target_frame_id, PointCloud.concatenate(kept))
+    return DenseCloud(PointCloud.concatenate(kept))

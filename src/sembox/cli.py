@@ -47,8 +47,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_thread_count, default=None,
                    help="worker count (default: all cores, or "
                         f"${pipeline.THREADS_ENV_VAR})")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed override for seeded subcommands")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", default="default",
                    help=f"profile name {sorted(NOISE_PROFILES)} or a JSON file")
     p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="noise seed (default: the config's seed)")
     _add_common(p)
     return parser
 
@@ -183,15 +183,15 @@ def cmd_score_labels(args) -> int:
         dense = pipeline.aggregate_window(frames, index_of[fid], config)
         out: list[PseudoLabel] = []
         for lab in loaded[fid]:
-            cls_xyz = dense.points.xyz[dense.points.class_id == lab.class_id]
-            scores = config.score_box(lab.box, lab.class_id, cls_xyz)
+            cls_xyz = dense.points.xyz[dense.points.class_id == lab.box.class_id]
+            scores = config.score_box(lab.box, cls_xyz)
             out.append(PseudoLabel(
-                lab.box, lab.class_id, scores,
+                lab.box, scores,
                 label_weight(scores.msf, config.theta_low, config.theta_high),
-                lab.source, fid))
+                lab.source))
         rescored[fid] = out
         for old, new in zip(loaded[fid], out):
-            print(f"frame {fid} class {old.class_id} msf {old.scores.msf:.4f} "
+            print(f"frame {fid} class {old.box.class_id} msf {old.scores.msf:.4f} "
                   f"-> {new.scores.msf:.4f}")
     if args.out is not None:
         dataio.write_box_dir(Path(args.out), rescored, kind="labels")

@@ -56,7 +56,6 @@ class BoxCandidate:
     box: Box3D
     radius_used: float
     cluster_point_indices: np.ndarray  # indices into the dense cloud
-    class_id: int
 
 
 class _Members:
@@ -369,5 +368,5 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
                 idx = sel[member]
                 box = fit_box(dense.xyz[idx], class_id, yaw_step_deg,
                               fit_criterion)
-                candidates.append(BoxCandidate(box, radius, idx, class_id))
+                candidates.append(BoxCandidate(box, radius, idx))
     return candidates

@@ -137,11 +137,10 @@ class PipelineConfig:
             raise ConfigError(f"classes: no configuration for class id {class_id}")
         return MetaShape(*cc.meta_shape)
 
-    def score_box(self, box: Box3D, class_id: int,
-                  class_xyz: np.ndarray) -> ScoreBreakdown:
+    def score_box(self, box: Box3D, class_xyz: np.ndarray) -> ScoreBreakdown:
         """Score breakdown of a box against its class's points under this
         config's shape prior, score weights and occupancy grid."""
-        return msf_score(box, class_xyz, self.meta_shape(class_id),
+        return msf_score(box, class_xyz, self.meta_shape(box.class_id),
                          self.lambdas, self.occ_grid_r, self.shape_score_literal)
 
     @property

@@ -14,6 +14,8 @@ labels           one box per line:
                  weight source``
 predictions      one box per line:
                  ``frame_id class_id cx cy cz l w h yaw confidence``
+                 (the boxes of frame N live in ``frame_<N>.txt``, N as
+                 decimal digits, and every line's frame_id is N)
 manifest.json    frame order, timestamps, file names, class-name table
 
 A dataset directory holds one sequence: ``manifest.json``, ``points/``,
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,7 @@ LABEL_FIELDS = ("frame_id", "class_id", "cx", "cy", "cz", "l", "w", "h",
                 "yaw", "occ", "alg", "ms", "msf", "weight", "source")
 PREDICTION_FIELDS = ("frame_id", "class_id", "cx", "cy", "cz", "l", "w", "h",
                      "yaw", "confidence")
+_BOX_FILE = re.compile(r"frame_(-?[0-9]+)\.txt")  # frame_file's names, any padding
 
 
 class FormatError(ValueError):
@@ -139,13 +143,20 @@ def read_pose(path: str | Path) -> Pose:
 # Labels and predictions --------------------------------------------------
 
 
-def write_labels(path: str | Path, labels: list[PseudoLabel]) -> None:
+def _check_frame_id(path: Path, lineno: int, stated: int, frame_id: int) -> None:
+    if stated != frame_id:
+        raise FormatError(f"{path}:{lineno}: frame_id {stated} differs from "
+                          f"frame {frame_id} of the file name")
+
+
+def write_labels(path: str | Path, frame_id: int,
+                 labels: list[PseudoLabel]) -> None:
     lines = []
     for lab in labels:
         b = lab.box
         s = lab.scores
         lines.append(" ".join([
-            str(lab.frame_id), str(lab.class_id),
+            str(frame_id), str(b.class_id),
             _fmt(b.cx), _fmt(b.cy), _fmt(b.cz),
             _fmt(b.l), _fmt(b.w), _fmt(b.h), _fmt(b.yaw),
             _fmt(s.occ), _fmt(s.alg), _fmt(s.ms), _fmt(s.msf),
@@ -154,10 +165,11 @@ def write_labels(path: str | Path, labels: list[PseudoLabel]) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_labels(path: str | Path,
+def read_labels(path: str | Path, frame_id: int,
                 weight_thresholds: tuple[float, float] | None = None
                 ) -> list[PseudoLabel]:
-    """Read a labels file; optionally cross-check weights against scores.
+    """Read frame frame_id's labels file; optionally cross-check weights
+    against scores.
 
     When thresholds are given, a stored weight inconsistent with the
     stored combined score raises a warning in the log but loads anyway.
@@ -174,13 +186,12 @@ def read_labels(path: str | Path,
                 f"{path}:{lineno}: expected {len(LABEL_FIELDS)} fields, got "
                 f"{len(parts)} (first missing/broken field: {missing})")
         try:
-            frame_id = int(parts[0])
-            class_id = int(parts[1])
+            stated = int(parts[0])
             nums = [float(v) for v in parts[2:14]]
-            source = parts[14]
-            box = Box3D(*nums[0:7], class_id=class_id)
+            box = Box3D(*nums[0:7], class_id=int(parts[1]))
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from e
+        _check_frame_id(path, lineno, stated, frame_id)
         scores = ScoreBreakdown(occ=nums[7], alg=nums[8], ms=nums[9], msf=nums[10])
         weight = nums[11]
         if weight_thresholds is not None:
@@ -189,16 +200,17 @@ def read_labels(path: str | Path,
                 logger.warning(
                     "%s:%d: stored weight %.9g inconsistent with msf %.9g "
                     "(expected %.9g)", path, lineno, weight, scores.msf, expect)
-        out.append(PseudoLabel(box, class_id, scores, weight, source, frame_id))
+        out.append(PseudoLabel(box, scores, weight, parts[14]))
     return out
 
 
-def write_predictions(path: str | Path, preds: list[Prediction]) -> None:
+def write_predictions(path: str | Path, frame_id: int,
+                      preds: list[Prediction]) -> None:
     lines = []
     for p in preds:
         b = p.box
         lines.append(" ".join([
-            str(p.frame_id), str(p.class_id),
+            str(frame_id), str(b.class_id),
             _fmt(b.cx), _fmt(b.cy), _fmt(b.cz),
             _fmt(b.l), _fmt(b.w), _fmt(b.h), _fmt(b.yaw),
             _fmt(p.confidence),
@@ -206,7 +218,7 @@ def write_predictions(path: str | Path, preds: list[Prediction]) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_predictions(path: str | Path) -> list[Prediction]:
+def read_predictions(path: str | Path, frame_id: int) -> list[Prediction]:
     path = Path(path)
     out: list[Prediction] = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -219,13 +231,13 @@ def read_predictions(path: str | Path) -> list[Prediction]:
                 f"{path}:{lineno}: expected {len(PREDICTION_FIELDS)} fields, got "
                 f"{len(parts)} (first missing/broken field: {missing})")
         try:
-            frame_id = int(parts[0])
-            class_id = int(parts[1])
+            stated = int(parts[0])
             nums = [float(v) for v in parts[2:10]]
-            box = Box3D(*nums[0:7], class_id=class_id)
-            out.append(Prediction(box, class_id, nums[7], frame_id))
+            pred = Prediction(Box3D(*nums[0:7], class_id=int(parts[1])), nums[7])
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from e
+        _check_frame_id(path, lineno, stated, frame_id)
+        out.append(pred)
     return out
 
 
@@ -243,24 +255,29 @@ def write_box_dir(out_dir: str | Path, per_frame: dict,
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = write_labels if kind == "labels" else write_predictions
     for frame_id in sorted(per_frame):
-        writer(out_dir / frame_file(frame_id, ".txt"), per_frame[frame_id])
+        writer(out_dir / frame_file(frame_id, ".txt"), frame_id,
+               per_frame[frame_id])
 
 
 def read_box_dir(dir_path: str | Path, kind: str = "labels",
                  weight_thresholds: tuple[float, float] | None = None) -> dict:
+    """Read the frame_<digits>.txt files of a directory, keyed by frame id;
+    any other frame_*.txt name, or a second name of one id, is an error."""
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
         raise FormatError(f"{dir_path}: not a directory")
     out = {}
     for f in sorted(dir_path.glob("frame_*.txt")):
-        try:
-            frame_id = int(f.stem.split("_")[1])
-        except ValueError:
-            raise FormatError(f"{f}: frame id in the file name is not an integer")
+        m = _BOX_FILE.fullmatch(f.name)
+        if m is None:
+            raise FormatError(f"{f}: file name is not frame_<digits>.txt")
+        frame_id = int(m.group(1))
+        if frame_id in out:
+            raise FormatError(f"{f}: another file already holds frame {frame_id}")
         if kind == "labels":
-            out[frame_id] = read_labels(f, weight_thresholds)
+            out[frame_id] = read_labels(f, frame_id, weight_thresholds)
         else:
-            out[frame_id] = read_predictions(f)
+            out[frame_id] = read_predictions(f, frame_id)
     return out
 
 
@@ -307,8 +324,7 @@ def write_dataset(root: str | Path, frames: list[Frame],
     if gt is not None:
         gt_labels = {
             fid: [
-                PseudoLabel(box, box.class_id,
-                            ScoreBreakdown(1.0, 1.0, 1.0, 1.0), 1.0, "init", fid)
+                PseudoLabel(box, ScoreBreakdown(1.0, 1.0, 1.0, 1.0), 1.0, "init")
                 for box in boxes
             ]
             for fid, boxes in gt.items()

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,23 +94,16 @@ class PointCloud:
     """Columnar batch of semantic points.
 
     Each row of `xyz` is one point; `class_id` holds its semantic class
-    (0 = background, 1..K = foreground classes) and `frame_index` the signed
-    offset of its source frame within an aggregation window (0 for points
-    native to the target frame).
+    (0 = background, 1..K = foreground classes).
     """
 
     xyz: np.ndarray  # (N, 3) float64
     class_id: np.ndarray  # (N,) int32
-    frame_index: np.ndarray = field(default=None)  # (N,) int32
 
     def __post_init__(self) -> None:
         self.xyz = np.ascontiguousarray(np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3))
         self.class_id = np.asarray(self.class_id, dtype=np.int32).reshape(-1)
-        if self.frame_index is None:
-            self.frame_index = np.zeros(len(self.xyz), dtype=np.int32)
-        else:
-            self.frame_index = np.asarray(self.frame_index, dtype=np.int32).reshape(-1)
-        if not (len(self.xyz) == len(self.class_id) == len(self.frame_index)):
+        if len(self.xyz) != len(self.class_id):
             raise ValueError("point cloud columns have mismatched lengths")
 
     def __len__(self) -> int:
@@ -124,11 +117,11 @@ class PointCloud:
             raise ValueError(f"class_id outside [0, {num_classes}]")
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        return PointCloud(self.xyz[mask], self.class_id[mask], self.frame_index[mask])
+        return PointCloud(self.xyz[mask], self.class_id[mask])
 
     def transformed(self, pose: Pose) -> "PointCloud":
-        """Apply a rigid transform; class and frame tags are preserved."""
-        return PointCloud(pose.apply(self.xyz), self.class_id, self.frame_index)
+        """Apply a rigid transform; class tags are preserved."""
+        return PointCloud(pose.apply(self.xyz), self.class_id)
 
     @property
     def foreground(self) -> np.ndarray:
@@ -141,7 +134,6 @@ class PointCloud:
         return PointCloud(
             np.concatenate([c.xyz for c in clouds]),
             np.concatenate([c.class_id for c in clouds]),
-            np.concatenate([c.frame_index for c in clouds]),
         )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .aggregation import (DenseCloud, Frame, build_dense_cloud,
                           build_motion_grid, register_window)
 from .clustering import multi_scale_cluster
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .geometry import BevGridSpec
 from .scoring import PseudoLabel, label_sort_key, nms_select
 
@@ -36,7 +36,7 @@ def resolve_threads(cli_value: int | None) -> int:
                 return int(env)
         except ValueError:
             pass
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
+        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
     return os.cpu_count() or 1
 
 
@@ -54,7 +54,7 @@ def aggregate_window(frames: list[Frame], index: int,
     spec = BevGridSpec.centered(config.detection_range, config.cell_size)
     epsilon = config.effective_epsilon(len(window))
     grid = build_motion_grid(registered, spec, epsilon)
-    return build_dense_cloud(registered, grid, frames[index].frame_id)
+    return build_dense_cloud(registered, grid, index - lo)
 
 
 def process_frame(frames: list[Frame], index: int,
@@ -65,13 +65,12 @@ def process_frame(frames: list[Frame], index: int,
                                      config.yaw_step_deg, config.fit_criterion)
     class_xyz = {
         cid: dense.points.xyz[dense.points.class_id == cid]
-        for cid in sorted({c.class_id for c in candidates})
+        for cid in sorted({c.box.class_id for c in candidates})
     }
-    scores = [config.score_box(c.box, c.class_id, class_xyz[c.class_id])
+    scores = [config.score_box(c.box, class_xyz[c.box.class_id])
               for c in candidates]
     labels = nms_select(candidates, scores, config.nms_iou_threshold,
-                        config.theta_low, config.theta_high,
-                        frames[index].frame_id)
+                        config.theta_low, config.theta_high)
     labels.sort(key=label_sort_key)
     return labels
 

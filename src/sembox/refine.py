@@ -20,8 +20,7 @@ from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
 from .config import PipelineConfig
-from .geometry import (BevGridSpec, Box3D, PointCloud, bev_iou, points_in_box,
-                       transform_box)
+from .geometry import BevGridSpec, Box3D, bev_iou, points_in_box, transform_box
 from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
                       label_weight, selection_order)
 
@@ -31,9 +30,7 @@ class Prediction:
     """One detector output box."""
 
     box: Box3D
-    class_id: int
     confidence: float
-    frame_id: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
@@ -71,7 +68,7 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
             continue
         ids, counts = np.unique(fg, return_counts=True)
         majority = int(ids[np.argmax(counts)])  # ties: smallest class id
-        if majority != pred.class_id:
+        if majority != pred.box.class_id:
             continue
         present = (counts >= min_points) & (counts >= min_fraction * len(fg))
         if int(present.sum()) >= 2:
@@ -87,12 +84,10 @@ def sequence_motion_grid(frames: list[Frame], cell_size: float,
         raise ValueError("empty sequence")
     registered = []
     centers = []
-    for k, fr in enumerate(frames):
+    for fr in frames:
         if fr.pose is None:
             raise ValueError(f"missing pose for frame {fr.frame_id}")
-        moved = fr.points.transformed(fr.pose)
-        registered.append(PointCloud(
-            moved.xyz, moved.class_id, np.full(len(moved), k, dtype=np.int32)))
+        registered.append(fr.points.transformed(fr.pose))
         centers.append(fr.pose.translation[:2])
     centers = np.array(centers)
     spec = BevGridSpec.covering(
@@ -129,7 +124,6 @@ def _connected_groups(boxes: list[Box3D]) -> list[list[int]]:
 @dataclass(frozen=True)
 class RefinedBox:
     box: Box3D
-    class_id: int
     source: str
 
 
@@ -180,29 +174,24 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
 
     frame_by_id = {fr.frame_id: fr for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
-    static_entries: list[tuple[int, Prediction, Box3D]] = []
+    static_by_class: dict[int, list[Box3D]] = {}  # global coordinates
     for fid in sorted(preds_per_frame):
         if fid not in poses:
             raise ValueError(f"predictions reference unknown frame {fid}")
         for pred in preds_per_frame[fid]:
             state = _prediction_motion_state(pred, frame_by_id[fid], grid)
             if state == CELL_STATIC:
-                static_entries.append(
-                    (fid, pred, transform_box(pred.box, poses[fid])))
+                box = transform_box(pred.box, poses[fid])
+                static_by_class.setdefault(box.class_id, []).append(box)
             else:
-                out[fid].append(RefinedBox(pred.box, pred.class_id, SOURCE_INIT))
+                out[fid].append(RefinedBox(pred.box, SOURCE_INIT))
 
-    if static_entries:
+    if static_by_class:
         class_points = _static_class_points(frames, grid)
-        by_class: dict[int, list[int]] = {}
-        for idx, (_, pred, _) in enumerate(static_entries):
-            by_class.setdefault(pred.class_id, []).append(idx)
-
-        for cid in sorted(by_class):
-            members = by_class[cid]
-            global_boxes = [static_entries[i][2] for i in members]
+        for cid in sorted(static_by_class):
+            global_boxes = static_by_class[cid]
             pts = class_points.get(cid, np.zeros((0, 3)))
-            scores = [config.score_box(b, cid, pts) for b in global_boxes]
+            scores = [config.score_box(b, pts) for b in global_boxes]
             for group in _connected_groups(global_boxes):
                 best_local = selection_order([scores[g] for g in group])[0]
                 winner = global_boxes[group[best_local]]
@@ -214,11 +203,11 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
                         # predictions it overlaps in this frame.
                         out[fr.frame_id] = [
                             rb for rb in out[fr.frame_id]
-                            if rb.class_id != cid
+                            if rb.box.class_id != cid
                             or bev_iou(rb.box, local) == 0.0
                         ]
                         out[fr.frame_id].append(
-                            RefinedBox(local, cid, SOURCE_REFINED))
+                            RefinedBox(local, SOURCE_REFINED))
     return out
 
 
@@ -263,12 +252,12 @@ def refine_round(frames: list[Frame],
     for fr in frames:
         frame_labels: list[PseudoLabel] = []
         for rb in refined.get(fr.frame_id, []):
-            cls_xyz = fr.points.xyz[fr.points.class_id == rb.class_id]
-            scores = config.score_box(rb.box, rb.class_id, cls_xyz)
+            cls_xyz = fr.points.xyz[fr.points.class_id == rb.box.class_id]
+            scores = config.score_box(rb.box, cls_xyz)
             frame_labels.append(PseudoLabel(
-                box=rb.box, class_id=rb.class_id, scores=scores,
+                box=rb.box, scores=scores,
                 weight=label_weight(scores.msf, config.theta_low, config.theta_high),
-                source=rb.source, frame_id=fr.frame_id))
+                source=rb.source))
         frame_labels.sort(key=label_sort_key)
         labels[fr.frame_id] = frame_labels
         retained[fr.frame_id] = box_absent_foreground_filter(fr, frame_labels)
@@ -333,8 +322,7 @@ def mock_detector(boxes_per_frame: dict[int, list[Box3D]], noise: NoiseModel,
                 box.cx + dx, box.cy + dy, box.cz + dz,
                 max(box.l + dsize[0], 0.1), max(box.w + dsize[1], 0.1),
                 max(box.h + dsize[2], 0.1), box.yaw + dyaw, class_id)
-            preds.append(Prediction(jittered, class_id,
-                                    float(np.clip(conf, 0.01, 1.0)), fid))
+            preds.append(Prediction(jittered, float(np.clip(conf, 0.01, 1.0))))
         n_fp = int(rng.poisson(noise.false_positives_per_frame)) \
             if noise.false_positives_per_frame > 0 else 0
         for _ in range(n_fp):
@@ -345,6 +333,6 @@ def mock_detector(boxes_per_frame: dict[int, list[Box3D]], noise: NoiseModel,
                 Box3D(r * math.cos(az), r * math.sin(az), 0.8,
                       4.0 + rng.uniform(-1, 1), 1.8 + rng.uniform(-0.5, 0.5),
                       1.6, rng.uniform(-math.pi, math.pi), cls),
-                cls, float(rng.uniform(0.3, 0.6)), fid))
+                float(rng.uniform(0.3, 0.6))))
         out[fid] = preds
     return out

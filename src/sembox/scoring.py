@@ -59,16 +59,14 @@ class ScoreBreakdown:
 @dataclass(frozen=True)
 class PseudoLabel:
     box: Box3D
-    class_id: int
     scores: ScoreBreakdown
     weight: float
     source: str
-    frame_id: int
 
 
 def label_sort_key(lab: PseudoLabel):
     """Output order of a frame's labels: class, best score first, then box."""
-    return (lab.class_id, -lab.scores.msf, lab.box.cx, lab.box.cy,
+    return (lab.box.class_id, -lab.scores.msf, lab.box.cx, lab.box.cy,
             lab.box.cz, lab.box.yaw)
 
 
@@ -208,8 +206,8 @@ def selection_order(scores: list[ScoreBreakdown]) -> list[int]:
 
 
 def nms_select(candidates: list[BoxCandidate], scores: list[ScoreBreakdown],
-               iou_threshold: float, theta_low: float, theta_high: float,
-               frame_id: int) -> list[PseudoLabel]:
+               iou_threshold: float, theta_low: float,
+               theta_high: float) -> list[PseudoLabel]:
     """Greedy per-class NMS keeping the best-scored non-overlapping boxes.
 
     A candidate is kept iff its BEV IoU with every already-kept box of the
@@ -222,12 +220,12 @@ def nms_select(candidates: list[BoxCandidate], scores: list[ScoreBreakdown],
     kept_boxes: dict[int, list[Box3D]] = {}
     for i in selection_order(scores):
         cand = candidates[i]
-        boxes = kept_boxes.setdefault(cand.class_id, [])
+        boxes = kept_boxes.setdefault(cand.box.class_id, [])
         if any(bev_iou(cand.box, kb) >= iou_threshold for kb in boxes):
             continue
         boxes.append(cand.box)
         kept.append(PseudoLabel(
-            box=cand.box, class_id=cand.class_id, scores=scores[i],
+            box=cand.box, scores=scores[i],
             weight=label_weight(scores[i].msf, theta_low, theta_high),
-            source=SOURCE_INIT, frame_id=frame_id))
+            source=SOURCE_INIT))
     return kept

@@ -266,7 +266,7 @@ class TestC6ScoreCorrelation:
             grid = build_motion_grid(
                 reg, BevGridSpec.centered(cfg.detection_range, cfg.cell_size),
                 cfg.effective_epsilon(len(window)))
-            dense = build_dense_cloud(reg, grid, idx)
+            dense = build_dense_cloud(reg, grid, idx - lo)
             for g in gt[idx]:
                 cls_xyz = dense.points.xyz[dense.points.class_id == g.class_id]
                 for _ in range(25):
@@ -386,7 +386,7 @@ class TestC8FilterContracts:
                     wrong = 2 if g.class_id != 2 else 3
                     flipped.append(Prediction(
                         Box3D(g.cx, g.cy, g.cz, g.l, g.w, g.h, g.yaw,
-                              class_id=wrong), wrong, 0.9, fr.frame_id))
+                              class_id=wrong), 0.9))
                 kept = semantic_consistency_filter(flipped, fr)
                 total += len(flipped)
                 dropped += len(flipped) - len(kept)

@@ -18,25 +18,23 @@ def cloud_at(cells, cls=1):
     return PointCloud(xyz, np.full(len(cells), cls, dtype=np.int32))
 
 
-def tag(cloud, k):
-    return PointCloud(cloud.xyz, cloud.class_id,
-                      np.full(len(cloud), k, dtype=np.int32))
-
-
 class TestMotionGrid:
     def test_interrupted_run_is_moving(self):
         # Occupancy pattern 1,1,0,1,1 over five frames, epsilon 3.
         frames = [cloud_at([(2, 2)]) if occ else cloud_at([])
                   for occ in (1, 1, 0, 1, 1)]
         grid = build_motion_grid(frames, SPEC, epsilon=3)
-        assert grid.max_run[2, 2] == 2
         assert grid.label[2, 2] == CELL_MOVING
+        # The longest run is 2: static at epsilon 2, moving at epsilon 3.
+        assert build_motion_grid(frames, SPEC, epsilon=2).label[2, 2] == CELL_STATIC
 
     def test_full_run_is_static(self):
         frames = [cloud_at([(2, 2)]) for _ in range(5)]
         grid = build_motion_grid(frames, SPEC, epsilon=3)
-        assert grid.max_run[2, 2] == 5
         assert grid.label[2, 2] == CELL_STATIC
+        # The longest run is 5: static at epsilon 5, moving at epsilon 6.
+        assert build_motion_grid(frames, SPEC, epsilon=5).label[2, 2] == CELL_STATIC
+        assert build_motion_grid(frames, SPEC, epsilon=6).label[2, 2] == CELL_MOVING
 
     def test_never_occupied_is_empty(self):
         frames = [cloud_at([(2, 2)]) for _ in range(5)]
@@ -103,40 +101,38 @@ class TestRegister:
         ]
         reg = register_window(frames, 0)
         np.testing.assert_allclose(reg[0].xyz, reg[1].xyz, atol=1e-9)
-        assert reg[0].frame_index[0] == 0
-        assert reg[1].frame_index[0] == 1
+        # Window order is kept: the target frame sits at its own position.
+        np.testing.assert_allclose(reg[0].xyz, frames[0].points.xyz, atol=1e-12)
 
 
 class TestDenseCloud:
     def test_static_scene_keeps_everything(self):
-        frames = [tag(cloud_at([(2, 2), (3, 3)]), k - 1) for k in range(3)]
+        frames = [cloud_at([(2, 2), (3, 3)]) for _ in range(3)]
         grid = build_motion_grid(frames, SPEC, epsilon=2)
-        dense = build_dense_cloud(frames, grid, target_frame_id=5)
+        dense = build_dense_cloud(frames, grid, 1)
         assert len(dense.points) == 6
-        assert dense.target_frame_id == 5
 
     def test_moving_object_only_target_survives(self):
         # An object hopping to a new cell every frame.
-        frames = [tag(cloud_at([(k, 0)]), k - 1) for k in range(3)]
+        frames = [cloud_at([(k, 0)]) for k in range(3)]
         grid = build_motion_grid(frames, SPEC, epsilon=2)
-        dense = build_dense_cloud(frames, grid, target_frame_id=0)
+        dense = build_dense_cloud(frames, grid, 1)
         assert len(dense.points) == 1
-        assert dense.points.frame_index[0] == 0
+        np.testing.assert_array_equal(dense.points.xyz, frames[1].xyz)
 
     def test_background_kept_everywhere(self):
-        moving_fg = [tag(cloud_at([(k, 0)]), k - 1) for k in range(3)]
+        moving_fg = [cloud_at([(k, 0)]) for k in range(3)]
         with_bg = [PointCloud(
             np.concatenate([c.xyz, [[6.5, 6.5, 0.0]]]),
-            np.concatenate([c.class_id, [0]]),
-            np.concatenate([c.frame_index, [c.frame_index[0]]]))
+            np.concatenate([c.class_id, [0]]))
             for c in moving_fg]
         grid = build_motion_grid(with_bg, SPEC, epsilon=2)
-        dense = build_dense_cloud(with_bg, grid, 0)
+        dense = build_dense_cloud(with_bg, grid, 1)
         assert (dense.points.class_id == 0).sum() == 3
         assert (dense.points.class_id == 1).sum() == 1
 
     def test_single_frame_window_equals_target(self):
-        frames = [tag(cloud_at([(1, 1), (2, 2)]), 0)]
+        frames = [cloud_at([(1, 1), (2, 2)])]
         grid = build_motion_grid(frames, SPEC, epsilon=1)
         dense = build_dense_cloud(frames, grid, 0)
         assert len(dense.points) == 2
@@ -147,7 +143,7 @@ class TestDenseCloud:
             pts = rng.uniform(0, 8, (30, 3))
             pts[:, 2] = 0
             cls = rng.integers(0, 2, 30).astype(np.int32)
-            frames.append(PointCloud(pts, cls, np.full(30, k - 2, dtype=np.int32)))
+            frames.append(PointCloud(pts, cls))
         grid = build_motion_grid(frames, SPEC, epsilon=3)
-        dense = build_dense_cloud(frames, grid, 0)
+        dense = build_dense_cloud(frames, grid, 2)
         assert len(frames[2]) <= len(dense.points) <= sum(len(f) for f in frames)

@@ -55,6 +55,13 @@ class TestGenerate:
         assert main(["generate", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "out")]) == 2
 
+    def test_seed_flag_rejected(self, dataset, tmp_path):
+        # Only mock-detect (and synth) are seeded.
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", str(dataset), "--out", str(tmp_path / "o"),
+                  "--threads", "1", "--seed", "5"])
+        assert exc.value.code == 2
+
     def test_bad_config_exits_2(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cell_size": -3}))
@@ -176,35 +183,49 @@ class TestThreadResolution:
         with pytest.raises(ValueError, match=THREADS_ENV_VAR):
             resolve_threads(None)
 
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_bad_env_exits_2(self, dataset, tmp_path, monkeypatch, capsys,
+                             value):
+        from sembox.pipeline import THREADS_ENV_VAR
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        assert main(["generate", str(dataset), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert THREADS_ENV_VAR in capsys.readouterr().err
 
-def _bad_prediction(dataset, tmp):
-    preds = tmp / "preds"
-    preds.mkdir()
-    f = preds / "frame_000000.txt"
-    f.write_text("0 1 10 0 0.8 4 1.8 1.6 0 0.9\n"
-                 "0 1 20 0 0.8 4 1.8 1.6 0 1.5\n")
-    return (["refine", str(dataset), "--preds", str(preds),
-             "--out", str(tmp / "out")], f"{f}:2:")
+
+def _bad_prediction(second_line):
+    def build(dataset, tmp):
+        preds = tmp / "preds"
+        preds.mkdir()
+        f = preds / "frame_000000.txt"
+        f.write_text(f"0 1 10 0 0.8 4 1.8 1.6 0 0.9\n{second_line}\n")
+        return (["refine", str(dataset), "--preds", str(preds),
+                 "--out", str(tmp / "out")], f"{f}:2:")
+    return build
 
 
-def _bad_label(fields):
+def _bad_label(fields, frame="0", name="frame_000000.txt"):
     def build(dataset, tmp):
         labels = tmp / "labels"
         labels.mkdir()
-        f = labels / "frame_000000.txt"
-        f.write_text(f"0 1 {fields} 1 1 1 1 1 init\n")
+        f = labels / name
+        f.write_text(f"{frame} 1 {fields} 1 1 1 1 1 init\n")
         return (["evaluate", str(dataset), "--labels", str(labels),
                  "--gt", str(dataset / "gt_labels"),
                  "--report", str(tmp / "r.json")], f"{f}:1:")
     return build
 
 
-def _non_integer_frame_file(dataset, tmp):
-    labels = tmp / "labels"
-    labels.mkdir()
-    (labels / "frame_abc.txt").write_text("")
-    return (["mock-detect", str(dataset), "--labels", str(labels),
-             "--out", str(tmp / "out")], str(labels / "frame_abc.txt"))
+def _label_files(*names):
+    """Empty label files; the last name is the one the error must name."""
+    def build(dataset, tmp):
+        labels = tmp / "labels"
+        labels.mkdir()
+        for name in names:
+            (labels / name).write_text("")
+        return (["mock-detect", str(dataset), "--labels", str(labels),
+                 "--out", str(tmp / "out")], str(labels / names[-1]))
+    return build
 
 
 def _bad_manifest_entry(edit, where):
@@ -226,10 +247,17 @@ def _manifest_without(key):
 
 
 MALFORMED = {
-    "confidence-1.5": _bad_prediction,
+    "confidence-1.5": _bad_prediction("0 1 20 0 0.8 4 1.8 1.6 0 1.5"),
+    "prediction-frame_id-differs": _bad_prediction(
+        "5 1 20 0 0.8 4 1.8 1.6 0 0.9"),
     "degenerate-label-box": _bad_label("0 0 0.8 0 1.8 1.6 0"),
     "non-finite-label-box": _bad_label("nan 0 0.8 4 1.8 1.6 0"),
-    "frame_abc.txt": _non_integer_frame_file,
+    "label-frame_id-differs": _bad_label("10 0 0.8 4 1.8 1.6 0", frame="7",
+                                         name="frame_000003.txt"),
+    "frame_abc.txt": _label_files("frame_abc.txt"),
+    "frame_1_copy.txt": _label_files("frame_000001.txt", "frame_1_copy.txt"),
+    "frame_1.txt-beside-frame_000001.txt": _label_files("frame_000001.txt",
+                                                        "frame_1.txt"),
     "manifest-no-frame_id": _manifest_without("frame_id"),
     "manifest-no-points": _manifest_without("points"),
     "manifest-no-pose": _manifest_without("pose"),

@@ -71,21 +71,20 @@ class TestPose:
             dataio.read_pose(path)
 
 
-def label(fid=0, **kw):
+def label(**kw):
     fields = dict(cx=10.123456789, cy=-3.5, cz=0.8, l=4.6, w=1.8, h=1.6,
                   yaw=0.37)
     fields.update(kw)
     box = Box3D(**fields, class_id=1)
-    return PseudoLabel(box, 1, ScoreBreakdown(0.5, 0.75, 1.0, 0.75),
-                       0.875, "init", fid)
+    return PseudoLabel(box, ScoreBreakdown(0.5, 0.75, 1.0, 0.75), 0.875, "init")
 
 
 class TestLabels:
     def test_round_trip(self, tmp_path):
-        labs = [label(0), label(0, cx=5.0, yaw=-1.2)]
+        labs = [label(), label(cx=5.0, yaw=-1.2)]
         path = tmp_path / "l.txt"
-        dataio.write_labels(path, labs)
-        back = dataio.read_labels(path)
+        dataio.write_labels(path, 0, labs)
+        back = dataio.read_labels(path, 0)
         assert len(back) == 2
         for a, b in zip(back, labs):
             for f in ("cx", "cy", "cz", "l", "w", "h", "yaw"):
@@ -99,30 +98,29 @@ class TestLabels:
         path = tmp_path / "l.txt"
         path.write_text("0 1 1.0 2.0 0.5 4.0 2.0 1.5 0.0 0.5 0.5 0.5 0.5 0.5\n")
         with pytest.raises(FormatError, match="source"):
-            dataio.read_labels(path)
+            dataio.read_labels(path, 0)
 
     def test_weight_inconsistency_warns(self, tmp_path, caplog):
         box = Box3D(1, 2, 0.5, 4, 2, 1.5, 0.0, class_id=1)
-        bad = PseudoLabel(box, 1, ScoreBreakdown(0.9, 0.9, 0.9, 0.9),
-                          0.123, "init", 0)
+        bad = PseudoLabel(box, ScoreBreakdown(0.9, 0.9, 0.9, 0.9), 0.123, "init")
         path = tmp_path / "l.txt"
-        dataio.write_labels(path, [bad])
+        dataio.write_labels(path, 0, [bad])
         with caplog.at_level(logging.WARNING, logger="sembox"):
-            dataio.read_labels(path, weight_thresholds=(0.4, 0.8))
+            dataio.read_labels(path, 0, weight_thresholds=(0.4, 0.8))
         assert any("inconsistent" in r.message for r in caplog.records)
 
     def test_predictions_round_trip(self, tmp_path):
         preds = [Prediction(Box3D(3, 4, 0.7, 4.2, 1.7, 1.5, 0.9, class_id=2),
-                            2, 0.65, 5)]
+                            0.65)]
         path = tmp_path / "p.txt"
-        dataio.write_predictions(path, preds)
-        back = dataio.read_predictions(path)
+        dataio.write_predictions(path, 5, preds)
+        back = dataio.read_predictions(path, 5)
         assert back[0].confidence == pytest.approx(0.65, abs=1e-9)
-        assert back[0].frame_id == 5
-        assert back[0].class_id == 2
+        assert path.read_text().split()[0] == "5"
+        assert back[0].box.class_id == 2
 
     def test_box_dir_round_trip(self, tmp_path):
-        per_frame = {0: [label(0)], 3: [label(3), label(3, cx=1.0)]}
+        per_frame = {0: [label()], 3: [label(), label(cx=1.0)]}
         dataio.write_box_dir(tmp_path / "labels", per_frame)
         back = dataio.read_box_dir(tmp_path / "labels")
         assert sorted(back) == [0, 3]

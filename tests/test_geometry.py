@@ -47,11 +47,9 @@ class TestTransform:
         np.testing.assert_allclose(back.xyz, cloud.xyz, atol=1e-6)
 
     def test_tags_preserved(self):
-        cloud = PointCloud(np.ones((3, 3)), np.array([0, 1, 2]),
-                           np.array([-1, 0, 1]))
+        cloud = PointCloud(np.ones((3, 3)), np.array([0, 1, 2]))
         out = cloud.transformed(Pose.from_xyz_yaw(1, 2, 3, 0.5))
         np.testing.assert_array_equal(out.class_id, [0, 1, 2])
-        np.testing.assert_array_equal(out.frame_index, [-1, 0, 1])
         assert len(out) == 3
 
     def test_bad_rotation_rejected(self):

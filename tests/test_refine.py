@@ -44,14 +44,14 @@ class TestSemanticConsistency:
         box = box_at(10, 0)
         xyz, cls = fill_box(box, 50, self.rng)
         frame = frame_with(xyz, cls)
-        kept = semantic_consistency_filter([Prediction(box, 1, 0.9, 0)], frame)
+        kept = semantic_consistency_filter([Prediction(box, 0.9)], frame)
         assert len(kept) == 1
 
     def test_wrong_class_dropped(self):
         box = box_at(10, 0, cls=1)
         xyz, cls = fill_box(box, 50, self.rng, cls=2)  # pedestrian points
         frame = frame_with(xyz, cls)
-        kept = semantic_consistency_filter([Prediction(box, 1, 0.9, 0)], frame)
+        kept = semantic_consistency_filter([Prediction(box, 0.9)], frame)
         assert kept == []
 
     def test_mixed_classes_dropped(self):
@@ -60,13 +60,13 @@ class TestSemanticConsistency:
         xyz2, cls2 = fill_box(box, 20, self.rng, cls=3)
         frame = frame_with(np.concatenate([xyz1, xyz2]),
                            np.concatenate([cls1, cls2]))
-        kept = semantic_consistency_filter([Prediction(box, 1, 0.9, 0)], frame)
+        kept = semantic_consistency_filter([Prediction(box, 0.9)], frame)
         assert kept == []
 
     def test_empty_box_dropped(self):
         box = box_at(10, 0)
         frame = frame_with([[50.0, 50.0, 0.0]], [1])
-        kept = semantic_consistency_filter([Prediction(box, 1, 0.9, 0)], frame)
+        kept = semantic_consistency_filter([Prediction(box, 0.9)], frame)
         assert kept == []
 
     def test_background_points_do_not_veto(self):
@@ -75,7 +75,7 @@ class TestSemanticConsistency:
         xyz2, cls2 = fill_box(box, 30, self.rng, cls=0)  # ground clutter
         frame = frame_with(np.concatenate([xyz1, xyz2]),
                            np.concatenate([cls1, cls2]))
-        kept = semantic_consistency_filter([Prediction(box, 1, 0.9, 0)], frame)
+        kept = semantic_consistency_filter([Prediction(box, 0.9)], frame)
         assert len(kept) == 1
 
     def test_single_stray_point_does_not_veto(self, rng):
@@ -84,7 +84,7 @@ class TestSemanticConsistency:
         xyz, cls = fill_box(box, 60, rng, cls=1)
         xyz = np.concatenate([xyz, [[10.0, 0.0, 0.8]]])
         cls = np.concatenate([cls, [2]])
-        kept = semantic_consistency_filter([Prediction(box, 1, 0.9, 0)],
+        kept = semantic_consistency_filter([Prediction(box, 0.9)],
                                            frame_with(xyz, cls),
                                            min_fraction=0.05, min_points=3)
         assert len(kept) == 1
@@ -105,7 +105,7 @@ class TestBoxAbsentForeground:
         box = box_at(8, 2)
         xyz, cls = fill_box(box, 20, rng)
         frame = frame_with(xyz, cls)
-        lab = PseudoLabel(box, 1, ScoreBreakdown(1, 1, 1, 1), 1.0, "init", 0)
+        lab = PseudoLabel(box, ScoreBreakdown(1, 1, 1, 1), 1.0, "init")
         kept = box_absent_foreground_filter(frame, [lab])
         assert kept.tolist() == list(range(20))
 
@@ -115,7 +115,7 @@ class TestBoxAbsentForeground:
         xa, ca = fill_box(a, 15, rng)
         xb, cb = fill_box(b, 15, rng)
         frame = frame_with(np.concatenate([xa, xb]), np.concatenate([ca, cb]))
-        lab = PseudoLabel(a, 1, ScoreBreakdown(1, 1, 1, 1), 1.0, "init", 0)
+        lab = PseudoLabel(a, ScoreBreakdown(1, 1, 1, 1), 1.0, "init")
         kept = box_absent_foreground_filter(frame, [lab])
         assert kept.tolist() == list(range(15))
         # Postcondition: every retained foreground point is inside a label.
@@ -146,9 +146,9 @@ class TestSpatialTemporal:
                 if fr.frame_id == 4:
                     bad = Box3D(g.cx + 0.8, g.cy - 0.6, g.cz, g.l * 1.3,
                                 g.w * 1.3, g.h, g.yaw + 0.3, g.class_id)
-                    plist.append(Prediction(bad, g.class_id, 0.9, fr.frame_id))
+                    plist.append(Prediction(bad, 0.9))
                 else:
-                    plist.append(Prediction(g, g.class_id, 0.9, fr.frame_id))
+                    plist.append(Prediction(g, 0.9))
             preds[fr.frame_id] = plist
         refined = spatial_temporal_fine_tune(preds, frames, grid, config)
         for fr in frames:
@@ -171,7 +171,7 @@ class TestSpatialTemporal:
         grid = sequence_motion_grid(frames, config.cell_size,
                                     config.detection_range,
                                     config.effective_epsilon(len(frames)))
-        preds = {fr.frame_id: [Prediction(g, g.class_id, 0.9, fr.frame_id)
+        preds = {fr.frame_id: [Prediction(g, 0.9)
                                for g in gt[fr.frame_id]] for fr in frames}
         refined = spatial_temporal_fine_tune(preds, frames, grid, config)
         for fr in frames:
@@ -187,7 +187,7 @@ class TestSpatialTemporal:
         grid = sequence_motion_grid(frames, config.cell_size,
                                     config.detection_range,
                                     config.effective_epsilon(len(frames)))
-        preds = {fr.frame_id: [Prediction(g, g.class_id, 0.9, fr.frame_id)
+        preds = {fr.frame_id: [Prediction(g, 0.9)
                                for g in gt[fr.frame_id]] for fr in frames}
         refined = spatial_temporal_fine_tune(preds, frames, grid, config)
         poses = {fr.frame_id: fr.pose for fr in frames}
@@ -213,7 +213,7 @@ class TestSpatialTemporal:
         grid = sequence_motion_grid(frames, config.cell_size,
                                     config.detection_range,
                                     config.effective_epsilon(len(frames)))
-        preds = {fr.frame_id: [Prediction(g, g.class_id, 0.9, fr.frame_id)
+        preds = {fr.frame_id: [Prediction(g, 0.9)
                                for g in gt[fr.frame_id]] for fr in frames}
         refined = spatial_temporal_fine_tune(preds, frames, grid, config)
         visible = {fid for fid, boxes in gt.items() if boxes}
@@ -234,7 +234,7 @@ class TestRefineRound:
     def test_identity_round_keeps_ground_truth(self):
         frames, gt = generate_sequence(static_scene())
         config = PipelineConfig()
-        preds = {fr.frame_id: [Prediction(g, g.class_id, 0.9, fr.frame_id)
+        preds = {fr.frame_id: [Prediction(g, 0.9)
                                for g in gt[fr.frame_id]] for fr in frames}
         result = refine_round(frames, preds, config)
         for fr in frames:
@@ -246,11 +246,11 @@ class TestRefineRound:
     def test_idempotent_on_fixed_point(self):
         frames, gt = generate_sequence(static_scene())
         config = PipelineConfig()
-        preds = {fr.frame_id: [Prediction(g, g.class_id, 0.9, fr.frame_id)
+        preds = {fr.frame_id: [Prediction(g, 0.9)
                                for g in gt[fr.frame_id]] for fr in frames}
         first = refine_round(frames, preds, config)
         second_preds = {
-            fid: [Prediction(lab.box, lab.class_id, 0.9, fid) for lab in labs]
+            fid: [Prediction(lab.box, 0.9) for lab in labs]
             for fid, labs in first.labels.items()}
         second = refine_round(frames, second_preds, config)
         for fid in first.labels:
@@ -264,7 +264,7 @@ class TestRefineRound:
     def test_weights_match_formula(self):
         frames, gt = generate_sequence(static_scene())
         config = PipelineConfig()
-        preds = {fr.frame_id: [Prediction(g, g.class_id, 0.9, fr.frame_id)
+        preds = {fr.frame_id: [Prediction(g, 0.9)
                                for g in gt[fr.frame_id]] for fr in frames}
         result = refine_round(frames, preds, config)
         for labs in result.labels.values():
@@ -276,7 +276,7 @@ class TestRefineRound:
     def test_baf_postcondition_exact(self):
         frames, gt = generate_sequence(static_scene())
         config = PipelineConfig()
-        preds = {fr.frame_id: [Prediction(g, g.class_id, 0.9, fr.frame_id)
+        preds = {fr.frame_id: [Prediction(g, 0.9)
                                for g in gt[fr.frame_id]] for fr in frames}
         result = refine_round(frames, preds, config)
         for fr in frames:

@@ -196,7 +196,7 @@ class TestLabelWeight:
 
 
 def candidate(box, cluster=(0,)):
-    return BoxCandidate(box, 0.5, np.array(cluster), box.class_id)
+    return BoxCandidate(box, 0.5, np.array(cluster))
 
 
 class TestNms:
@@ -205,17 +205,16 @@ class TestNms:
         cands = [candidate(box), candidate(box)]
         scores = [combine_scores(0.9, 0.9, 0.9, (1 / 3,) * 3),
                   combine_scores(0.7, 0.7, 0.7, (1 / 3,) * 3)]
-        kept = nms_select(cands, scores, 0.2, 0.4, 0.8, frame_id=3)
+        kept = nms_select(cands, scores, 0.2, 0.4, 0.8)
         assert len(kept) == 1
         assert kept[0].scores.msf == pytest.approx(0.9)
-        assert kept[0].frame_id == 3
         assert kept[0].source == "init"
 
     def test_disjoint_boxes_both_kept(self):
         a = Box3D(0, 0, 0, 4, 2, 1.5, 0, class_id=1)
         b = Box3D(20, 0, 0, 4, 2, 1.5, 0, class_id=1)
         scores = [combine_scores(0.8, 0.8, 0.8, (1 / 3,) * 3)] * 2
-        kept = nms_select([candidate(a), candidate(b)], scores, 0.2, 0.4, 0.8, 0)
+        kept = nms_select([candidate(a), candidate(b)], scores, 0.2, 0.4, 0.8)
         assert len(kept) == 2
 
     def test_adjacency_scenario(self):
@@ -229,7 +228,7 @@ class TestNms:
         scores = [combine_scores(0.5, 0.9, 1.0, lam),
                   combine_scores(0.5, 0.9, 1.0, lam),
                   combine_scores(0.5, 0.9, 0.0, lam)]
-        kept = nms_select(cands, scores, 0.2, 0.4, 0.8, 0)
+        kept = nms_select(cands, scores, 0.2, 0.4, 0.8)
         assert len(kept) == 2
         assert {k.box.cy for k in kept} == {1.15, -1.15}
 
@@ -238,7 +237,7 @@ class TestNms:
         b = Box3D(0, 0, 0, 1.8, 0.8, 1.7, 0, class_id=2)
         scores = [combine_scores(0.9, 0.9, 0.9, (1 / 3,) * 3),
                   combine_scores(0.5, 0.5, 0.5, (1 / 3,) * 3)]
-        kept = nms_select([candidate(a), candidate(b)], scores, 0.2, 0.4, 0.8, 0)
+        kept = nms_select([candidate(a), candidate(b)], scores, 0.2, 0.4, 0.8)
         assert len(kept) == 2
 
     @settings(max_examples=40, deadline=None)
@@ -251,7 +250,7 @@ class TestNms:
             b = random_box(rng, span=6)
             cands.append(candidate(b))
             scores.append(combine_scores(*rng.uniform(0, 1, 3), lam))
-        kept = nms_select(cands, scores, 0.3, 0.4, 0.8, 0)
+        kept = nms_select(cands, scores, 0.3, 0.4, 0.8)
         boxes = [k.box for k in kept]
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
