@@ -28,7 +28,7 @@ class Frame:
 
     frame_id: int
     timestamp: float
-    pose: Pose | None
+    pose: Pose
     points: PointCloud
 
 
@@ -59,16 +59,12 @@ class DenseCloud:
 def register_window(frames: list[Frame], target_index: int) -> list[PointCloud]:
     """Transform each frame's points into the target frame's coordinates.
 
-    The returned clouds are in window order. Raises when any frame in the
-    window has no pose.
+    The returned clouds are in window order.
     """
     if not frames:
         raise ValueError("empty aggregation window")
     if not (0 <= target_index < len(frames)):
         raise ValueError("target_index outside the window")
-    for f in frames:
-        if f.pose is None:
-            raise ValueError(f"missing pose for frame {f.frame_id}")
     to_target = frames[target_index].pose.inverse()
     return [f.points.transformed(to_target.compose(f.pose)) for f in frames]
 

@@ -115,13 +115,22 @@ def _load_noise(spec: str) -> NoiseModel:
     path = Path(spec)
     if path.is_file():
         try:
-            data = json.loads(path.read_text())
-            return NoiseModel(**data)
-        except (json.JSONDecodeError, TypeError) as e:
-            raise ConfigError(f"noise: invalid profile file {path}: {e}")
+            return NoiseModel(**json.loads(path.read_text()))
+        except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"noise: invalid profile file {path}: {e}") from e
     raise ConfigError(
         f"noise: unknown profile {spec!r} (expected one of "
         f"{sorted(NOISE_PROFILES)} or a JSON file path)")
+
+
+def _read_frame_boxes(dir_path: Path, frame_ids, kind: str,
+                      weight_thresholds: tuple[float, float] | None = None) -> dict:
+    """read_box_dir, rejecting a file of a frame the manifest lacks."""
+    boxes = dataio.read_box_dir(dir_path, kind, weight_thresholds)
+    for fid in sorted(boxes):
+        if fid not in frame_ids:
+            raise FormatError(f"{dir_path}: frame {fid} is not in the dataset's manifest")
+    return boxes
 
 
 def _write_summary(out_dir: Path, summary: dict) -> None:
@@ -154,11 +163,10 @@ def cmd_generate(args) -> int:
 def cmd_refine(args) -> int:
     config = _load_config(args.config)
     frames, _ = dataio.load_dataset(args.dataset)
-    preds = dataio.read_box_dir(args.preds, kind="predictions")
+    preds = _read_frame_boxes(args.preds, [fr.frame_id for fr in frames],
+                              "predictions")
     if not any(preds.values()):
         logger.warning("predictions directory %s holds no boxes", args.preds)
-    for fr in frames:
-        preds.setdefault(fr.frame_id, [])
     result = refine_round(frames, preds, config)
     out = Path(args.out)
     dataio.write_box_dir(out / "labels", result.labels, kind="labels")
@@ -172,14 +180,11 @@ def cmd_refine(args) -> int:
 def cmd_score_labels(args) -> int:
     config = _load_config(args.config)
     frames, _ = dataio.load_dataset(args.dataset)
-    loaded = dataio.read_box_dir(args.labels, kind="labels",
-                                 weight_thresholds=(config.theta_low,
-                                                    config.theta_high))
     index_of = {fr.frame_id: i for i, fr in enumerate(frames)}
+    loaded = _read_frame_boxes(args.labels, index_of, "labels",
+                               (config.theta_low, config.theta_high))
     rescored: dict[int, list[PseudoLabel]] = {}
     for fid in sorted(loaded):
-        if fid not in index_of:
-            raise FormatError(f"labels reference unknown frame {fid}")
         dense = pipeline.aggregate_window(frames, index_of[fid], config)
         out: list[PseudoLabel] = []
         for lab in loaded[fid]:
@@ -201,13 +206,13 @@ def cmd_score_labels(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    frames, _ = dataio.load_dataset(args.dataset)
-    labels = dataio.read_box_dir(args.labels, kind="labels")
-    gts = dataio.read_box_dir(args.gt, kind="labels")
+    frame_ids = [e.frame_id for e in dataio.read_manifest(args.dataset)[0]]
+    labels = _read_frame_boxes(args.labels, frame_ids, "labels")
+    gts = _read_frame_boxes(args.gt, frame_ids, "labels")
     per_frame = []
-    for fr in frames:
-        labs = labels.get(fr.frame_id, [])
-        g = gts.get(fr.frame_id, [])
+    for fid in frame_ids:
+        labs = labels.get(fid, [])
+        g = gts.get(fid, [])
         per_frame.append((
             [lab.box for lab in labs],
             [lab.scores.msf for lab in labs],
@@ -227,9 +232,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_mock_detect(args) -> int:
     config = _load_config(args.config)
-    dataio.load_dataset(args.dataset)  # existence/consistency check
+    frame_ids = [e.frame_id for e in dataio.read_manifest(args.dataset)[0]]
     noise = _load_noise(args.noise)
-    loaded = dataio.read_box_dir(args.labels, kind="labels")
+    loaded = _read_frame_boxes(args.labels, frame_ids, "labels")
     boxes = {fid: [lab.box for lab in labs] for fid, labs in loaded.items()}
     seed = args.seed if args.seed is not None else config.seed
     preds = mock_detector(boxes, noise, seed, num_classes=config.num_classes)

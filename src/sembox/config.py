@@ -34,6 +34,35 @@ class ClassConfig:
     meta_shape: tuple[float, float, float]
 
 
+def _classes_from_dict(data: dict) -> dict[int, ClassConfig]:
+    """The classes table of a config document, keyed by integer class id."""
+    if not isinstance(data, dict):
+        raise ConfigError("classes: expected an object")
+    classes = {}
+    for key, raw in data.items():
+        try:
+            cid = int(key)
+        except (TypeError, ValueError):
+            raise ConfigError(f"classes: class id {key!r} is not an integer")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"classes[{cid}]: expected an object, got {raw!r}")
+        extra = set(raw) - set(ClassConfig.__dataclass_fields__)
+        if extra:
+            raise ConfigError(f"classes[{cid}]: unknown fields {sorted(extra)}")
+        try:
+            classes[cid] = ClassConfig(
+                name=raw["name"],
+                radii=tuple(raw["radii"]),
+                min_cluster_size=int(raw["min_cluster_size"]),
+                meta_shape=tuple(raw["meta_shape"]),
+            )
+        except KeyError as e:
+            raise ConfigError(f"classes[{cid}]: missing field {e.args[0]!r}")
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"classes[{cid}]: {e}") from e
+    return classes
+
+
 def _default_classes() -> dict[int, ClassConfig]:
     return {
         1: ClassConfig("vehicle", (0.4, 0.7, 1.0, 1.5), 10, (4.6, 1.8, 1.6)),
@@ -59,7 +88,6 @@ class PipelineConfig:
     scf_min_points: int = 3
     scf_min_fraction: float = 0.05
     confidence_floor: float = 0.3
-    shape_score_literal: bool = False
     range_bin_edges: tuple[float, ...] = (0.0, 30.0, 50.0)
     eval_iou_thresholds: tuple[float, ...] = (0.3, 0.5, 0.7)
     class_agnostic_eval: bool = False
@@ -141,7 +169,7 @@ class PipelineConfig:
         """Score breakdown of a box against its class's points under this
         config's shape prior, score weights and occupancy grid."""
         return msf_score(box, class_xyz, self.meta_shape(box.class_id),
-                         self.lambdas, self.occ_grid_r, self.shape_score_literal)
+                         self.lambdas, self.occ_grid_r)
 
     @property
     def num_classes(self) -> int:
@@ -166,30 +194,17 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
         kwargs = dict(data)
-        if "classes" in kwargs:
-            classes = {}
-            for key, raw in kwargs["classes"].items():
-                try:
-                    cid = int(key)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"classes: class id {key!r} is not an integer")
-                extra = set(raw) - set(ClassConfig.__dataclass_fields__)
-                if extra:
-                    raise ConfigError(f"classes[{cid}]: unknown fields {sorted(extra)}")
-                try:
-                    classes[cid] = ClassConfig(
-                        name=raw["name"],
-                        radii=tuple(raw["radii"]),
-                        min_cluster_size=int(raw["min_cluster_size"]),
-                        meta_shape=tuple(raw["meta_shape"]),
-                    )
-                except KeyError as e:
-                    raise ConfigError(f"classes[{cid}]: missing field {e.args[0]!r}")
-            kwargs["classes"] = classes
-        for name in ("lambdas", "range_bin_edges", "eval_iou_thresholds"):
-            if name in kwargs and kwargs[name] is not None:
-                kwargs[name] = tuple(kwargs[name])
-        return PipelineConfig(**kwargs)
+        try:
+            if "classes" in kwargs:
+                kwargs["classes"] = _classes_from_dict(kwargs["classes"])
+            for name in ("lambdas", "range_bin_edges", "eval_iou_thresholds"):
+                if name in kwargs and kwargs[name] is not None:
+                    kwargs[name] = tuple(kwargs[name])
+            return PipelineConfig(**kwargs)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as e:  # a value of the wrong type
+            raise ConfigError(f"config: {e}") from e
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

@@ -19,7 +19,8 @@ predictions      one box per line:
 manifest.json    frame order, timestamps, file names, class-name table
 
 A dataset directory holds one sequence: ``manifest.json``, ``points/``,
-``poses/`` and (for synthetic data) ``gt_labels/``.
+``poses/`` and (for synthetic data) ``gt_labels/``. ``read_manifest`` reads
+and checks ``manifest.json``; ``load_dataset`` adds every points and pose file.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import logging
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -332,8 +334,19 @@ def write_dataset(root: str | Path, frames: list[Frame],
         write_box_dir(root / "gt_labels", gt_labels, kind="labels")
 
 
-def load_dataset(root: str | Path) -> tuple[list[Frame], dict[int, str]]:
-    """Load a sequence directory; returns frames (sorted) and class table."""
+@dataclass(frozen=True)
+class ManifestFrame:
+    """One manifest entry: a frame id and the files of its points and pose."""
+
+    frame_id: int
+    timestamp: float
+    points: Path
+    pose: Path
+
+
+def read_manifest(root: str | Path) -> tuple[list[ManifestFrame], dict[int, str]]:
+    """Read a sequence directory's manifest: its frames, sorted by id, each
+    with existing points and pose files, and its class table."""
     root = Path(root)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -345,11 +358,12 @@ def load_dataset(root: str | Path) -> tuple[list[Frame], dict[int, str]]:
     for key in ("frames", "classes"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing {key!r}")
-    classes = {int(k): str(v) for k, v in manifest["classes"].items()}
-    num_classes = max(classes) if classes else 0
+    try:
+        classes = {int(k): str(v) for k, v in manifest["classes"].items()}
+    except (AttributeError, ValueError):
+        raise FormatError(f"{manifest_path}: classes must map integer ids to names")
 
-    frames: list[Frame] = []
-    seen = set()
+    entries: dict[int, ManifestFrame] = {}
     for n, entry in enumerate(manifest["frames"]):
         where = f"{manifest_path}: frames[{n}]"
         if not isinstance(entry, dict):
@@ -361,22 +375,31 @@ def load_dataset(root: str | Path) -> tuple[list[Frame], dict[int, str]]:
             fid = int(entry["frame_id"])
         except (TypeError, ValueError):
             raise FormatError(f"{where}: frame_id {entry['frame_id']!r} is not an integer")
-        if fid in seen:
+        if fid in entries:
             raise FormatError(f"{manifest_path}: duplicate frame_id {fid}")
-        seen.add(fid)
-        pts_path = root / entry["points"]
-        pose_path = root / entry["pose"]
-        if not pts_path.is_file():
-            raise FormatError(f"{manifest_path}: frame {fid}: missing {pts_path}")
-        cloud = read_points(pts_path)
+        try:
+            timestamp = float(entry.get("timestamp", 0.0))
+        except (TypeError, ValueError):
+            raise FormatError(f"{where}: timestamp {entry['timestamp']!r} is not a number")
+        entries[fid] = ManifestFrame(fid, timestamp, root / entry["points"],
+                                     root / entry["pose"])
+        for path in (entries[fid].points, entries[fid].pose):
+            if not path.is_file():
+                raise FormatError(f"{manifest_path}: frame {fid}: missing {path}")
+    return [entries[fid] for fid in sorted(entries)], classes
+
+
+def load_dataset(root: str | Path) -> tuple[list[Frame], dict[int, str]]:
+    """Load a sequence directory; returns frames (sorted) and class table."""
+    entries, classes = read_manifest(root)
+    num_classes = max(classes) if classes else 0
+    frames: list[Frame] = []
+    for entry in entries:
+        cloud = read_points(entry.points)
         try:
             cloud.validate(num_classes)
         except ValueError as e:
-            raise FormatError(f"{pts_path}: {e}") from e
-        pose = read_pose(pose_path) if pose_path.is_file() else None
-        frames.append(Frame(fid, float(entry.get("timestamp", 0.0)), pose, cloud))
-    frames.sort(key=lambda f: f.frame_id)
-    ids = [f.frame_id for f in frames]
-    if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise FormatError(f"{manifest_path}: frame ids must be strictly increasing")
+            raise FormatError(f"{entry.points}: {e}") from e
+        frames.append(Frame(entry.frame_id, entry.timestamp,
+                            read_pose(entry.pose), cloud))
     return frames, classes

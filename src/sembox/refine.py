@@ -12,7 +12,8 @@ Moving objects are passed through untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -82,14 +83,8 @@ def sequence_motion_grid(frames: list[Frame], cell_size: float,
     """Motion grid over a whole sequence in global coordinates."""
     if not frames:
         raise ValueError("empty sequence")
-    registered = []
-    centers = []
-    for fr in frames:
-        if fr.pose is None:
-            raise ValueError(f"missing pose for frame {fr.frame_id}")
-        registered.append(fr.points.transformed(fr.pose))
-        centers.append(fr.pose.translation[:2])
-    centers = np.array(centers)
+    registered = [fr.points.transformed(fr.pose) for fr in frames]
+    centers = np.array([fr.pose.translation[:2] for fr in frames])
     spec = BevGridSpec.covering(
         centers[:, 0].min() - detection_range, centers[:, 1].min() - detection_range,
         centers[:, 0].max() + detection_range, centers[:, 1].max() + detection_range,
@@ -165,23 +160,18 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     physical object), scored against the aggregated static foreground
     points of their class, and the winner is written back into every frame
     holding at least one foreground point of the class inside it. All
-    other predictions pass through unrefined.
+    other predictions pass through unrefined. Every key of
+    preds_per_frame must be the id of one of the frames.
     """
-    poses = {fr.frame_id: fr.pose for fr in frames}
-    for fr in frames:
-        if fr.pose is None:
-            raise ValueError(f"missing pose for frame {fr.frame_id}")
-
     frame_by_id = {fr.frame_id: fr for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
     static_by_class: dict[int, list[Box3D]] = {}  # global coordinates
     for fid in sorted(preds_per_frame):
-        if fid not in poses:
-            raise ValueError(f"predictions reference unknown frame {fid}")
+        frame = frame_by_id[fid]
         for pred in preds_per_frame[fid]:
-            state = _prediction_motion_state(pred, frame_by_id[fid], grid)
+            state = _prediction_motion_state(pred, frame, grid)
             if state == CELL_STATIC:
-                box = transform_box(pred.box, poses[fid])
+                box = transform_box(pred.box, frame.pose)
                 static_by_class.setdefault(box.class_id, []).append(box)
             else:
                 out[fid].append(RefinedBox(pred.box, SOURCE_INIT))
@@ -251,7 +241,7 @@ def refine_round(frames: list[Frame],
     retained: dict[int, np.ndarray] = {}
     for fr in frames:
         frame_labels: list[PseudoLabel] = []
-        for rb in refined.get(fr.frame_id, []):
+        for rb in refined[fr.frame_id]:
             cls_xyz = fr.points.xyz[fr.points.class_id == rb.box.class_id]
             scores = config.score_box(rb.box, cls_xyz)
             frame_labels.append(PseudoLabel(
@@ -281,6 +271,21 @@ class NoiseModel:
     confidence_base: float = 0.9
     confidence_range_slope: float = 0.004
     confidence_sigma: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{f.name}: expected a finite number, got {value!r}")
+        for name in ("pos_sigma", "size_sigma", "yaw_sigma_deg",
+                     "false_positives_per_frame", "confidence_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
+        for name in ("drop_prob", "class_flip_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name}: must be in [0, 1]")
+        if self.range_growth <= 0:
+            raise ValueError("range_growth: must be > 0")
 
 
 NOISE_PROFILES = {

@@ -141,14 +141,13 @@ def alignment_score(box: Box3D, xyz: np.ndarray, r: int = 7) -> float:
     return alignment_from_angles(0.0, theta)
 
 
-def meta_shape_score(box: Box3D, meta: MetaShape, literal: bool = False) -> float:
+def meta_shape_score(box: Box3D, meta: MetaShape) -> float:
     """Shape-prior score from the proportion divergence to the class prior.
 
     Any dimension at half or double the prior (or beyond) gates the score
     to 0. Inside the gate, both shapes are normalized to proportion vectors
     and their KL divergence D is mapped to 1 - min(cap, D) / cap, so a
-    perfect proportion match scores 1. `literal` flips the mapping to
-    min(cap, D) / cap (the uncorrected orientation) for comparison runs.
+    perfect proportion match scores 1.
     """
     b = np.array([box.l, box.w, box.h])
     m = np.array([meta.l, meta.w, meta.h])
@@ -157,8 +156,7 @@ def meta_shape_score(box: Box3D, meta: MetaShape, literal: bool = False) -> floa
     bp = b / b.sum()
     mp = m / m.sum()
     d = float(np.sum(mp * np.log(mp / bp)))
-    capped = min(_SHAPE_DIVERGENCE_CAP, d) / _SHAPE_DIVERGENCE_CAP
-    return capped if literal else 1.0 - capped
+    return 1.0 - min(_SHAPE_DIVERGENCE_CAP, d) / _SHAPE_DIVERGENCE_CAP
 
 
 def validate_lambdas(lambdas: tuple[float, float, float]) -> None:
@@ -178,11 +176,11 @@ def combine_scores(occ: float, alg: float, ms: float,
 
 def msf_score(box: Box3D, class_xyz: np.ndarray, meta: MetaShape,
               lambdas: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
-              occ_r: int = 7, literal_shape: bool = False) -> ScoreBreakdown:
+              occ_r: int = 7) -> ScoreBreakdown:
     """Full score breakdown of a box against its class's points."""
     occ = occupancy_score(box, class_xyz, occ_r)
     alg = alignment_score(box, class_xyz, occ_r)
-    ms = meta_shape_score(box, meta, literal_shape)
+    ms = meta_shape_score(box, meta)
     return combine_scores(occ, alg, ms, lambdas)
 
 

@@ -97,15 +97,39 @@ class TestEvaluate:
 
 
 class TestExitCodes:
-    def test_runtime_error_exits_1(self, dataset, tmp_path):
-        # A dataset with a deleted pose file loads, but the pipeline cannot
-        # register its window: runtime failure, not a usage problem.
+    def test_runtime_error_exits_1(self, dataset, tmp_path, capsys):
+        # The input is valid, but the output directory cannot be made:
+        # runtime failure, not a usage problem.
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["generate", str(dataset), "--out", str(out),
+                     "--threads", "1"]) == 1
+        assert "Not a directory" in capsys.readouterr().err
+
+
+class TestManifestOnlyCommands:
+    def test_no_points_read(self, dataset, tmp_path, monkeypatch, capsys):
+        # mock-detect and evaluate use only frame ids: a corrupt points
+        # file does not fail them, while generate, which reads it, exits 2.
         import shutil
-        broken = tmp_path / "broken"
-        shutil.copytree(dataset, broken)
-        (broken / "poses" / "frame_000004.txt").unlink()
-        assert main(["generate", str(broken), "--out",
-                     str(tmp_path / "out"), "--threads", "1"]) == 1
+        from sembox import dataio
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        bad = copy / "points" / "frame_000004.txt"
+        bad.write_text("1 2 x 1\n")
+        calls = []
+        read_points = dataio.read_points
+        monkeypatch.setattr(dataio, "read_points",
+                            lambda path: calls.append(path) or read_points(path))
+        gt = str(copy / "gt_labels")
+        assert main(["mock-detect", str(copy), "--labels", gt, "--noise", "mild",
+                     "--out", str(tmp_path / "preds")]) == 0
+        assert main(["evaluate", str(copy), "--labels", gt, "--gt", gt,
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert calls == []
+        assert main(["generate", str(copy), "--out", str(tmp_path / "gen"),
+                     "--threads", "1"]) == 2
+        assert f"{bad}:1:" in capsys.readouterr().err
 
 
 class TestRefineCli:
@@ -228,16 +252,84 @@ def _label_files(*names):
     return build
 
 
-def _bad_manifest_entry(edit, where):
+def _bad_manifest(edit, where):
     def build(dataset, tmp):
         import shutil
         copy = tmp / "ds"
         shutil.copytree(dataset, copy)
         manifest = json.loads((copy / "manifest.json").read_text())
-        edit(manifest["frames"])
+        edit(manifest)
         (copy / "manifest.json").write_text(json.dumps(manifest))
         return (["generate", str(copy), "--out", str(tmp / "out"),
-                 "--threads", "1"], f"frames[3]: {where}")
+                 "--threads", "1"], where)
+    return build
+
+
+def _bad_manifest_entry(edit, where):
+    return _bad_manifest(lambda manifest: edit(manifest["frames"]),
+                         f"frames[3]: {where}")
+
+
+def _deleted_pose(command):
+    def build(dataset, tmp):
+        import shutil
+        copy = tmp / "ds"
+        shutil.copytree(dataset, copy)
+        pose = copy / "poses" / "frame_000004.txt"
+        pose.unlink()
+        argv = {"generate": ["generate", str(copy), "--threads", "1"],
+                "mock-detect": ["mock-detect", str(copy), "--labels",
+                                str(copy / "gt_labels")]}[command]
+        return argv + ["--out", str(tmp / "out")], f"missing {pose}"
+    return build
+
+
+def _frame_99(command):
+    """A box directory holding a file of frame 99, which the dataset lacks."""
+    def build(dataset, tmp):
+        import shutil
+        boxes = tmp / "boxes"
+        if command == "refine":
+            boxes.mkdir()
+            (boxes / "frame_000099.txt").write_text(
+                "99 1 10 0 0.8 4 1.8 1.6 0 0.9\n")
+        else:
+            shutil.copytree(dataset / "gt_labels", boxes)
+            (boxes / "frame_000099.txt").write_text(
+                "99 1 10 0 0.8 4 1.8 1.6 0 1 1 1 1 1 init\n")
+        gt, ds = str(dataset / "gt_labels"), str(dataset)
+        argv = {
+            "mock-detect": ["mock-detect", ds, "--labels", str(boxes),
+                            "--out", str(tmp / "out")],
+            "refine": ["refine", ds, "--preds", str(boxes),
+                       "--out", str(tmp / "out")],
+            "evaluate-labels": ["evaluate", ds, "--labels", str(boxes),
+                                "--gt", gt, "--report", str(tmp / "r.json")],
+            "evaluate-gt": ["evaluate", ds, "--labels", gt, "--gt", str(boxes),
+                            "--report", str(tmp / "r.json")],
+            "score-labels": ["score-labels", ds, "--labels", str(boxes),
+                             "--threads", "1"],
+        }[command]
+        return argv, f"{boxes}: frame 99 is not in the dataset's manifest"
+    return build
+
+
+def _bad_noise(profile, where):
+    def build(dataset, tmp):
+        path = tmp / "noise.json"
+        path.write_text(json.dumps(profile))
+        return (["mock-detect", str(dataset), "--labels",
+                 str(dataset / "gt_labels"), "--noise", str(path),
+                 "--out", str(tmp / "out")], f"{path}: {where}")
+    return build
+
+
+def _bad_config(config, where):
+    def build(dataset, tmp):
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(config))
+        return (["generate", str(dataset), "--out", str(tmp / "out"),
+                 "--threads", "1", "--config", str(path)], where)
     return build
 
 
@@ -265,6 +357,25 @@ MALFORMED = {
         lambda entries: entries[3].update(frame_id="abc"), "frame_id 'abc'"),
     "manifest-entry-not-object": _bad_manifest_entry(
         lambda entries: entries.insert(3, 5), "expected an object"),
+    "manifest-timestamp-abc": _bad_manifest_entry(
+        lambda entries: entries[3].update(timestamp="abc"), "timestamp 'abc'"),
+    "manifest-class-id-x": _bad_manifest(
+        lambda manifest: manifest["classes"].update(x="car"),
+        "manifest.json: classes must map integer ids"),
+    "pose-deleted-generate": _deleted_pose("generate"),
+    "pose-deleted-mock-detect": _deleted_pose("mock-detect"),
+    **{f"frame-99-{command}": _frame_99(command)
+       for command in ("mock-detect", "refine", "evaluate-labels",
+                       "evaluate-gt", "score-labels")},
+    "noise-pos_sigma-negative": _bad_noise({"pos_sigma": -1},
+                                           "pos_sigma: must be >= 0"),
+    "noise-pos_sigma-text": _bad_noise({"pos_sigma": "a"},
+                                       "pos_sigma: expected a finite number"),
+    "noise-drop_prob-2": _bad_noise({"drop_prob": 2},
+                                    "drop_prob: must be in [0, 1]"),
+    "config-cell_size-text": _bad_config({"cell_size": "a"}, "config: "),
+    "config-class-not-object": _bad_config({"classes": {"1": 5}},
+                                           "classes[1]: expected an object"),
 }
 
 

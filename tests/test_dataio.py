@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -152,6 +153,19 @@ class TestDataset:
                              points_format="binary")
         back, _ = dataio.load_dataset(root)
         assert back[0].points.xyz.tobytes() == frames[0].points.xyz.tobytes()
+
+    def test_manifest_entries_sorted_by_frame_id(self, tmp_path):
+        frames, _ = generate_sequence(preset_scene("adjacent", 1))
+        root = tmp_path / "seq"
+        dataio.write_dataset(root, frames, {1: "vehicle"})
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["frames"].reverse()
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        entries, _ = dataio.read_manifest(root)
+        ids = [fr.frame_id for fr in frames]
+        assert [e.frame_id for e in entries] == ids
+        assert entries[2].pose == root / "poses" / "frame_000002.txt"
+        assert [fr.frame_id for fr in dataio.load_dataset(root)[0]] == ids
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest.json"):

@@ -127,8 +127,6 @@ class TestMetaShape:
         box = Box3D(0, 0, 0, 4.0, 2.0, 1.6, 0)
         expect = 0.892725870896904
         assert meta_shape_score(box, VEH_META) == pytest.approx(expect, abs=1e-12)
-        assert meta_shape_score(box, VEH_META, literal=True) == pytest.approx(
-            1 - expect, abs=1e-12)
 
     def test_pure_scaling_inside_gate(self):
         for s in (0.51, 0.7, 1.0, 1.5, 1.99):
