@@ -212,8 +212,8 @@ class PipelineConfig:
     @staticmethod
     def from_json(path: str | Path) -> "PipelineConfig":
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"config: invalid JSON in {path}: {e}") from e
         return PipelineConfig.from_dict(data)
 

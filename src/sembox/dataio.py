@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,31 +44,37 @@ logger = logging.getLogger("sembox")
 
 POINTS_MAGIC = b"S2BPTS01"
 _POINT_RECORD = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "<u2")])
+_TEXT_POINT = np.dtype([("xyz", "<f8", 3), ("c", "<i4")])
 
 LABEL_FIELDS = ("frame_id", "class_id", "cx", "cy", "cz", "l", "w", "h",
                 "yaw", "occ", "alg", "ms", "msf", "weight", "source")
 PREDICTION_FIELDS = ("frame_id", "class_id", "cx", "cy", "cz", "l", "w", "h",
                      "yaw", "confidence")
 _BOX_FILE = re.compile(r"frame_(-?[0-9]+)\.txt")  # frame_file's names, any padding
+# One line of each file; numbers as %.17g round-trip exactly.
+_LABEL_ROW = "%d %d" + " %.17g" * 12 + " %s\n"
+_PREDICTION_ROW = "%d %d" + " %.17g" * 8 + "\n"
 
 
 class FormatError(ValueError):
     """Malformed on-disk data."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _decode(path: Path, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text: {e}") from e
 
 
 # Points -----------------------------------------------------------------
 
 
 def write_points_text(path: str | Path, cloud: PointCloud) -> None:
-    lines = [
-        f"{format(x, '.10g')} {format(y, '.10g')} {format(z, '.10g')} {c}"
-        for (x, y, z), c in zip(cloud.xyz, cloud.class_id)
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    values = np.empty((len(cloud), 4), dtype=object)
+    values[:, :3], values[:, 3] = cloud.xyz, cloud.class_id
+    Path(path).write_text(
+        ("%.10g %.10g %.10g %d\n" * len(cloud)) % tuple(values.ravel()))
 
 
 def write_points_binary(path: str | Path, cloud: PointCloud) -> None:
@@ -78,7 +85,12 @@ def write_points_binary(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_points(path: str | Path) -> PointCloud:
-    """Read a points file, auto-detecting the binary magic."""
+    """Read a points file, auto-detecting the binary magic.
+
+    Text is parsed in one ``np.loadtxt`` pass; when that fails, the line
+    loop parses it again and names the first bad ``path:line``, or accepts
+    what only Python's ``float``/``int`` accept (``1_0``, non-ASCII digits).
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:len(POINTS_MAGIC)] == POINTS_MAGIC:
@@ -90,11 +102,29 @@ def read_points(path: str | Path) -> PointCloud:
         rec = np.frombuffer(body, dtype=_POINT_RECORD)
         xyz = np.column_stack([rec["x"], rec["y"], rec["z"]])
         return PointCloud(xyz, rec["c"].astype(np.int32))
-    if bool(raw) and (raw[:1].isdigit() is False and raw[:1] not in b"-+. \n"):
+    first = raw[:1]
+    if first and not (first.isdigit() or first.isspace() or first in b"-+."):
         raise FormatError(f"{path}: unrecognized points file magic")
+    text = _decode(path, raw)
+    if not text.strip():  # loadtxt would warn about an empty input
+        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
+    # loadtxt gets the loop's lines: reading the text as a stream, it would
+    # not break lines at \v, \f, \x1c-\x1e, \x85, \u2028 or \u2029.
+    lines = text.splitlines()
+    try:
+        with warnings.catch_warnings():
+            # Older numpy loads an int column's "1.0" with only this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            rec = np.loadtxt(lines, dtype=_TEXT_POINT, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return _read_points_lines(path, lines)
+    return PointCloud(rec["xyz"], rec["c"].copy())
+
+
+def _read_points_lines(path: Path, lines: list[str]) -> PointCloud:
     rows = []
     cls = []
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -105,6 +135,8 @@ def read_points(path: str | Path) -> PointCloud:
             cls.append(int(parts[3]))
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from e
+        if not -2**31 <= cls[-1] < 2**31:
+            raise FormatError(f"{path}:{lineno}: class id {cls[-1]} is outside int32")
     xyz = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 3))
     return PointCloud(xyz, np.array(cls, dtype=np.int32))
 
@@ -113,16 +145,14 @@ def read_points(path: str | Path) -> PointCloud:
 
 
 def write_pose(path: str | Path, pose: Pose) -> None:
-    lines = []
-    for i in range(3):
-        r = pose.rotation[i]
-        lines.append(f"{_fmt(r[0])} {_fmt(r[1])} {_fmt(r[2])} {_fmt(pose.translation[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([pose.rotation, pose.translation]).ravel().tolist()
+    Path(path).write_text(("%.17g %.17g %.17g %.17g\n" * 3) % tuple(rows))
 
 
 def read_pose(path: str | Path) -> Pose:
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    text = _decode(path, path.read_bytes())
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 3:
         raise FormatError(f"{path}: pose file must have 3 rows, got {len(lines)}")
     rot = np.zeros((3, 3))
@@ -153,18 +183,12 @@ def _check_frame_id(path: Path, lineno: int, stated: int, frame_id: int) -> None
 
 def write_labels(path: str | Path, frame_id: int,
                  labels: list[PseudoLabel]) -> None:
-    lines = []
+    values = []
     for lab in labels:
-        b = lab.box
-        s = lab.scores
-        lines.append(" ".join([
-            str(frame_id), str(b.class_id),
-            _fmt(b.cx), _fmt(b.cy), _fmt(b.cz),
-            _fmt(b.l), _fmt(b.w), _fmt(b.h), _fmt(b.yaw),
-            _fmt(s.occ), _fmt(s.alg), _fmt(s.ms), _fmt(s.msf),
-            _fmt(lab.weight), lab.source,
-        ]))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        b, s = lab.box, lab.scores
+        values += (frame_id, b.class_id, b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw,
+                   s.occ, s.alg, s.ms, s.msf, lab.weight, lab.source)
+    Path(path).write_text((_LABEL_ROW * len(labels)) % tuple(values))
 
 
 def read_labels(path: str | Path, frame_id: int,
@@ -177,8 +201,9 @@ def read_labels(path: str | Path, frame_id: int,
     stored combined score raises a warning in the log but loads anyway.
     """
     path = Path(path)
+    text = _decode(path, path.read_bytes())
     out: list[PseudoLabel] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -208,22 +233,19 @@ def read_labels(path: str | Path, frame_id: int,
 
 def write_predictions(path: str | Path, frame_id: int,
                       preds: list[Prediction]) -> None:
-    lines = []
+    values = []
     for p in preds:
         b = p.box
-        lines.append(" ".join([
-            str(frame_id), str(b.class_id),
-            _fmt(b.cx), _fmt(b.cy), _fmt(b.cz),
-            _fmt(b.l), _fmt(b.w), _fmt(b.h), _fmt(b.yaw),
-            _fmt(p.confidence),
-        ]))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        values += (frame_id, b.class_id, b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw,
+                   p.confidence)
+    Path(path).write_text((_PREDICTION_ROW * len(preds)) % tuple(values))
 
 
 def read_predictions(path: str | Path, frame_id: int) -> list[Prediction]:
     path = Path(path)
+    text = _decode(path, path.read_bytes())
     out: list[Prediction] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -289,9 +311,8 @@ def write_retained_indices(out_dir: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame_id in sorted(per_frame):
         idx = per_frame[frame_id]
-        text = "\n".join(str(int(i)) for i in idx)
         (out_dir / frame_file(frame_id, ".txt")).write_text(
-            text + ("\n" if len(idx) else ""))
+            ("%d\n" * len(idx)) % tuple(idx.tolist()))
 
 
 # Dataset ------------------------------------------------------------------
@@ -352,9 +373,11 @@ def read_manifest(root: str | Path) -> tuple[list[ManifestFrame], dict[int, str]
     if not manifest_path.is_file():
         raise FormatError(f"{root}: not a sequence directory (manifest.json missing)")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(_decode(manifest_path, manifest_path.read_bytes()))
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: invalid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: expected a JSON object")
     for key in ("frames", "classes"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing {key!r}")
@@ -363,6 +386,8 @@ def read_manifest(root: str | Path) -> tuple[list[ManifestFrame], dict[int, str]
     except (AttributeError, ValueError):
         raise FormatError(f"{manifest_path}: classes must map integer ids to names")
 
+    if not isinstance(manifest["frames"], list) or not manifest["frames"]:
+        raise FormatError(f"{manifest_path}: frames must be a non-empty list")
     entries: dict[int, ManifestFrame] = {}
     for n, entry in enumerate(manifest["frames"]):
         where = f"{manifest_path}: frames[{n}]"

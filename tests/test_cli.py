@@ -252,7 +252,7 @@ def _label_files(*names):
     return build
 
 
-def _bad_manifest(edit, where):
+def _bad_manifest(edit, where, command="generate"):
     def build(dataset, tmp):
         import shutil
         copy = tmp / "ds"
@@ -260,8 +260,7 @@ def _bad_manifest(edit, where):
         manifest = json.loads((copy / "manifest.json").read_text())
         edit(manifest)
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        return (["generate", str(copy), "--out", str(tmp / "out"),
-                 "--threads", "1"], where)
+        return _dataset_command(command, copy, tmp), where
     return build
 
 
@@ -325,11 +324,51 @@ def _bad_noise(profile, where):
 
 
 def _bad_config(config, where):
+    """config is a JSON value, or the file's bytes."""
     def build(dataset, tmp):
         path = tmp / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(config if isinstance(config, bytes)
+                         else json.dumps(config).encode())
         return (["generate", str(dataset), "--out", str(tmp / "out"),
                  "--threads", "1", "--config", str(path)], where)
+    return build
+
+
+def _dataset_command(command, ds, tmp):
+    """argv running command on dataset ds, reading its gt_labels or
+    tmp/preds; output goes under tmp."""
+    gt = str(ds / "gt_labels")
+    return {
+        "generate": ["generate", str(ds), "--threads", "1", "--out", str(tmp / "out")],
+        "refine": ["refine", str(ds), "--preds", str(tmp / "preds"),
+                   "--out", str(tmp / "out")],
+        "mock-detect": ["mock-detect", str(ds), "--labels", gt,
+                        "--out", str(tmp / "out")],
+        "evaluate": ["evaluate", str(ds), "--labels", gt, "--gt", gt,
+                     "--report", str(tmp / "r.json")],
+    }[command]
+
+
+# The file each kind of text names in a dataset copy, and a command reading it.
+_TEXT_FILES = {
+    "points": ("ds/points/frame_000002.txt", "generate"),
+    "pose": ("ds/poses/frame_000002.txt", "generate"),
+    "labels": ("ds/gt_labels/frame_000002.txt", "mock-detect"),
+    "predictions": ("preds/frame_000002.txt", "refine"),
+    "manifest": ("ds/manifest.json", "mock-detect"),
+}
+
+
+def _bad_bytes(kind, content, where):
+    """A dataset copy with one file of the given kind holding content; the
+    error names that file, then where."""
+    def build(dataset, tmp):
+        import shutil
+        shutil.copytree(dataset, tmp / "ds")
+        name, command = _TEXT_FILES[kind]
+        (tmp / name).parent.mkdir(exist_ok=True)
+        (tmp / name).write_bytes(content)
+        return _dataset_command(command, tmp / "ds", tmp), f"{tmp / name}{where}"
     return build
 
 
@@ -373,6 +412,17 @@ MALFORMED = {
                                        "pos_sigma: expected a finite number"),
     "noise-drop_prob-2": _bad_noise({"drop_prob": 2},
                                     "drop_prob: must be in [0, 1]"),
+    **{f"non-utf8-{kind}": _bad_bytes(kind, b"1 2 3 1\n\xff\n", ": not UTF-8 text")
+       for kind in ("points", "pose", "labels", "predictions", "manifest")},
+    "non-utf8-config": _bad_config(b'{"cell_size": \xff}',
+                                   "cfg.json: 'utf-8' codec can't decode"),
+    "manifest-not-object": _bad_bytes("manifest", b"5", ": expected a JSON object"),
+    "points-class-id-99999999999": _bad_bytes(
+        "points", b"1 2 3 1\n1 2 3 99999999999\n", ":2: class id 99999999999"),
+    **{f"manifest-no-frames-{command}": _bad_manifest(
+        lambda manifest: manifest.update(frames=[]),
+        "manifest.json: frames must be a non-empty list", command)
+       for command in ("generate", "refine", "mock-detect", "evaluate")},
     "config-cell_size-text": _bad_config({"cell_size": "a"}, "config: "),
     "config-class-not-object": _bad_config({"classes": {"1": 5}},
                                            "classes[1]: expected an object"),

@@ -1,8 +1,10 @@
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sembox import dataio
 from sembox.config import ClassConfig, ConfigError, PipelineConfig
@@ -46,14 +48,215 @@ class TestPoints:
 
     def test_malformed_line_names_lineno(self, tmp_path):
         path = tmp_path / "p.txt"
-        path.write_text("1.0 2.0 3.0 1\n1.0 2.0\n")
-        with pytest.raises(FormatError, match=":2:"):
-            dataio.read_points(path)
+        for text, where in [("1.0 2.0 3.0 1\n1.0 2.0\n", ":2:"),
+                            ("1 2 3\n1 2 3 4 5\n", ":1:"),
+                            ("1 2 3 1\n\n1 2 3 99999999999\n", ":3:")]:
+            path.write_text(text)
+            with pytest.raises(FormatError, match=where):
+                dataio.read_points(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.txt"
-        path.write_text("")
-        assert len(dataio.read_points(path)) == 0
+        for text in ("", "\n \r\n\t\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert len(dataio.read_points(path)) == 0
+
+    @pytest.mark.parametrize("first", ["\t", "\r\n", "\r"])
+    def test_leading_whitespace_is_text(self, tmp_path, first):
+        path = tmp_path / "p.txt"
+        path.write_bytes(first.encode() + b"1 2 3 1\n")
+        back = dataio.read_points(path)
+        np.testing.assert_array_equal(back.xyz, [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(back.class_id, [1])
+
+
+# The per-line reader and writers that the bulk ones replaced, kept as the
+# reference. The reader adds the one check the bulk reader brought: a class
+# id outside int32 is a FormatError (it was an OverflowError).
+
+
+def line_read_points(path):
+    rows, cls = [], []
+    for lineno, line in enumerate(path.read_bytes().decode("utf-8").splitlines(),
+                                  start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+            cls.append(int(parts[3]))
+        except ValueError as e:
+            raise FormatError(f"{path}:{lineno}: {e}") from e
+        if not -2**31 <= cls[-1] < 2**31:
+            raise FormatError(f"{path}:{lineno}: class id {cls[-1]} is outside int32")
+    xyz = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 3))
+    return xyz, np.array(cls, dtype=np.int32)
+
+
+def line_points_text(cloud):
+    lines = [
+        f"{format(x, '.10g')} {format(y, '.10g')} {format(z, '.10g')} {c}"
+        for (x, y, z), c in zip(cloud.xyz, cloud.class_id)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def line_labels_text(frame_id, labels):
+    lines = []
+    for lab in labels:
+        b, s = lab.box, lab.scores
+        lines.append(" ".join([
+            str(frame_id), str(b.class_id),
+            _fmt(b.cx), _fmt(b.cy), _fmt(b.cz),
+            _fmt(b.l), _fmt(b.w), _fmt(b.h), _fmt(b.yaw),
+            _fmt(s.occ), _fmt(s.alg), _fmt(s.ms), _fmt(s.msf),
+            _fmt(lab.weight), lab.source,
+        ]))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def line_predictions_text(frame_id, preds):
+    lines = []
+    for p in preds:
+        b = p.box
+        lines.append(" ".join([
+            str(frame_id), str(b.class_id),
+            _fmt(b.cx), _fmt(b.cy), _fmt(b.cz),
+            _fmt(b.l), _fmt(b.w), _fmt(b.h), _fmt(b.yaw),
+            _fmt(p.confidence),
+        ]))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def line_pose_text(pose):
+    return "".join(
+        f"{_fmt(r[0])} {_fmt(r[1])} {_fmt(r[2])} {_fmt(t)}\n"
+        for r, t in zip(pose.rotation, pose.translation))
+
+
+_NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: format(x, ".10g")),
+    st.integers(-10**12, 10**12).map(str),
+    st.sampled_from(["-0.0", "+1", "1e5", "1E-300", "-2.5e+07", ".5", "5.",
+                     "007", "1_0", "inf", "-nan", "1e400"]),
+)
+_CLASS_TOKENS = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["+1", "-0", "007", "1_0", "2147483647", "-2147483648",
+                     "2147483648", "99999999999", "1.0", "1.5"]),
+)
+_JUNK_TOKENS = st.sampled_from(["x", "#", "1.0.0", "\u0661", "--1", "0x10", ""])
+_SEP = st.sampled_from([" ", "  ", "\t", " \t", "\xa0"])
+_EOL = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"])
+
+
+@st.composite
+def _points_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["point", "point", "point", "split", "blank",
+                                     "any"]))
+        if kind in ("point", "split"):
+            tokens = [draw(_NUMBER_TOKENS) for _ in range(3)] + [draw(_CLASS_TOKENS)]
+        elif kind == "blank":
+            tokens = []
+        else:
+            tokens = draw(st.lists(st.one_of(_NUMBER_TOKENS, _CLASS_TOKENS, _JUNK_TOKENS),
+                                   max_size=6))
+        line = draw(st.sampled_from(["", " ", "\t"])) + draw(_SEP).join(tokens)
+        if kind == "split":  # a point broken over two lines is two bad lines
+            at = len(line) - len(tokens[-1])
+            line = line[:at] + draw(_EOL) + line[at:]
+        lines.append(line + draw(_EOL))
+    text = "".join(lines)
+    # Text starts with what the magic sniff takes for text.
+    return text if text[:1] in ("", " ", "\t", "\r", "\n") else " " + text
+
+
+class TestBulkMatchesLines:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_points_text())
+    def test_reader_equals_line_loop(self, tmp_path, text):
+        path = tmp_path / "p.txt"
+        path.write_bytes(text.encode())
+        try:
+            xyz, cls = line_read_points(path)
+        except FormatError as e:
+            with pytest.raises(FormatError) as got:
+                dataio.read_points(path)
+            assert str(got.value) == str(e)
+            return
+        back = dataio.read_points(path)
+        assert back.xyz.shape == xyz.shape
+        assert back.xyz.tobytes() == xyz.tobytes()  # -0.0 and NaN bits too
+        assert back.class_id.dtype == np.int32
+        np.testing.assert_array_equal(back.class_id, cls)
+
+    @pytest.mark.parametrize("xyz, cls", [
+        (np.zeros((0, 3)), []),
+        ([[-0.0, 1e-300, 1e300]], [2**31 - 1]),
+        ([[-1e300, -1e-300, 0.0]], [-2**31]),
+        ([[123456.789012345, -0.000123456789, 7.0]], [65535]),
+    ])
+    def test_points_writer_bytes(self, tmp_path, xyz, cls):
+        cloud = PointCloud(np.array(xyz, dtype=np.float64), np.array(cls))
+        dataio.write_points_text(tmp_path / "p.txt", cloud)
+        assert (tmp_path / "p.txt").read_text() == line_points_text(cloud)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(xyz=st.lists(st.tuples(*[st.floats(width=64)] * 3), max_size=20))
+    def test_points_writer_bytes_any_float(self, tmp_path, xyz):
+        cloud = PointCloud(np.array(xyz, dtype=np.float64).reshape(-1, 3),
+                           np.arange(len(xyz)))
+        dataio.write_points_text(tmp_path / "p.txt", cloud)
+        assert (tmp_path / "p.txt").read_text() == line_points_text(cloud)
+
+    def test_text_and_binary_load_equal_arrays(self, tmp_path, rng):
+        # Coordinates with 10 significant digits survive text exactly.
+        xyz = np.array([[float(format(v, ".10g")) for v in row]
+                        for row in rng.uniform(-80, 80, (200, 3))])
+        cloud = PointCloud(xyz, rng.integers(0, 4, 200))
+        dataio.write_points_text(tmp_path / "p.txt", cloud)
+        dataio.write_points_binary(tmp_path / "p.bin", cloud)
+        text, binary = (dataio.read_points(tmp_path / f) for f in ("p.txt", "p.bin"))
+        assert text.xyz.tobytes() == binary.xyz.tobytes()
+        assert text.class_id.tobytes() == binary.class_id.tobytes()
+
+    def test_box_writers_bytes(self, tmp_path):
+        labs = [label(), label(cx=-0.0, cy=1e-300, cz=1e300, yaw=-1.2),
+                PseudoLabel(Box3D(1, 2, 3, 4, 2, 1, 0.5, class_id=2**40),
+                            ScoreBreakdown(-0.0, 1e-300, 1.0, 0.1), 0.0, "stcf-refined")]
+        preds = [Prediction(lab.box, c) for lab, c in zip(labs, (0.1, -0.0, 1e-300))]
+        for frame_id in (0, 123456789):
+            dataio.write_labels(tmp_path / "l.txt", frame_id, labs)
+            assert (tmp_path / "l.txt").read_text() == line_labels_text(frame_id, labs)
+            dataio.write_predictions(tmp_path / "p.txt", frame_id, preds)
+            assert (tmp_path / "p.txt").read_text() == \
+                line_predictions_text(frame_id, preds)
+        dataio.write_labels(tmp_path / "l.txt", 0, [])
+        dataio.write_predictions(tmp_path / "p.txt", 0, [])
+        assert (tmp_path / "l.txt").read_text() == (tmp_path / "p.txt").read_text() == ""
+
+    def test_pose_and_retained_bytes(self, tmp_path):
+        pose = Pose.from_xyz_yaw(1e300, -0.0, 1e-300, 0.7)
+        dataio.write_pose(tmp_path / "pose.txt", pose)
+        assert (tmp_path / "pose.txt").read_text() == line_pose_text(pose)
+        idx = {0: np.array([], dtype=np.int64), 1: np.array([0, 7, 2**40])}
+        dataio.write_retained_indices(tmp_path / "r", idx)
+        assert (tmp_path / "r" / "frame_000000.txt").read_text() == ""
+        assert (tmp_path / "r" / "frame_000001.txt").read_text() == \
+            "\n".join(str(int(i)) for i in idx[1]) + "\n"
 
 
 class TestPose:
