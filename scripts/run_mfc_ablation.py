@@ -10,6 +10,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def main():
     multi_cfg = PipelineConfig(window_half_size=args.window_half_size,
                                cell_size=args.cell_size, epsilon=args.epsilon,
                                fit_criterion=args.fit)
-    single_cfg = multi_cfg.with_overrides(window_half_size=0)
+    single_cfg = replace(multi_cfg, window_half_size=0)
 
     rows = []
     for seed in range(args.seeds):

@@ -7,6 +7,7 @@ full radius set and for each radius alone.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from sembox.config import ClassConfig, PipelineConfig
 from sembox.evaluation import match_labels
@@ -44,7 +45,7 @@ def main():
         classes = dict(base.classes)
         classes[1] = ClassConfig(cc.name, (radius,), cc.min_cluster_size,
                                  cc.meta_shape)
-        single = pooled_recall(base.with_overrides(classes=classes),
+        single = pooled_recall(replace(base, classes=classes),
                                args.presets, args.seeds)
         print(f"single radius {radius}: recall@0.5 = {single:.3f}")
     return 0

@@ -186,14 +186,11 @@ def cmd_score_labels(args) -> int:
     rescored: dict[int, list[PseudoLabel]] = {}
     for fid in sorted(loaded):
         dense = pipeline.aggregate_window(frames, index_of[fid], config)
-        out: list[PseudoLabel] = []
-        for lab in loaded[fid]:
-            cls_xyz = dense.points.xyz[dense.points.class_id == lab.box.class_id]
-            scores = config.score_box(lab.box, cls_xyz)
-            out.append(PseudoLabel(
-                lab.box, scores,
-                label_weight(scores.msf, config.theta_low, config.theta_high),
-                lab.source))
+        scores = config.score_boxes([lab.box for lab in loaded[fid]], dense.points)
+        out = [PseudoLabel(lab.box, sc,
+                           label_weight(sc.msf, config.theta_low, config.theta_high),
+                           lab.source)
+               for lab, sc in zip(loaded[fid], scores)]
         rescored[fid] = out
         for old, new in zip(loaded[fid], out):
             print(f"frame {fid} class {old.box.class_id} msf {old.scores.msf:.4f} "

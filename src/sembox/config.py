@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .clustering import ClusterParams
-from .geometry import Box3D
+from .geometry import Box3D, PointCloud
 from .scoring import MetaShape, ScoreBreakdown, msf_score, validate_lambdas
 
 
@@ -53,7 +52,7 @@ def _classes_from_dict(data: dict) -> dict[int, ClassConfig]:
             classes[cid] = ClassConfig(
                 name=raw["name"],
                 radii=tuple(raw["radii"]),
-                min_cluster_size=int(raw["min_cluster_size"]),
+                min_cluster_size=raw["min_cluster_size"],
                 meta_shape=tuple(raw["meta_shape"]),
             )
         except KeyError as e:
@@ -61,6 +60,11 @@ def _classes_from_dict(data: dict) -> dict[int, ClassConfig]:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"classes[{cid}]: {e}") from e
     return classes
+
+
+def _is_int(value) -> bool:
+    """True for integers; JSON true/false are not integers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _default_classes() -> dict[int, ClassConfig]:
@@ -98,6 +102,11 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("window_half_size", "epsilon", "min_pts", "occ_grid_r",
+                     "scf_min_points"):
+            value = getattr(self, name)
+            if not _is_int(value) and not (name == "epsilon" and value is None):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
         if self.window_half_size < 0:
             raise ConfigError("window_half_size: must be >= 0")
         if self.epsilon is not None and self.epsilon < 1:
@@ -141,6 +150,9 @@ class PipelineConfig:
         for cid, cc in self.classes.items():
             if cid < 1:
                 raise ConfigError(f"classes[{cid}]: class ids must be >= 1")
+            if not _is_int(cc.min_cluster_size):
+                raise ConfigError(f"classes[{cid}].min_cluster_size: must be an "
+                                  f"integer, got {cc.min_cluster_size!r}")
             try:
                 ClusterParams(tuple(cc.radii), self.min_pts, cc.min_cluster_size)
             except ValueError as e:
@@ -165,11 +177,15 @@ class PipelineConfig:
             raise ConfigError(f"classes: no configuration for class id {class_id}")
         return MetaShape(*cc.meta_shape)
 
-    def score_box(self, box: Box3D, class_xyz: np.ndarray) -> ScoreBreakdown:
-        """Score breakdown of a box against its class's points under this
-        config's shape prior, score weights and occupancy grid."""
-        return msf_score(box, class_xyz, self.meta_shape(box.class_id),
-                         self.lambdas, self.occ_grid_r)
+    def score_boxes(self, boxes: list[Box3D],
+                    cloud: PointCloud) -> list[ScoreBreakdown]:
+        """Score breakdown of each box against the points of its class in
+        cloud, under this config's shape prior, score weights and
+        occupancy grid. The cloud is split by class once per call."""
+        class_xyz = {cid: cloud.xyz[cloud.class_id == cid]
+                     for cid in {b.class_id for b in boxes}}
+        return [msf_score(b, class_xyz[b.class_id], self.meta_shape(b.class_id),
+                          self.lambdas, self.occ_grid_r) for b in boxes]
 
     @property
     def num_classes(self) -> int:
@@ -216,6 +232,3 @@ class PipelineConfig:
         except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"config: invalid JSON in {path}: {e}") from e
         return PipelineConfig.from_dict(data)
-
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)

@@ -406,6 +406,9 @@ def read_manifest(root: str | Path) -> tuple[list[ManifestFrame], dict[int, str]
             timestamp = float(entry.get("timestamp", 0.0))
         except (TypeError, ValueError):
             raise FormatError(f"{where}: timestamp {entry['timestamp']!r} is not a number")
+        for key in ("points", "pose"):
+            if not isinstance(entry[key], str):
+                raise FormatError(f"{where}: {key} {entry[key]!r} is not a path string")
         entries[fid] = ManifestFrame(fid, timestamp, root / entry["points"],
                                      root / entry["pose"])
         for path in (entries[fid].points, entries[fid].pose):

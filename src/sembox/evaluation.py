@@ -34,6 +34,37 @@ class MatchResult:
     unmatched_gts: list[int]
 
 
+def _iou_matrix(boxes: list[Box3D], gts: list[Box3D],
+                class_agnostic: bool) -> np.ndarray:
+    """3D IoU of each label (row) with each gt (column); -inf where the
+    classes differ and matching is class-aware."""
+    iou = np.full((len(boxes), len(gts)), -np.inf)
+    for i, b in enumerate(boxes):
+        for j, g in enumerate(gts):
+            if class_agnostic or b.class_id == g.class_id:
+                iou[i, j] = iou_3d(b, g)
+    return iou
+
+
+def _greedy_match(scores: list[float], iou: np.ndarray,
+                  iou_threshold: float) -> MatchResult:
+    """match_labels on a precomputed label x gt IoU matrix."""
+    free = iou.copy()
+    pairs: list[tuple[int, int, float]] = []
+    unmatched_labels: list[int] = []
+    for i in sorted(range(len(iou)), key=lambda i: (-scores[i], i)):
+        row = free[i]
+        j = int(np.argmax(row)) if len(row) else -1
+        if j >= 0 and row[j] >= iou_threshold:
+            pairs.append((i, j, float(row[j])))
+            free[:, j] = -np.inf
+        else:
+            unmatched_labels.append(i)
+    matched = {j for _, j, _ in pairs}
+    return MatchResult(sorted(pairs), sorted(unmatched_labels),
+                       [j for j in range(iou.shape[1]) if j not in matched])
+
+
 def match_labels(boxes: list[Box3D], scores: list[float], gts: list[Box3D],
                  iou_threshold: float, class_agnostic: bool = False) -> MatchResult:
     """Greedy matching: labels by descending score claim their best gt.
@@ -43,28 +74,8 @@ def match_labels(boxes: list[Box3D], scores: list[float], gts: list[Box3D],
     threshold. Ties are deterministic: score ties by label index, IoU ties
     by ground-truth index.
     """
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
-    claimed = set()
-    pairs: list[tuple[int, int, float]] = []
-    unmatched_labels: list[int] = []
-    for i in order:
-        best_j, best_iou = -1, -1.0
-        for j, gt in enumerate(gts):
-            if j in claimed:
-                continue
-            if not class_agnostic and gt.class_id != boxes[i].class_id:
-                continue
-            v = iou_3d(boxes[i], gt)
-            if v >= iou_threshold and v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            claimed.add(best_j)
-            pairs.append((i, best_j, best_iou))
-        else:
-            unmatched_labels.append(i)
-    unmatched_gts = [j for j in range(len(gts)) if j not in claimed]
-    pairs.sort()
-    return MatchResult(pairs, sorted(unmatched_labels), unmatched_gts)
+    return _greedy_match(scores, _iou_matrix(boxes, gts, class_agnostic),
+                         iou_threshold)
 
 
 @dataclass
@@ -172,25 +183,19 @@ def compute_report(per_frame: list[tuple[list[Box3D], list[float], list[Box3D]]]
         report.n_labels += len(boxes)
         report.n_gts += len(gts)
         class_ids = sorted({b.class_id for b in boxes} | {g.class_id for g in gts})
+        iou = _iou_matrix(boxes, gts, class_agnostic)
         for thr in thresholds:
-            m = match_labels(boxes, scores, gts, thr, class_agnostic)
-            matched_labels = {i for i, _, _ in m.pairs}
-            matched_gts = {j for _, j, _ in m.pairs}
+            m = _greedy_match(scores, iou, thr)
             bucket = report.counts[thr]
             bucket["overall"].add(PRCounts(
-                tp=len(m.pairs),
-                fp=len(boxes) - len(matched_labels),
-                fn=len(gts) - len(matched_gts)))
+                len(m.pairs), len(m.unmatched_labels), len(m.unmatched_gts)))
             for cid in class_ids:
-                pc = bucket.setdefault(cid, PRCounts())
-                tp = sum(1 for i, j, _ in m.pairs if gts[j].class_id == cid)
-                fp = sum(1 for i in range(len(boxes))
-                         if i not in matched_labels and boxes[i].class_id == cid)
-                fn = sum(1 for j in range(len(gts))
-                         if j not in matched_gts and gts[j].class_id == cid)
-                pc.add(PRCounts(tp, fp, fn))
+                bucket.setdefault(cid, PRCounts()).add(PRCounts(
+                    sum(gts[j].class_id == cid for _, j, _ in m.pairs),
+                    sum(boxes[i].class_id == cid for i in m.unmatched_labels),
+                    sum(gts[j].class_id == cid for j in m.unmatched_gts)))
 
-        analysis = match_labels(boxes, scores, gts, _ANALYSIS_IOU, class_agnostic)
+        analysis = _greedy_match(scores, iou, _ANALYSIS_IOU)
         for i, j, iou in analysis.pairs:
             b, g = boxes[i], gts[j]
             k = min(int(iou * _HIST_BINS), _HIST_BINS - 1)

@@ -63,12 +63,7 @@ def process_frame(frames: list[Frame], index: int,
     dense = aggregate_window(frames, index, config)
     candidates = multi_scale_cluster(dense.points, config.cluster_params(),
                                      config.yaw_step_deg, config.fit_criterion)
-    class_xyz = {
-        cid: dense.points.xyz[dense.points.class_id == cid]
-        for cid in sorted({c.box.class_id for c in candidates})
-    }
-    scores = [config.score_box(c.box, class_xyz[c.box.class_id])
-              for c in candidates]
+    scores = config.score_boxes([c.box for c in candidates], dense.points)
     labels = nms_select(candidates, scores, config.nms_iou_threshold,
                         config.theta_low, config.theta_high)
     labels.sort(key=label_sort_key)

@@ -21,7 +21,8 @@ from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
 from .config import PipelineConfig
-from .geometry import BevGridSpec, Box3D, bev_iou, points_in_box, transform_box
+from .geometry import (BevGridSpec, Box3D, PointCloud, Pose, bev_iou,
+                       points_in_box, transform_box)
 from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
                       label_weight, selection_order)
 
@@ -59,19 +60,16 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
     classes are present at once.
     """
     kept: list[Prediction] = []
-    xyz = frame.points.xyz
-    cls = frame.points.class_id
+    fg = _foreground(frame)
     for pred in preds:
-        inside = points_in_box(xyz, pred.box)
-        in_cls = cls[inside]
-        fg = in_cls[in_cls > 0]
-        if len(fg) == 0:
+        inside = fg.class_id[points_in_box(fg.xyz, pred.box)]
+        if len(inside) == 0:
             continue
-        ids, counts = np.unique(fg, return_counts=True)
+        ids, counts = np.unique(inside, return_counts=True)
         majority = int(ids[np.argmax(counts)])  # ties: smallest class id
         if majority != pred.box.class_id:
             continue
-        present = (counts >= min_points) & (counts >= min_fraction * len(fg))
+        present = (counts >= min_points) & (counts >= min_fraction * len(inside))
         if int(present.sum()) >= 2:
             continue
         kept.append(pred)
@@ -80,10 +78,11 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
 
 def sequence_motion_grid(frames: list[Frame], cell_size: float,
                          detection_range: float, epsilon: int) -> MotionGrid:
-    """Motion grid over a whole sequence in global coordinates."""
+    """Motion grid over a whole sequence in global coordinates, built from
+    each frame's foreground points, the only ones it counts."""
     if not frames:
         raise ValueError("empty sequence")
-    registered = [fr.points.transformed(fr.pose) for fr in frames]
+    registered = [_foreground(fr).transformed(fr.pose) for fr in frames]
     centers = np.array([fr.pose.translation[:2] for fr in frames])
     spec = BevGridSpec.covering(
         centers[:, 0].min() - detection_range, centers[:, 1].min() - detection_range,
@@ -92,18 +91,8 @@ def sequence_motion_grid(frames: list[Frame], cell_size: float,
     return build_motion_grid(registered, spec, epsilon)
 
 
-def _static_class_points(frames: list[Frame], grid: MotionGrid) -> dict[int, np.ndarray]:
-    """Foreground points in static cells, pooled per class, global coords."""
-    per_class: dict[int, list[np.ndarray]] = {}
-    for fr in frames:
-        moved = fr.points.transformed(fr.pose)
-        fg = moved.foreground
-        xyz = moved.xyz[fg]
-        cls = moved.class_id[fg]
-        static = grid.labels_at(xyz[:, :2]) == CELL_STATIC
-        for cid in np.unique(cls[static]):
-            per_class.setdefault(int(cid), []).append(xyz[static & (cls == cid)])
-    return {cid: np.concatenate(chunks) for cid, chunks in per_class.items()}
+def _foreground(frame: Frame) -> PointCloud:
+    return frame.points.select(frame.points.foreground)
 
 
 def _connected_groups(boxes: list[Box3D]) -> list[list[int]]:
@@ -122,7 +111,7 @@ class RefinedBox:
     source: str
 
 
-def _prediction_motion_state(pred: Prediction, frame: Frame,
+def _prediction_motion_state(pred: Prediction, pose: Pose, fg: PointCloud,
                              grid: MotionGrid) -> int:
     """Motion classification of a prediction, in global-grid cell labels.
 
@@ -130,18 +119,16 @@ def _prediction_motion_state(pred: Prediction, frame: Frame,
     are hollow for surface returns, so an empty center falls back to a
     vote over the cells of the box's own interior foreground points:
     static wins ties, no points at all means no motion evidence (empty).
+    fg holds the frame's foreground points in sensor coordinates.
     """
-    center = frame.pose.apply(pred.box.center.reshape(1, 3))
+    center = pose.apply(pred.box.center.reshape(1, 3))
     label = int(grid.labels_at(center[:, :2])[0])
     if label != CELL_EMPTY:
         return label
-    fg = frame.points.class_id > 0
-    if not fg.any():
-        return CELL_EMPTY
-    inside = points_in_box(frame.points.xyz[fg], pred.box)
+    inside = points_in_box(fg.xyz, pred.box)
     if not inside.any():
         return CELL_EMPTY
-    pts = frame.pose.apply(frame.points.xyz[fg][inside])
+    pts = pose.apply(fg.xyz[inside])
     states = grid.labels_at(pts[:, :2])
     n_static = int((states == CELL_STATIC).sum())
     n_moving = int((states == CELL_MOVING).sum())
@@ -163,32 +150,34 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     other predictions pass through unrefined. Every key of
     preds_per_frame must be the id of one of the frames.
     """
-    frame_by_id = {fr.frame_id: fr for fr in frames}
+    pose = {fr.frame_id: fr.pose for fr in frames}
+    fg = {fr.frame_id: _foreground(fr) for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
     static_by_class: dict[int, list[Box3D]] = {}  # global coordinates
     for fid in sorted(preds_per_frame):
-        frame = frame_by_id[fid]
         for pred in preds_per_frame[fid]:
-            state = _prediction_motion_state(pred, frame, grid)
+            state = _prediction_motion_state(pred, pose[fid], fg[fid], grid)
             if state == CELL_STATIC:
-                box = transform_box(pred.box, frame.pose)
+                box = transform_box(pred.box, pose[fid])
                 static_by_class.setdefault(box.class_id, []).append(box)
             else:
                 out[fid].append(RefinedBox(pred.box, SOURCE_INIT))
 
     if static_by_class:
-        class_points = _static_class_points(frames, grid)
+        # Foreground points in static cells, global coordinates.
+        moved = PointCloud.concatenate(
+            [fg[fr.frame_id].transformed(fr.pose) for fr in frames])
+        static = moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC)
         for cid in sorted(static_by_class):
             global_boxes = static_by_class[cid]
-            pts = class_points.get(cid, np.zeros((0, 3)))
-            scores = [config.score_box(b, pts) for b in global_boxes]
+            scores = config.score_boxes(global_boxes, static)
             for group in _connected_groups(global_boxes):
                 best_local = selection_order([scores[g] for g in group])[0]
                 winner = global_boxes[group[best_local]]
                 for fr in frames:
                     local = transform_box(winner, fr.pose.inverse())
-                    fg = fr.points.class_id == cid
-                    if fg.any() and points_in_box(fr.points.xyz[fg], local).any():
+                    pts = fg[fr.frame_id]
+                    if points_in_box(pts.xyz[pts.class_id == cid], local).any():
                         # The broadcast replaces whatever same-class
                         # predictions it overlaps in this frame.
                         out[fr.frame_id] = [
@@ -240,14 +229,12 @@ def refine_round(frames: list[Frame],
     labels: dict[int, list[PseudoLabel]] = {}
     retained: dict[int, np.ndarray] = {}
     for fr in frames:
-        frame_labels: list[PseudoLabel] = []
-        for rb in refined[fr.frame_id]:
-            cls_xyz = fr.points.xyz[fr.points.class_id == rb.box.class_id]
-            scores = config.score_box(rb.box, cls_xyz)
-            frame_labels.append(PseudoLabel(
-                box=rb.box, scores=scores,
-                weight=label_weight(scores.msf, config.theta_low, config.theta_high),
-                source=rb.source))
+        boxes = refined[fr.frame_id]
+        scores = config.score_boxes([rb.box for rb in boxes], fr.points)
+        frame_labels = [PseudoLabel(
+            box=rb.box, scores=sc,
+            weight=label_weight(sc.msf, config.theta_low, config.theta_high),
+            source=rb.source) for rb, sc in zip(boxes, scores)]
         frame_labels.sort(key=label_sort_key)
         labels[fr.frame_id] = frame_labels
         retained[fr.frame_id] = box_absent_foreground_filter(fr, frame_labels)

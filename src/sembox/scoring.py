@@ -76,6 +76,8 @@ def _box_grid_counts(box: Box3D, xyz: np.ndarray, r: int):
     Returns (counts, cell_i, cell_j, frame_coords) for the in-box subset.
     Boundary points land in the outermost cells.
     """
+    if r < 1:
+        raise ValueError("grid resolution must be >= 1")
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     inside = points_in_box(xyz, box)
     p = box.to_frame(xyz[inside])
@@ -88,12 +90,13 @@ def _box_grid_counts(box: Box3D, xyz: np.ndarray, r: int):
     return counts, ci, cj, p
 
 
+def _occupancy(grid) -> float:
+    return float(np.count_nonzero(grid[0])) / float(grid[0].size)
+
+
 def occupancy_score(box: Box3D, xyz: np.ndarray, r: int = 7) -> float:
     """Fraction of the r x r footprint grid occupied by in-box points."""
-    if r < 1:
-        raise ValueError("grid resolution must be >= 1")
-    counts, _, _, _ = _box_grid_counts(box, xyz, r)
-    return float(np.count_nonzero(counts)) / float(r * r)
+    return _occupancy(_box_grid_counts(box, xyz, r))
 
 
 def alignment_from_angles(alpha: float, theta: float) -> float:
@@ -113,17 +116,11 @@ def alignment_from_angles(alpha: float, theta: float) -> float:
     return 1.0 - math.sin(dev)
 
 
-def alignment_score(box: Box3D, xyz: np.ndarray, r: int = 7) -> float:
-    """Alignment of the densest in-box region with the box heading.
-
-    The densest cell of the r x r footprint grid plus its 8-neighborhood is
-    selected; the principal direction of those points (leading eigenvector
-    of their xy covariance) is compared with the heading. Fewer than two
-    points, or zero spatial variance, is uninformative and scores 0.
-    """
-    counts, ci, cj, p = _box_grid_counts(box, xyz, r)
+def _alignment(grid) -> float:
+    counts, ci, cj, p = grid
     if len(p) < 2 or counts.max() == 0:
         return 0.0
+    r = counts.shape[0]
     flat = int(np.argmax(counts))  # ties: first cell in row-major order
     bi, bj = flat // r, flat % r
     region = (np.abs(ci - bi) <= 1) & (np.abs(cj - bj) <= 1)
@@ -139,6 +136,17 @@ def alignment_score(box: Box3D, xyz: np.ndarray, r: int = 7) -> float:
     theta = math.atan2(v[1], v[0])
     # p is already in the box frame, so the heading is at angle 0.
     return alignment_from_angles(0.0, theta)
+
+
+def alignment_score(box: Box3D, xyz: np.ndarray, r: int = 7) -> float:
+    """Alignment of the densest in-box region with the box heading.
+
+    The densest cell of the r x r footprint grid plus its 8-neighborhood is
+    selected; the principal direction of those points (leading eigenvector
+    of their xy covariance) is compared with the heading. Fewer than two
+    points, or zero spatial variance, is uninformative and scores 0.
+    """
+    return _alignment(_box_grid_counts(box, xyz, r))
 
 
 def meta_shape_score(box: Box3D, meta: MetaShape) -> float:
@@ -177,11 +185,11 @@ def combine_scores(occ: float, alg: float, ms: float,
 def msf_score(box: Box3D, class_xyz: np.ndarray, meta: MetaShape,
               lambdas: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
               occ_r: int = 7) -> ScoreBreakdown:
-    """Full score breakdown of a box against its class's points."""
-    occ = occupancy_score(box, class_xyz, occ_r)
-    alg = alignment_score(box, class_xyz, occ_r)
-    ms = meta_shape_score(box, meta)
-    return combine_scores(occ, alg, ms, lambdas)
+    """Full score breakdown of a box against its class's points; the
+    footprint grid is built once for occupancy and alignment."""
+    grid = _box_grid_counts(box, class_xyz, occ_r)
+    return combine_scores(_occupancy(grid), _alignment(grid),
+                          meta_shape_score(box, meta), lambdas)
 
 
 def label_weight(s_msf: float, theta_low: float = 0.4,

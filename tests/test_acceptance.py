@@ -7,6 +7,7 @@ lines. Every tolerance is fixed here, not calibrated at runtime.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def _center_frame_metrics(frames, gt, cfg, index=5):
 
 class TestC4MultiFrameDirection:
     def test_aggregation_beats_single_frame(self):
-        single_cfg = SPARSE_CFG.with_overrides(window_half_size=0)
+        single_cfg = replace(SPARSE_CFG, window_half_size=0)
         rec_w = rec_l = mae_w = mae_l = 0
         pooled_multi, pooled_single = [], []
         for seed in range(20):
@@ -240,7 +241,7 @@ class TestC5MultiScaleDirection:
             classes = dict(base.classes)
             classes[1] = ClassConfig(cc.name, (r,), cc.min_cluster_size,
                                      cc.meta_shape)
-            singles[r] = pooled_recall(base.with_overrides(classes=classes))
+            singles[r] = pooled_recall(replace(base, classes=classes))
         best = max(singles.values())
         assert multi > best, f"multi {multi} vs best single {best}"
         verdict(5, "multi-radius recall@0.5 "

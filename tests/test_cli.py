@@ -426,6 +426,19 @@ MALFORMED = {
     "config-cell_size-text": _bad_config({"cell_size": "a"}, "config: "),
     "config-class-not-object": _bad_config({"classes": {"1": 5}},
                                            "classes[1]: expected an object"),
+    **{f"manifest-{key}-5": _bad_manifest_entry(
+        lambda entries, key=key: entries[3].update({key: 5}),
+        f"{key} 5 is not a path string") for key in ("points", "pose")},
+    **{f"config-{name}-{value}": _bad_config(
+        {name: value}, f"{name}: must be an integer, got {value!r}")
+       for name, value in (("window_half_size", 2.5), ("epsilon", 2.5),
+                           ("min_pts", 2.5), ("occ_grid_r", 7.5),
+                           ("scf_min_points", True))},
+    "config-min_cluster_size-2.5": _bad_config(
+        {"classes": {"1": {"name": "vehicle", "radii": [0.4],
+                           "min_cluster_size": 2.5,
+                           "meta_shape": [4.6, 1.8, 1.6]}}},
+        "classes[1].min_cluster_size: must be an integer, got 2.5"),
 }
 
 

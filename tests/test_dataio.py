@@ -1,6 +1,7 @@
 import json
 import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,4 +415,4 @@ class TestConfig:
     def test_epsilon_derivation(self):
         cfg = PipelineConfig()
         assert cfg.effective_epsilon(11) == 7
-        assert cfg.with_overrides(epsilon=3).effective_epsilon(11) == 3
+        assert replace(cfg, epsilon=3).effective_epsilon(11) == 3

@@ -1,16 +1,91 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sembox import evaluation
 from sembox.evaluation import compute_report, match_labels, write_report
-from sembox.geometry import Box3D
+from sembox.geometry import Box3D, iou_3d
 
 from conftest import random_box
 
 
 def veh(x, y, yaw=0.0, l=4.6, w=1.8, h=1.6, cls=1):
     return Box3D(x, y, 0.8, l, w, h, yaw, class_id=cls)
+
+
+def oracle_match(boxes, scores, gts, iou_threshold, class_agnostic=False):
+    """Greedy matching by a per-pair loop: (pairs, unmatched labels,
+    unmatched gts)."""
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    claimed = set()
+    pairs, unmatched_labels = [], []
+    for i in order:
+        best_j, best_iou = -1, -1.0
+        for j, gt in enumerate(gts):
+            if j in claimed:
+                continue
+            if not class_agnostic and gt.class_id != boxes[i].class_id:
+                continue
+            v = iou_3d(boxes[i], gt)
+            if v >= iou_threshold and v > best_iou:
+                best_j, best_iou = j, v
+        if best_j >= 0:
+            claimed.add(best_j)
+            pairs.append((i, best_j, best_iou))
+        else:
+            unmatched_labels.append(i)
+    unmatched_gts = [j for j in range(len(gts)) if j not in claimed]
+    return sorted(pairs), sorted(unmatched_labels), unmatched_gts
+
+
+def oracle_counts(per_frame, thresholds, class_agnostic):
+    """{threshold: {"overall" or class id: (tp, fp, fn)}} from the oracle,
+    and the number of analysis pairs."""
+    counts = {thr: {"overall": [0, 0, 0]} for thr in thresholds}
+    n_analysis = 0
+    for boxes, scores, gts in per_frame:
+        for thr in thresholds:
+            pairs, fps, fns = oracle_match(boxes, scores, gts, thr, class_agnostic)
+            bucket = counts[thr]
+            for b in boxes + gts:
+                bucket.setdefault(b.class_id, [0, 0, 0])
+            bucket["overall"][0] += len(pairs)
+            bucket["overall"][1] += len(fps)
+            bucket["overall"][2] += len(fns)
+            for _, j, _ in pairs:
+                bucket[gts[j].class_id][0] += 1
+            for i in fps:
+                bucket[boxes[i].class_id][1] += 1
+            for j in fns:
+                bucket[gts[j].class_id][2] += 1
+        n_analysis += len(oracle_match(boxes, scores, gts, 1e-9,
+                                       class_agnostic)[0])
+    return ({thr: {key: tuple(v) for key, v in bucket.items()}
+             for thr, bucket in counts.items()}, n_analysis)
+
+
+def random_frames(rng):
+    """Frames with overlapping boxes of three classes; some frames have no
+    labels, some no gts."""
+    frames = []
+    for _ in range(int(rng.integers(1, 6))):
+        gts = [random_box(rng, span=4, class_id=int(rng.integers(1, 4)))
+               for _ in range(int(rng.integers(0, 6)))]
+        labels = []
+        for g in gts:
+            if rng.uniform() < 0.7:  # a jittered copy, sometimes of another class
+                labels.append(Box3D(
+                    g.cx + rng.normal(0, 0.4), g.cy + rng.normal(0, 0.4), g.cz,
+                    g.l, g.w, g.h, g.yaw + rng.normal(0, 0.2),
+                    int(rng.integers(1, 4)) if rng.uniform() < 0.3 else g.class_id))
+        labels += [random_box(rng, span=4, class_id=int(rng.integers(1, 4)))
+                   for _ in range(int(rng.integers(0, 4)))]
+        scores = [float(v) for v in rng.choice([0.2, 0.5, 0.9], len(labels))]
+        frames.append((labels, scores, gts))
+    return frames
 
 
 class TestMatching:
@@ -117,6 +192,49 @@ class TestReport:
         rep = compute_report([(labels, [0.9], gts)])
         assert rep.counts[0.5][1].recall == 1.0
         assert rep.counts[0.5][2].recall == 0.0
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), class_agnostic=st.booleans())
+    def test_match_labels_equals_oracle(self, seed, class_agnostic):
+        rng = np.random.default_rng(seed)
+        for boxes, scores, gts in random_frames(rng):
+            for thr in (1e-9, 0.1, 0.3, 0.5, 0.7):
+                m = match_labels(boxes, scores, gts, thr, class_agnostic)
+                assert (m.pairs, m.unmatched_labels, m.unmatched_gts) == \
+                    oracle_match(boxes, scores, gts, thr, class_agnostic)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), class_agnostic=st.booleans())
+    def test_report_counts_equal_oracle(self, seed, class_agnostic):
+        rng = np.random.default_rng(seed)
+        frames = random_frames(rng)
+        frames.append(([], [], [veh(5, 0), veh(9, 4, cls=2)]))  # no labels
+        frames.append(([veh(5, 0, cls=3)], [0.5], []))  # no gts
+        thresholds = (0.1, 0.3, 0.5, 0.7)
+        rep = compute_report(frames, thresholds, class_agnostic=class_agnostic)
+        got = {thr: {key: (pc.tp, pc.fp, pc.fn) for key, pc in bucket.items()}
+               for thr, bucket in rep.counts.items()}
+        want, n_analysis = oracle_counts(frames, thresholds, class_agnostic)
+        assert got == want
+        assert int(rep.iou_histogram.sum()) == n_analysis
+        assert rep.n_gts == sum(len(g) for _, _, g in frames)
+
+    @pytest.mark.parametrize("class_agnostic", [False, True])
+    def test_report_computes_each_iou_at_most_once(self, monkeypatch, rng,
+                                                   class_agnostic):
+        frames = random_frames(rng)
+        calls = []
+
+        def counting(a, b):
+            calls.append((id(a), id(b)))
+            return iou_3d(a, b)
+
+        monkeypatch.setattr(evaluation, "iou_3d", counting)
+        compute_report(frames, (0.3, 0.5, 0.7), class_agnostic=class_agnostic)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= sum(len(b) * len(g) for b, _, g in frames)
 
 
 class TestWriteReport:

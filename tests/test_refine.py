@@ -11,7 +11,8 @@ from sembox.refine import (NOISE_PROFILES, NoiseModel, Prediction,
                            refine_round, semantic_consistency_filter,
                            sequence_motion_grid, spatial_temporal_fine_tune)
 from sembox.scoring import SOURCE_REFINED, label_weight
-from sembox.synth import ObjectSpec, SceneSpec, VEHICLE, _VEH, generate_sequence
+from sembox.synth import (ObjectSpec, SceneSpec, VEHICLE, _VEH, generate_sequence,
+                          preset_scene)
 
 
 def frame_with(xyz, cls, fid=0, pose=None):
@@ -287,6 +288,61 @@ class TestRefineRound:
                     inside = any(points_in_box(fr.points.xyz[[i]], lab.box)[0]
                                  for lab in labs)
                     assert inside
+
+
+def with_background(frames, rng, n=3000):
+    """Copies of frames with n background points inserted at random
+    places, half of them next to foreground points; also, per frame id,
+    the new index of each old point and the indices of the new points."""
+    out, moved, added = [], {}, {}
+    for fr in frames:
+        m = len(fr.points)
+        old = np.sort(rng.choice(m + n, m, replace=False))
+        new = np.setdiff1d(np.arange(m + n), old)
+        xyz = np.empty((m + n, 3))
+        cls = np.zeros(m + n, np.int32)
+        xyz[old], cls[old] = fr.points.xyz, fr.points.class_id
+        xyz[new] = rng.uniform([-60, -60, -1], [60, 60, 3], (n, 3))
+        fg = fr.points.xyz[fr.points.foreground]
+        if len(fg):
+            near = new[: n // 2]
+            xyz[near] = fg[rng.integers(len(fg), size=len(near))] \
+                + rng.normal(0, 0.3, (len(near), 3))
+        out.append(Frame(fr.frame_id, fr.timestamp, fr.pose, PointCloud(xyz, cls)))
+        moved[fr.frame_id], added[fr.frame_id] = old, new
+    return out, moved, added
+
+
+class TestBackgroundInvariance:
+    """Only foreground points decide SCF, the motion grids and a refine
+    round, so background points added anywhere change nothing."""
+
+    @pytest.mark.parametrize("scene", ["static", "mixed"])
+    def test_refine_ignores_background(self, scene):
+        rng = np.random.default_rng(5)
+        spec = static_scene() if scene == "static" else preset_scene("mixed", 0)
+        frames, gt = generate_sequence(spec)
+        noisy, moved, added = with_background(frames, rng)
+        preds = mock_detector(gt, NoiseModel(false_positives_per_frame=2.0), seed=3)
+        config = PipelineConfig()
+        for fr, fr2 in zip(frames, noisy):
+            assert semantic_consistency_filter(preds[fr.frame_id], fr) == \
+                semantic_consistency_filter(preds[fr.frame_id], fr2)
+        eps = config.effective_epsilon(len(frames))
+        grid = sequence_motion_grid(frames, config.cell_size,
+                                    config.detection_range, eps)
+        grid2 = sequence_motion_grid(noisy, config.cell_size,
+                                     config.detection_range, eps)
+        assert grid.spec == grid2.spec
+        np.testing.assert_array_equal(grid.label, grid2.label)
+
+        a = refine_round(frames, preds, config)
+        b = refine_round(noisy, preds, config)
+        assert a.labels == b.labels
+        assert any(a.labels.values())
+        for fid, kept in a.retained_indices.items():
+            want = np.sort(np.concatenate([moved[fid][kept], added[fid]]))
+            np.testing.assert_array_equal(b.retained_indices[fid], want)
 
 
 class TestMockDetector:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sembox import scoring
 from sembox.clustering import BoxCandidate
-from sembox.geometry import Box3D, Pose, bev_iou
+from sembox.config import PipelineConfig
+from sembox.geometry import Box3D, PointCloud, Pose, bev_iou, points_in_box
 from sembox.scoring import (MetaShape, alignment_from_angles, alignment_score,
                             combine_scores, label_weight, meta_shape_score,
                             msf_score, nms_select, occupancy_score)
@@ -168,6 +170,35 @@ class TestCombination:
         sb = msf_score(box, pts, VEH_META)
         for v in (sb.occ, sb.alg, sb.ms, sb.msf):
             assert 0.0 <= v <= 1.0
+
+
+class TestScoreBoxes:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_box_msf_on_class_points(self, seed):
+        rng = np.random.default_rng(seed)
+        config = PipelineConfig(occ_grid_r=int(rng.integers(1, 9)))
+        n = int(rng.integers(0, 300))
+        cloud = PointCloud(rng.uniform(-6, 6, (n, 3)), rng.integers(0, 3, n))
+        # Class 3 has boxes but never a point.
+        boxes = [random_box(rng, span=5, class_id=int(rng.integers(1, 4)))
+                 for _ in range(int(rng.integers(0, 8)))]
+        boxes.append(random_box(rng, span=5, class_id=3))
+        want = [msf_score(b, cloud.xyz[cloud.class_id == b.class_id],
+                          config.meta_shape(b.class_id), config.lambdas,
+                          config.occ_grid_r) for b in boxes]
+        assert config.score_boxes(boxes, cloud) == want
+
+    def test_msf_tests_containment_once(self, monkeypatch, rng):
+        calls = []
+
+        def counting(xyz, box):
+            calls.append(len(xyz))
+            return points_in_box(xyz, box)
+
+        monkeypatch.setattr(scoring, "points_in_box", counting)
+        msf_score(random_box(rng, span=2), rng.uniform(-3, 3, (50, 3)), VEH_META)
+        assert calls == [50]
 
 
 class TestLabelWeight:
