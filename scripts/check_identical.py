@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical files.
+
+    python scripts/check_identical.py OLD/src NEW/src [--quick]
+        [--threads 1 2] [--work DIR]
+
+Each tree writes its own datasets: the five presets and perf_scene, in
+text and binary, at each of SEEDS. On each dataset it then runs, with its
+own code, generate, score-labels --out on the generated labels, and two
+mock-detect --noise mild -> refine -> evaluate rounds (round 0 detects from
+ground truth, round 1 from round 0's refined labels), once per thread
+count. Commands run from the tree's work directory with relative paths,
+so printed paths agree; each command's exit code, standard output and
+standard error are kept as a file too. Every file of one tree is then
+compared with the same file of the other. The files that differ, the
+files that only one tree wrote and the commands that failed are listed,
+and the exit status is 1 if there are any. --quick limits the datasets to
+the binary presets.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SEEDS = (0, 7)
+
+# Run with a tree's src/ first on the path; refuses any other sembox.
+_WRITE_DATASETS = """
+import sys
+from pathlib import Path
+import sembox
+from sembox import dataio, synth
+from sembox.config import PipelineConfig
+src, root, quick = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3] == "1"
+if Path(sembox.__file__).resolve().parent != (src / "sembox").resolve():
+    sys.exit(f"imported sembox from {sembox.__file__}, not from {src}")
+names = PipelineConfig().class_names()
+for seed in map(int, sys.argv[4:]):
+    scenes = {p: synth.preset_scene(p, seed) for p in synth.PRESET_NAMES}
+    if not quick:
+        scenes["perf"] = synth.perf_scene(seed)
+    for name, spec in scenes.items():
+        frames, gt = synth.generate_sequence(spec)
+        for fmt in ("binary",) if quick else ("text", "binary"):
+            dataio.write_dataset(root / f"{name}-{fmt}-{seed}", frames, names,
+                                 gt=gt, points_format=fmt)
+"""
+
+
+def _commands(dataset: str, threads: int) -> list[tuple[str, list[str]]]:
+    """(log name, sembox argv) of every command run on one dataset."""
+    d, o, t = f"data/{dataset}", f"out/{dataset}/t{threads}", ["--threads", str(threads)]
+    steps = [
+        ("generate", ["generate", d, "--out", f"{o}/gen", *t]),
+        ("score-labels", ["score-labels", d, "--labels", f"{o}/gen/labels",
+                          "--out", f"{o}/rescored", *t]),
+    ]
+    source = f"{d}/gt_labels"
+    for rnd in range(2):
+        steps += [
+            (f"mock-detect{rnd}", ["mock-detect", d, "--labels", source,
+                                   "--noise", "mild", "--seed", str(3 + rnd),
+                                   "--out", f"{o}/preds{rnd}", *t]),
+            (f"refine{rnd}", ["refine", d, "--preds", f"{o}/preds{rnd}",
+                              "--out", f"{o}/refined{rnd}", *t]),
+            (f"evaluate{rnd}", ["evaluate", d, "--labels", f"{o}/refined{rnd}/labels",
+                                "--gt", f"{d}/gt_labels",
+                                "--report", f"{o}/report{rnd}.json", *t]),
+        ]
+        source = f"{o}/refined{rnd}/labels"
+    return steps
+
+
+def _run_tree(src: Path, work: Path, args) -> float:
+    """Write the datasets and run every command with the tree at src;
+    returns the seconds taken."""
+    start = time.monotonic()
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    (work / "data").mkdir(parents=True)
+    subprocess.run([sys.executable, "-c", _WRITE_DATASETS, str(src), "data",
+                    "1" if args.quick else "0", *map(str, SEEDS)],
+                   cwd=work, env=env, check=True)
+    for dataset in sorted(p.name for p in (work / "data").iterdir()):
+        for threads in args.threads:
+            for name, argv in _commands(dataset, threads):
+                run = subprocess.run([sys.executable, "-m", "sembox.cli", *argv],
+                                     cwd=work, env=env, capture_output=True,
+                                     text=True)
+                log = work / "out" / dataset / f"t{threads}" / f"{name}.log"
+                log.parent.mkdir(parents=True, exist_ok=True)
+                log.write_text(f"exit {run.returncode}\n--- stdout\n{run.stdout}"
+                               f"--- stderr\n{run.stderr}")
+    return time.monotonic() - start
+
+
+def _files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def compare(a: Path, b: Path) -> tuple[int, list[str]]:
+    """(files compared, one line per file that differs or is one-sided,
+    and per command that failed on either side)."""
+    fa, fb = _files(a), _files(b)
+    lines = [f"only in A: {p}" for p in sorted(fa - fb)]
+    lines += [f"only in B: {p}" for p in sorted(fb - fa)]
+    lines += [f"differs: {p}" for p in sorted(fa & fb)
+              if not filecmp.cmp(a / p, b / p, shallow=False)]
+    for side, root, files in (("A", a, fa), ("B", b, fb)):
+        lines += [f"failed in {side}: {p}" for p in sorted(files)
+                  if p.suffix == ".log"
+                  and not (root / p).read_text().startswith("exit 0\n")]
+    return len(fa | fb), lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a", type=Path, help="src/ directory of tree A")
+    parser.add_argument("src_b", type=Path, help="src/ directory of tree B")
+    parser.add_argument("--quick", action="store_true",
+                        help="binary presets only")
+    parser.add_argument("--threads", type=int, nargs="+", default=[1])
+    parser.add_argument("--work", type=Path, default=None,
+                        help="keep the outputs in this new directory "
+                             "(default: a temporary one)")
+    args = parser.parse_args(argv)
+    for src in (args.src_a, args.src_b):
+        if not (src / "sembox" / "__init__.py").is_file():
+            parser.error(f"{src}/sembox/__init__.py not found")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work or Path(tmp)
+        sides = [work / "A", work / "B"]
+        # The trees run side by side: their outputs never meet until compared.
+        with ThreadPoolExecutor(2) as pool:
+            seconds = list(pool.map(lambda src, side: _run_tree(src.resolve(), side, args),
+                                    (args.src_a, args.src_b), sides))
+        n, lines = compare(*sides)
+    print(f"A {args.src_a}: {seconds[0]:.1f} s; B {args.src_b}: {seconds[1]:.1f} s")
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} problems in {n} files" if lines
+          else f"all {n} files identical, every command exited 0")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

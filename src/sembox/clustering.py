@@ -51,11 +51,13 @@ class ClusterParams:
 
 @dataclass(frozen=True)
 class BoxCandidate:
-    """A fitted proposal plus its provenance in the dense cloud."""
+    """A fitted proposal plus its provenance. cluster_point_indices index
+    the cloud given to multi_scale_cluster; in generate that is the
+    foreground-only dense cloud of pipeline.aggregate_window."""
 
     box: Box3D
     radius_used: float
-    cluster_point_indices: np.ndarray  # indices into the dense cloud
+    cluster_point_indices: np.ndarray
 
 
 class _Members:
@@ -349,7 +351,8 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
 
     Clustering distance is BEV (xy only). The union of per-radius fits is
     returned; every candidate records the radius that produced it and the
-    dense-cloud indices of its cluster.
+    dense-cloud indices of its cluster. A cluster whose members a smaller
+    radius already found is a candidate again, with the box fitted then.
     """
     candidates: list[BoxCandidate] = []
     for class_id in sorted(params):
@@ -358,6 +361,7 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
         if len(sel) == 0:
             continue
         xy = dense.xyz[sel, :2]
+        fitted: dict[bytes, Box3D] = {}  # member indices -> box
         for radius in p.radii:
             labels = dbscan(xy, eps=radius, min_pts=p.min_pts)
             n_clusters = int(labels.max()) + 1 if len(labels) else 0
@@ -366,7 +370,9 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
                 if int(member.sum()) < p.min_cluster_size:
                     continue
                 idx = sel[member]
-                box = fit_box(dense.xyz[idx], class_id, yaw_step_deg,
-                              fit_criterion)
-                candidates.append(BoxCandidate(box, radius, idx))
+                key = idx.tobytes()
+                if key not in fitted:
+                    fitted[key] = fit_box(dense.xyz[idx], class_id,
+                                          yaw_step_deg, fit_criterion)
+                candidates.append(BoxCandidate(fitted[key], radius, idx))
     return candidates

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .clustering import ClusterParams
@@ -51,9 +51,9 @@ def _classes_from_dict(data: dict) -> dict[int, ClassConfig]:
         try:
             classes[cid] = ClassConfig(
                 name=raw["name"],
-                radii=tuple(raw["radii"]),
+                radii=_as_tuple(raw["radii"]),
                 min_cluster_size=raw["min_cluster_size"],
-                meta_shape=tuple(raw["meta_shape"]),
+                meta_shape=_as_tuple(raw["meta_shape"]),
             )
         except KeyError as e:
             raise ConfigError(f"classes[{cid}]: missing field {e.args[0]!r}")
@@ -65,6 +65,47 @@ def _classes_from_dict(data: dict) -> dict[int, ClassConfig]:
 def _is_int(value) -> bool:
     """True for integers; JSON true/false are not integers."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """True for finite real numbers; JSON true/false are not numbers."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _as_tuple(value):
+    """A JSON list as a tuple; any other value unchanged, for validate to
+    reject by name."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _is_numbers(values) -> bool:
+    return isinstance(values, (list, tuple)) and all(map(_is_number, values))
+
+
+# Type check of each declared field type, keyed by its annotation as written
+# (annotations are strings here): (predicate, what the message asks for).
+# A field whose type is missing from this table fails every construction.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "tuple[float, ...]": (_is_numbers, "a list of finite numbers"),
+    "tuple[float, float, float]": (_is_numbers, "a list of finite numbers"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict[int, ClassConfig]": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    """Raise a ConfigError naming the first field of the dataclass obj
+    whose value does not have the field's declared type."""
+    for f in fields(obj):
+        is_valid, what = _TYPE_CHECKS[f.type]
+        value = getattr(obj, f.name)
+        if not is_valid(value):
+            raise ConfigError(f"{prefix}{f.name}: must be {what}, got {value!r}")
 
 
 def _default_classes() -> dict[int, ClassConfig]:
@@ -102,11 +143,7 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("window_half_size", "epsilon", "min_pts", "occ_grid_r",
-                     "scf_min_points"):
-            value = getattr(self, name)
-            if not _is_int(value) and not (name == "epsilon" and value is None):
-                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        _check_types(self)
         if self.window_half_size < 0:
             raise ConfigError("window_half_size: must be >= 0")
         if self.epsilon is not None and self.epsilon < 1:
@@ -150,9 +187,7 @@ class PipelineConfig:
         for cid, cc in self.classes.items():
             if cid < 1:
                 raise ConfigError(f"classes[{cid}]: class ids must be >= 1")
-            if not _is_int(cc.min_cluster_size):
-                raise ConfigError(f"classes[{cid}].min_cluster_size: must be an "
-                                  f"integer, got {cc.min_cluster_size!r}")
+            _check_types(cc, f"classes[{cid}].")
             try:
                 ClusterParams(tuple(cc.radii), self.min_pts, cc.min_cluster_size)
             except ValueError as e:
@@ -181,11 +216,17 @@ class PipelineConfig:
                     cloud: PointCloud) -> list[ScoreBreakdown]:
         """Score breakdown of each box against the points of its class in
         cloud, under this config's shape prior, score weights and
-        occupancy grid. The cloud is split by class once per call."""
+        occupancy grid. The cloud is split by class once per call, and
+        equal boxes are scored once."""
         class_xyz = {cid: cloud.xyz[cloud.class_id == cid]
                      for cid in {b.class_id for b in boxes}}
-        return [msf_score(b, class_xyz[b.class_id], self.meta_shape(b.class_id),
-                          self.lambdas, self.occ_grid_r) for b in boxes]
+        scores: dict[Box3D, ScoreBreakdown] = {}
+        for b in boxes:
+            if b not in scores:
+                scores[b] = msf_score(b, class_xyz[b.class_id],
+                                      self.meta_shape(b.class_id),
+                                      self.lambdas, self.occ_grid_r)
+        return [scores[b] for b in boxes]
 
     @property
     def num_classes(self) -> int:
@@ -214,8 +255,8 @@ class PipelineConfig:
             if "classes" in kwargs:
                 kwargs["classes"] = _classes_from_dict(kwargs["classes"])
             for name in ("lambdas", "range_bin_edges", "eval_iou_thresholds"):
-                if name in kwargs and kwargs[name] is not None:
-                    kwargs[name] = tuple(kwargs[name])
+                if name in kwargs:
+                    kwargs[name] = _as_tuple(kwargs[name])
             return PipelineConfig(**kwargs)
         except ConfigError:
             raise

@@ -23,6 +23,10 @@ MIN_EXTENT = 1e-6
 # Vertex dedup tolerance for polygon clipping, in meters.
 _CLIP_EPS = 1e-9
 
+# Relative gap beyond which two BEV footprints count as disjoint without
+# clipping (see bev_intersection_area).
+_DISJOINT_MARGIN = 1e-9
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to [-pi, pi)."""
@@ -126,6 +130,11 @@ class PointCloud:
     @property
     def foreground(self) -> np.ndarray:
         return self.class_id > 0
+
+    def select_foreground(self) -> "PointCloud":
+        """The foreground points, in their order: the only points that are
+        clustered, scored or counted against a box."""
+        return self.select(self.foreground)
 
     @staticmethod
     def concatenate(clouds: list["PointCloud"]) -> "PointCloud":
@@ -281,6 +290,13 @@ def _polygon_area(poly: list[tuple[float, float]]) -> float:
 
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     """Area of intersection of the two yaw-rotated BEV footprints."""
+    # Footprints whose circumscribed circles lie apart are disjoint. The
+    # margin, relative to the coordinates' magnitude, is far above the
+    # rounding of corners and clipping, so the clip would return exactly 0.
+    reach = math.hypot(a.l, a.w) / 2.0 + math.hypot(b.l, b.w) / 2.0
+    scale = reach + abs(a.cx) + abs(a.cy) + abs(b.cx) + abs(b.cy)
+    if math.hypot(a.cx - b.cx, a.cy - b.cy) > reach + _DISJOINT_MARGIN * scale:
+        return 0.0
     # Canonical argument order makes the result exactly symmetric despite
     # the asymmetry of sequential clipping.
     ka = (a.cx, a.cy, a.l, a.w, a.yaw)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,13 +43,20 @@ def resolve_threads(cli_value: int | None) -> int:
 
 def aggregate_window(frames: list[Frame], index: int,
                      config: PipelineConfig) -> DenseCloud:
-    """Dense cloud of frames[index] from its window of up to
+    """Foreground dense cloud of frames[index] from its window of up to
     window_half_size frames on each side: register, classify motion,
-    aggregate."""
+    aggregate.
+
+    Only foreground points are clustered and scored, so background is
+    dropped before registration. Foreground points keep their order, and
+    registration transforms each point on its own, so the cloud holds the
+    same foreground points as one aggregated with the background.
+    """
     n = config.window_half_size
     lo = max(0, index - n)
     hi = min(len(frames), index + n + 1)
-    window = frames[lo:hi]
+    window = [replace(f, points=f.points.select_foreground())
+              for f in frames[lo:hi]]
     registered = register_window(window, index - lo)
 
     spec = BevGridSpec.centered(config.detection_range, config.cell_size)

@@ -60,7 +60,7 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
     classes are present at once.
     """
     kept: list[Prediction] = []
-    fg = _foreground(frame)
+    fg = frame.points.select_foreground()
     for pred in preds:
         inside = fg.class_id[points_in_box(fg.xyz, pred.box)]
         if len(inside) == 0:
@@ -82,17 +82,14 @@ def sequence_motion_grid(frames: list[Frame], cell_size: float,
     each frame's foreground points, the only ones it counts."""
     if not frames:
         raise ValueError("empty sequence")
-    registered = [_foreground(fr).transformed(fr.pose) for fr in frames]
+    registered = [fr.points.select_foreground().transformed(fr.pose)
+                  for fr in frames]
     centers = np.array([fr.pose.translation[:2] for fr in frames])
     spec = BevGridSpec.covering(
         centers[:, 0].min() - detection_range, centers[:, 1].min() - detection_range,
         centers[:, 0].max() + detection_range, centers[:, 1].max() + detection_range,
         cell_size)
     return build_motion_grid(registered, spec, epsilon)
-
-
-def _foreground(frame: Frame) -> PointCloud:
-    return frame.points.select(frame.points.foreground)
 
 
 def _connected_groups(boxes: list[Box3D]) -> list[list[int]]:
@@ -151,7 +148,7 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     preds_per_frame must be the id of one of the frames.
     """
     pose = {fr.frame_id: fr.pose for fr in frames}
-    fg = {fr.frame_id: _foreground(fr) for fr in frames}
+    fg = {fr.frame_id: fr.points.select_foreground() for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
     static_by_class: dict[int, list[Box3D]] = {}  # global coordinates
     for fid in sorted(preds_per_frame):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sembox.geometry import Box3D
+from sembox.aggregation import Frame
+from sembox.geometry import Box3D, PointCloud
 
 
 def random_box(rng, span=20.0, max_extent=6.0, class_id=1) -> Box3D:
@@ -45,3 +46,26 @@ def monte_carlo_bev_iou(a: Box3D, b: Box3D, n_side: int = 256,
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def with_background(frames, rng, n=3000):
+    """Copies of frames with n background points inserted at random
+    places, half of them next to foreground points; also, per frame id,
+    the new index of each old point and the indices of the new points."""
+    out, moved, added = [], {}, {}
+    for fr in frames:
+        m = len(fr.points)
+        old = np.sort(rng.choice(m + n, m, replace=False))
+        new = np.setdiff1d(np.arange(m + n), old)
+        xyz = np.empty((m + n, 3))
+        cls = np.zeros(m + n, np.int32)
+        xyz[old], cls[old] = fr.points.xyz, fr.points.class_id
+        xyz[new] = rng.uniform([-60, -60, -1], [60, 60, 3], (n, 3))
+        fg = fr.points.xyz[fr.points.foreground]
+        if len(fg):
+            near = new[: n // 2]
+            xyz[near] = fg[rng.integers(len(fg), size=len(near))] \
+                + rng.normal(0, 0.3, (len(near), 3))
+        out.append(Frame(fr.frame_id, fr.timestamp, fr.pose, PointCloud(xyz, cls)))
+        moved[fr.frame_id], added[fr.frame_id] = old, new
+    return out, moved, added

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from sembox import pipeline
 from sembox.aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                                 build_dense_cloud, build_motion_grid,
                                 register_window)
 from sembox.config import PipelineConfig
 from sembox.geometry import BevGridSpec, PointCloud, Pose
+from sembox.synth import generate_sequence, preset_scene
+
+from conftest import with_background
 
 SPEC = BevGridSpec(0.0, 0.0, 1.0, 8, 8)
 
@@ -141,3 +145,25 @@ class TestDenseCloud:
         grid = build_motion_grid(frames, SPEC, epsilon=3)
         dense = build_dense_cloud(frames, grid, 2)
         assert len(frames[2]) <= len(dense.points) <= sum(len(f) for f in frames)
+
+
+class TestForegroundOnlyWindow:
+    """generate clusters and scores only foreground points, so background
+    points added anywhere change no label, and none is registered."""
+
+    def test_generate_ignores_background(self, monkeypatch):
+        frames, _ = generate_sequence(preset_scene("mixed", 0))
+        noisy, _, _ = with_background(frames, np.random.default_rng(11))
+        registered = []
+
+        def recording(window, target_index):
+            registered.extend(f.points.class_id for f in window)
+            return register_window(window, target_index)
+
+        monkeypatch.setattr(pipeline, "register_window", recording)
+        config = PipelineConfig()
+        want = pipeline.generate_labels(frames, config)
+        assert pipeline.generate_labels(noisy, config) == want
+        assert any(want.values())
+        assert len(registered) > len(frames)
+        assert all((cls > 0).all() for cls in registered)

@@ -323,14 +323,13 @@ def _bad_noise(profile, where):
     return build
 
 
-def _bad_config(config, where):
+def _bad_config(config, where, command="generate"):
     """config is a JSON value, or the file's bytes."""
     def build(dataset, tmp):
         path = tmp / "cfg.json"
         path.write_bytes(config if isinstance(config, bytes)
                          else json.dumps(config).encode())
-        return (["generate", str(dataset), "--out", str(tmp / "out"),
-                 "--threads", "1", "--config", str(path)], where)
+        return _dataset_command(command, dataset, tmp) + ["--config", str(path)], where
     return build
 
 
@@ -423,7 +422,26 @@ MALFORMED = {
         lambda manifest: manifest.update(frames=[]),
         "manifest.json: frames must be a non-empty list", command)
        for command in ("generate", "refine", "mock-detect", "evaluate")},
-    "config-cell_size-text": _bad_config({"cell_size": "a"}, "config: "),
+    "config-cell_size-text": _bad_config(
+        {"cell_size": "a"}, "cell_size: must be a finite number, got 'a'"),
+    "config-cell_size-true": _bad_config(
+        {"cell_size": True}, "cell_size: must be a finite number, got True"),
+    "config-lambdas-bools": _bad_config(
+        {"lambdas": [True, False, False]},
+        "lambdas: must be a list of finite numbers, got (True, False, False)"),
+    "config-radii-text": _bad_config(
+        {"classes": {"1": {"name": "vehicle", "radii": ["0.4"],
+                           "min_cluster_size": 10,
+                           "meta_shape": [4.6, 1.8, 1.6]}}},
+        "classes[1].radii: must be a list of finite numbers, got ('0.4',)"),
+    "config-lambdas-nan": _bad_config(
+        {"lambdas": [float("nan"), 0.5, 0.5]},
+        "lambdas: must be a list of finite numbers, got (nan, 0.5, 0.5)"),
+    "config-seed-2.5": _bad_config({"seed": 2.5}, "seed: must be an integer, got 2.5",
+                                   "mock-detect"),
+    "config-class_agnostic_eval-1": _bad_config(
+        {"class_agnostic_eval": 1},
+        "class_agnostic_eval: must be true or false, got 1"),
     "config-class-not-object": _bad_config({"classes": {"1": 5}},
                                            "classes[1]: expected an object"),
     **{f"manifest-{key}-5": _bad_manifest_entry(

@@ -274,6 +274,30 @@ class TestMultiScale:
                       for c in both}
         assert small_boxes <= both_boxes
 
+    def test_fits_each_distinct_member_set_once(self, rng, monkeypatch):
+        blobs = two_blob_cloud(1.0, rng=rng)
+        # Class 2 repeats class 1's points 5 m away: equal-sized member
+        # sets of two classes are fitted apart.
+        cloud = PointCloud(np.concatenate([blobs.xyz, blobs.xyz + [0, 5, 0]]),
+                           np.repeat([1, 2], len(blobs)))
+        params = {c: ClusterParams((0.5, 0.6, 1.2, 1.6), min_pts=3,
+                                   min_cluster_size=4) for c in (1, 2)}
+        fits = []
+
+        def counting(xyz, class_id, *args):
+            fits.append(class_id)
+            return fit_box(xyz, class_id, *args)
+
+        monkeypatch.setattr(clustering, "fit_box", counting)
+        cands = multi_scale_cluster(cloud, params, 2.0, "closeness")
+        distinct = {(c.box.class_id, c.cluster_point_indices.tobytes())
+                    for c in cands}
+        assert len(fits) == len(distinct) < len(cands)
+        assert sorted(fits) == sorted(cid for cid, _ in distinct)
+        for c in cands:
+            assert c.box == fit_box(cloud.xyz[c.cluster_point_indices],
+                                    c.box.class_id, 2.0, "closeness")
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ClusterParams(())

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sembox import geometry
 from sembox.geometry import (BevGridSpec, Box3D, PointCloud, Pose, bev_iou,
-                             grid_indices, iou_3d, points_in_box)
+                             bev_intersection_area, grid_indices, iou_3d,
+                             points_in_box)
 
 from conftest import monte_carlo_bev_iou, random_box
 
@@ -125,6 +127,68 @@ class TestBevIou:
             a, b = random_box(rng, span=2.5), random_box(rng, span=2.5)
             est = monte_carlo_bev_iou(a, b, n_side=1000, rng=rng)
             assert bev_iou(a, b) == pytest.approx(est, abs=0.01)
+
+
+def clip_only_area(a: Box3D, b: Box3D) -> float:
+    """bev_intersection_area without its disjointness reject: every pair
+    goes through the polygon clip."""
+    if (b.cx, b.cy, b.l, b.w, b.yaw) < (a.cx, a.cy, a.l, a.w, a.yaw):
+        a, b = b, a
+    poly = [(x, y) for x, y in a.corners_bev()]
+    return geometry._polygon_area(geometry._clip_polygon(poly, b.corners_bev()))
+
+
+extents = st.one_of(st.floats(2e-6, 1e-3), st.floats(0.1, 50.0))
+
+
+@st.composite
+def box_pairs(draw):
+    """Pairs that are identical, nested, random neighbours, edge to edge
+    or corner to corner; the last two apart by gaps from -1e-6 to 1e-6 m,
+    or by about the reject's margin."""
+    cx, cy = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+    l, w, yaw = draw(extents), draw(extents), draw(angles)
+    a = Box3D(cx, cy, 0.0, l, w, 1.0, yaw)
+    kind = draw(st.sampled_from(["identical", "nested", "random", "edge",
+                                 "corner"]))
+    if kind == "identical":
+        return a, a
+    if kind == "nested":
+        s = draw(st.floats(0.01, 1.0))
+        f = draw(st.floats(-1.0, 1.0)) * (1.0 - s) / 2.0
+        return a, Box3D(a.cx + f * a.l * math.cos(a.yaw),
+                        a.cy + f * a.l * math.sin(a.yaw), 0.0,
+                        max(a.l * s, 2e-6), max(a.w * s, 2e-6), 1.0, a.yaw)
+    l2, w2 = draw(extents), draw(extents)
+    if kind == "random":
+        d = draw(st.floats(0.0, 2.0)) * (a.l + max(l2, w2))
+        t = draw(angles)
+        return a, Box3D(a.cx + d * math.cos(t), a.cy + d * math.sin(t), 0.0,
+                        l2, w2, 1.0, draw(angles))
+    scale = abs(cx) + abs(cy) + a.l + l2 + w2
+    gap = draw(st.one_of(
+        st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]),
+        st.floats(1e-12, 1e-6), st.floats(-1e-6, -1e-12),
+        st.floats(0.5, 4.0).map(lambda k: k * geometry._DISJOINT_MARGIN * scale)))
+    if kind == "edge":
+        d = (a.l + l2) / 2.0 + gap
+        return a, Box3D(a.cx + d * math.cos(a.yaw), a.cy + d * math.sin(a.yaw),
+                        0.0, l2, w2, 1.0, a.yaw)
+    # Corner to corner: both diagonals on the line through the centres.
+    t = draw(angles)
+    d = math.hypot(l, w) / 2.0 + math.hypot(l2, w2) / 2.0 + gap
+    return (Box3D(cx, cy, 0.0, l, w, 1.0, t - math.atan2(w, l)),
+            Box3D(cx + d * math.cos(t), cy + d * math.sin(t), 0.0, l2, w2,
+                  1.0, t + math.pi - math.atan2(w2, l2)))
+
+
+class TestIntersectionArea:
+    @settings(max_examples=1500, deadline=None)
+    @given(pair=box_pairs())
+    def test_equals_clip_only_oracle(self, pair):
+        a, b = pair
+        assert bev_intersection_area(a, b) == clip_only_area(a, b)
+        assert bev_intersection_area(b, a) == clip_only_area(a, b)
 
 
 class TestIou3d:

@@ -14,6 +14,8 @@ from sembox.scoring import SOURCE_REFINED, label_weight
 from sembox.synth import (ObjectSpec, SceneSpec, VEHICLE, _VEH, generate_sequence,
                           preset_scene)
 
+from conftest import with_background
+
 
 def frame_with(xyz, cls, fid=0, pose=None):
     return Frame(fid, 0.1 * fid, pose or Pose.identity(),
@@ -288,29 +290,6 @@ class TestRefineRound:
                     inside = any(points_in_box(fr.points.xyz[[i]], lab.box)[0]
                                  for lab in labs)
                     assert inside
-
-
-def with_background(frames, rng, n=3000):
-    """Copies of frames with n background points inserted at random
-    places, half of them next to foreground points; also, per frame id,
-    the new index of each old point and the indices of the new points."""
-    out, moved, added = [], {}, {}
-    for fr in frames:
-        m = len(fr.points)
-        old = np.sort(rng.choice(m + n, m, replace=False))
-        new = np.setdiff1d(np.arange(m + n), old)
-        xyz = np.empty((m + n, 3))
-        cls = np.zeros(m + n, np.int32)
-        xyz[old], cls[old] = fr.points.xyz, fr.points.class_id
-        xyz[new] = rng.uniform([-60, -60, -1], [60, 60, 3], (n, 3))
-        fg = fr.points.xyz[fr.points.foreground]
-        if len(fg):
-            near = new[: n // 2]
-            xyz[near] = fg[rng.integers(len(fg), size=len(near))] \
-                + rng.normal(0, 0.3, (len(near), 3))
-        out.append(Frame(fr.frame_id, fr.timestamp, fr.pose, PointCloud(xyz, cls)))
-        moved[fr.frame_id], added[fr.frame_id] = old, new
-    return out, moved, added
 
 
 class TestBackgroundInvariance:

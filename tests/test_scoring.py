@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sembox import scoring
+from sembox import config as config_module, scoring
 from sembox.clustering import BoxCandidate
 from sembox.config import PipelineConfig
 from sembox.geometry import Box3D, PointCloud, Pose, bev_iou, points_in_box
@@ -184,10 +184,26 @@ class TestScoreBoxes:
         boxes = [random_box(rng, span=5, class_id=int(rng.integers(1, 4)))
                  for _ in range(int(rng.integers(0, 8)))]
         boxes.append(random_box(rng, span=5, class_id=3))
+        boxes += [boxes[i] for i in rng.integers(0, len(boxes), 3)]  # repeats
         want = [msf_score(b, cloud.xyz[cloud.class_id == b.class_id],
                           config.meta_shape(b.class_id), config.lambdas,
                           config.occ_grid_r) for b in boxes]
         assert config.score_boxes(boxes, cloud) == want
+
+    def test_scores_each_distinct_box_once(self, monkeypatch, rng):
+        calls = []
+
+        def counting(box, *args):
+            calls.append(box)
+            return msf_score(box, *args)
+
+        monkeypatch.setattr(config_module, "msf_score", counting)
+        boxes = [random_box(rng, span=5, class_id=c) for c in (1, 1, 2)]
+        boxes = [boxes[i] for i in (0, 1, 0, 2, 1, 0)]
+        cloud = PointCloud(rng.uniform(-6, 6, (200, 3)), rng.integers(0, 3, 200))
+        scores = PipelineConfig().score_boxes(boxes, cloud)
+        assert calls == boxes[:2] + boxes[3:4]
+        assert scores[0] == scores[2] == scores[5] and scores[1] == scores[4]
 
     def test_msf_tests_containment_once(self, monkeypatch, rng):
         calls = []
