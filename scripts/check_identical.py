@@ -6,12 +6,13 @@
 
 Each tree writes its own datasets: the five presets and perf_scene, in
 text and binary, at each of SEEDS. On each dataset it then runs, with its
-own code, generate, score-labels --out on the generated labels, and two
-mock-detect --noise mild -> refine -> evaluate rounds (round 0 detects from
-ground truth, round 1 from round 0's refined labels), once per thread
-count. Commands run from the tree's work directory with relative paths,
-so printed paths agree; each command's exit code, standard output and
-standard error are kept as a file too. Every file of one tree is then
+own code, generate with the default config and with each of CONFIGS,
+score-labels --out on the default labels, and two mock-detect --noise
+mild -> refine -> evaluate rounds (round 0 detects from ground truth,
+round 1 from round 0's refined labels), once per thread count. Commands
+run from the tree's work directory with relative paths, so printed paths
+agree; each command's exit code, standard output and standard error are
+kept as a file too. Every file of one tree is then
 compared with the same file of the other. The files that differ, the
 files that only one tree wrote and the commands that failed are listed,
 and the exit status is 1 if there are any. --quick limits the datasets to
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +33,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SEEDS = (0, 7)
+
+# Configs generate also runs with, by name: the area fit at a coarse yaw
+# step, and the closeness fit, which fits each member set on its own.
+CONFIGS = {"yaw2": {"yaw_step_deg": 2.0},
+           "closeness": {"fit_criterion": "closeness"}}
 
 # Run with a tree's src/ first on the path; refuses any other sembox.
 _WRITE_DATASETS = """
@@ -63,6 +70,9 @@ def _commands(dataset: str, threads: int) -> list[tuple[str, list[str]]]:
         ("score-labels", ["score-labels", d, "--labels", f"{o}/gen/labels",
                           "--out", f"{o}/rescored", *t]),
     ]
+    steps += [(f"generate-{name}", ["generate", d, "--config", f"configs/{name}.json",
+                                    "--out", f"{o}/gen-{name}", *t])
+              for name in CONFIGS]
     source = f"{d}/gt_labels"
     for rnd in range(2):
         steps += [
@@ -85,6 +95,9 @@ def _run_tree(src: Path, work: Path, args) -> float:
     start = time.monotonic()
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     (work / "data").mkdir(parents=True)
+    (work / "configs").mkdir()
+    for name, config in CONFIGS.items():
+        (work / "configs" / f"{name}.json").write_text(json.dumps(config))
     subprocess.run([sys.executable, "-c", _WRITE_DATASETS, str(src), "data",
                     "1" if args.quick else "0", *map(str, SEEDS)],
                    cwd=work, env=env, check=True)

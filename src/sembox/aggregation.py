@@ -82,23 +82,26 @@ def build_motion_grid(registered: list[PointCloud], spec: BevGridSpec,
     if epsilon < 1:
         raise ValueError("epsilon must be >= 1")
 
-    longest = np.zeros((spec.nx, spec.ny), dtype=np.int16)
-    run = np.zeros((spec.nx, spec.ny), dtype=np.int16)
-    ever = np.zeros((spec.nx, spec.ny), dtype=bool)
+    # Flat keys i * ny + j of the on-grid cells each frame occupies; runs
+    # are counted over the cells some frame occupies, not the whole grid.
+    occupied = []
     for cloud in registered:
-        occ = np.zeros((spec.nx, spec.ny), dtype=bool)
-        fg = cloud.foreground
-        if fg.any():
-            ij = grid_indices(cloud.xyz[fg, :2], spec)
-            ij = ij[ij[:, 0] >= 0]
-            occ[ij[:, 0], ij[:, 1]] = True
-        run = np.where(occ, run + 1, 0).astype(np.int16)
-        np.maximum(longest, run, out=longest)
-        ever |= occ
+        ij = grid_indices(cloud.xyz[cloud.foreground, :2], spec)
+        ij = ij[ij[:, 0] >= 0]
+        occupied.append(ij[:, 0] * spec.ny + ij[:, 1])
+    cells = np.unique(np.concatenate(occupied))
+    occ = np.zeros((len(occupied), len(cells)), dtype=bool)  # frames x cells
+    for f, keys in enumerate(occupied):
+        occ[f, np.searchsorted(cells, keys)] = True
+    longest = np.zeros(len(cells), dtype=np.int64)
+    run = np.zeros(len(cells), dtype=np.int64)
+    for row in occ:
+        run = np.where(row, run + 1, 0)
+        longest = np.maximum(longest, run)
 
     label = np.zeros((spec.nx, spec.ny), dtype=np.uint8)
-    label[ever] = CELL_MOVING
-    label[longest >= epsilon] = CELL_STATIC
+    label.reshape(-1)[cells] = np.where(longest >= epsilon, CELL_STATIC,
+                                        CELL_MOVING)
     return MotionGrid(spec, label)
 
 

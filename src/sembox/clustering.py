@@ -9,6 +9,7 @@ selection downstream keeps the best per instance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,6 +290,72 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 _CLOSENESS_FLOOR = 0.01
 
 
+def _yaw_angles(yaw_step_deg: float) -> np.ndarray:
+    """Candidate yaws of the box fit: [0, 90) degrees at the given step."""
+    if yaw_step_deg <= 0:
+        raise ValueError("yaw_step_deg must be > 0")
+    return np.deg2rad(np.arange(0.0, 90.0, yaw_step_deg))
+
+
+# Points projected at once by _yaw_extents: bounds its (yaws x points)
+# arrays, and keeps each block's rows in cache for the reductions.
+_EXTENT_BLOCK = 1024
+
+
+def _yaw_extents(xyz: np.ndarray, group: np.ndarray, n_groups: int,
+                 angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per group of points, the least and greatest coordinate in every
+    candidate frame: (lo, hi), each (n_groups, 2A + 1) holding u at each
+    of the A yaws, then v at each yaw, then z.
+
+    Points must be grouped by ascending group id. Each point is projected
+    once, in blocks of _EXTENT_BLOCK points, by the same element-wise
+    expressions at every call, and min/max do not round: the extents of a
+    union of groups are exactly the element-wise min/max of theirs.
+    """
+    a = len(angles)
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    lo = np.full((2 * a + 1, n_groups), np.inf)
+    hi = np.full((2 * a + 1, n_groups), -np.inf)
+    for at in range(0, len(xyz), _EXTENT_BLOCK):
+        block, g = xyz[at:at + _EXTENT_BLOCK], group[at:at + _EXTENT_BLOCK]
+        x, y = block[:, 0], block[:, 1]
+        coords = np.empty((2 * a + 1, len(block)))
+        coords[:a] = x * c + y * s
+        coords[a:2 * a] = -x * s + y * c
+        coords[2 * a] = block[:, 2]
+        start = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        ids = g[start]
+        lo[:, ids] = np.minimum(lo[:, ids], np.minimum.reduceat(coords, start, axis=1))
+        hi[:, ids] = np.maximum(hi[:, ids], np.maximum.reduceat(coords, start, axis=1))
+    return lo.T, hi.T
+
+
+def _box_from_extents(lo: np.ndarray, hi: np.ndarray, angles: np.ndarray,
+                      class_id: int, best: int | None = None) -> Box3D:
+    """The box of one point set from its _yaw_extents row: at yaw index
+    best, by default the smallest-area yaw (ties to the smaller yaw)."""
+    a = len(angles)
+    u_min, u_max = lo[:a], hi[:a]
+    v_min, v_max = lo[a:2 * a], hi[a:2 * a]
+    if best is None:
+        best = int(np.argmin((u_max - u_min) * (v_max - v_min)))
+
+    span_u = max(float(u_max[best] - u_min[best]), _SPAN_FLOOR) + 2 * _SPAN_GUARD
+    span_v = max(float(v_max[best] - v_min[best]), _SPAN_FLOOR) + 2 * _SPAN_GUARD
+    mid_u = (u_max[best] + u_min[best]) / 2.0
+    mid_v = (v_max[best] + v_min[best]) / 2.0
+    yaw = float(angles[best])
+    cb, sb = math.cos(yaw), math.sin(yaw)
+    cx = cb * mid_u - sb * mid_v
+    cy = sb * mid_u + cb * mid_v
+
+    z_min, z_max = float(lo[2 * a]), float(hi[2 * a])
+    h = max(z_max - z_min, _SPAN_FLOOR) + 2 * _SPAN_GUARD
+    cz = (z_min + z_max) / 2.0
+    return Box3D(cx, cy, cz, span_u, span_v, h, yaw, class_id)
+
+
 def fit_box(xyz: np.ndarray, class_id: int, yaw_step_deg: float = 1.0,
             criterion: str = "area") -> Box3D:
     """Fit an oriented box to a cluster by exhaustive yaw search.
@@ -307,12 +374,13 @@ def fit_box(xyz: np.ndarray, class_id: int, yaw_step_deg: float = 1.0,
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     if len(xyz) == 0:
         raise ValueError("cannot fit a box to an empty cluster")
-    if yaw_step_deg <= 0:
-        raise ValueError("yaw_step_deg must be > 0")
+    angles = _yaw_angles(yaw_step_deg)
     if criterion not in ("area", "closeness"):
         raise ValueError(f"unknown fit criterion {criterion!r}")
+    if criterion == "area":
+        lo, hi = _yaw_extents(xyz, np.zeros(len(xyz), dtype=np.int64), 1, angles)
+        return _box_from_extents(lo[0], hi[0], angles, class_id)
 
-    angles = np.deg2rad(np.arange(0.0, 90.0, yaw_step_deg))
     c, s = np.cos(angles), np.sin(angles)
     x, y = xyz[:, 0:1], xyz[:, 1:2]
     # Coordinates of every point in every candidate frame, shape (N, A).
@@ -320,28 +388,36 @@ def fit_box(xyz: np.ndarray, class_id: int, yaw_step_deg: float = 1.0,
     v = -x * s + y * c
     u_min, u_max = u.min(axis=0), u.max(axis=0)
     v_min, v_max = v.min(axis=0), v.max(axis=0)
-    if criterion == "area":
-        areas = (u_max - u_min) * (v_max - v_min)
-        best = int(np.argmin(areas))
-    else:
-        edge = np.minimum(np.minimum(u - u_min, u_max - u),
-                          np.minimum(v - v_min, v_max - v))
-        score = (1.0 / np.maximum(edge, _CLOSENESS_FLOOR)).sum(axis=0)
-        best = int(np.argmax(score))
+    edge = np.minimum(np.minimum(u - u_min, u_max - u),
+                      np.minimum(v - v_min, v_max - v))
+    score = (1.0 / np.maximum(edge, _CLOSENESS_FLOOR)).sum(axis=0)
+    return _box_from_extents(np.r_[u_min, v_min, xyz[:, 2].min()],
+                             np.r_[u_max, v_max, xyz[:, 2].max()],
+                             angles, class_id, int(np.argmax(score)))
 
-    span_u = max(float(u_max[best] - u_min[best]), _SPAN_FLOOR) + 2 * _SPAN_GUARD
-    span_v = max(float(v_max[best] - v_min[best]), _SPAN_FLOOR) + 2 * _SPAN_GUARD
-    mid_u = (u_max[best] + u_min[best]) / 2.0
-    mid_v = (v_max[best] + v_min[best]) / 2.0
-    yaw = float(angles[best])
-    cb, sb = math.cos(yaw), math.sin(yaw)
-    cx = cb * mid_u - sb * mid_v
-    cy = sb * mid_u + cb * mid_v
 
-    z_min, z_max = float(xyz[:, 2].min()), float(xyz[:, 2].max())
-    h = max(z_max - z_min, _SPAN_FLOOR) + 2 * _SPAN_GUARD
-    cz = (z_min + z_max) / 2.0
-    return Box3D(cx, cy, cz, span_u, span_v, h, yaw, class_id)
+def _atom_fitter(xyz: np.ndarray, labels: np.ndarray, angles: np.ndarray,
+                 class_id: int) -> Callable[[np.ndarray], Box3D]:
+    """A function from a cluster's members (column indices of labels,
+    radii x points, -1 for no cluster) to its area-criterion box, built
+    from the yaw extents of its atoms (see multi_scale_cluster). Each
+    point of some cluster is projected once, here."""
+    clustered = np.flatnonzero((labels >= 0).any(axis=0))
+    atom = np.zeros(len(clustered), dtype=np.int64)
+    for lab in labels[:, clustered]:
+        atom = np.unique(atom * (int(lab.max()) + 2) + lab + 1,
+                         return_inverse=True)[1].reshape(-1)
+    order = clustered[np.argsort(atom, kind="stable")]
+    atom_of = np.full(labels.shape[1], -1)
+    atom_of[clustered] = atom
+    lo, hi = _yaw_extents(xyz[order], atom_of[order], int(atom.max()) + 1,
+                          angles)
+
+    def box(member: np.ndarray) -> Box3D:
+        atoms = np.unique(atom_of[member])
+        return _box_from_extents(lo[atoms].min(axis=0), hi[atoms].max(axis=0),
+                                 angles, class_id)
+    return box
 
 
 def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
@@ -353,7 +429,16 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
     returned; every candidate records the radius that produced it and the
     dense-cloud indices of its cluster. A cluster whose members a smaller
     radius already found is a candidate again, with the box fitted then.
+
+    Under the "area" criterion each class's points are split into atoms,
+    the points that share a cluster at every radius (clusters below
+    min_cluster_size counting as noise). Each atom's yaw extents are
+    computed once, and a cluster's box comes from the min/max over its
+    atoms' extents: exactly fit_box's box, with every point projected once
+    per class rather than once per radius. "closeness" sums over every
+    point, so it fits each distinct member set with fit_box.
     """
+    angles = _yaw_angles(yaw_step_deg)
     candidates: list[BoxCandidate] = []
     for class_id in sorted(params):
         p = params[class_id]
@@ -361,18 +446,27 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
         if len(sel) == 0:
             continue
         xy = dense.xyz[sel, :2]
+        # Per radius, each point's cluster; -1 for noise and small clusters.
+        labels = np.empty((len(p.radii), len(sel)), dtype=np.int64)
+        for r, radius in enumerate(p.radii):
+            lab = dbscan(xy, eps=radius, min_pts=p.min_pts)
+            big = np.bincount(lab + 1)[lab + 1] >= p.min_cluster_size
+            labels[r] = np.where((lab >= 0) & big, lab, -1)
+        if not (labels >= 0).any():
+            continue
+        if fit_criterion == "area":
+            fit = _atom_fitter(dense.xyz[sel], labels, angles, class_id)
+        else:
+            def fit(member: np.ndarray) -> Box3D:
+                return fit_box(dense.xyz[sel[member]], class_id, yaw_step_deg,
+                               fit_criterion)
         fitted: dict[bytes, Box3D] = {}  # member indices -> box
-        for radius in p.radii:
-            labels = dbscan(xy, eps=radius, min_pts=p.min_pts)
-            n_clusters = int(labels.max()) + 1 if len(labels) else 0
-            for k in range(n_clusters):
-                member = labels == k
-                if int(member.sum()) < p.min_cluster_size:
-                    continue
+        for radius, lab in zip(p.radii, labels):
+            for k in np.unique(lab[lab >= 0]):
+                member = np.flatnonzero(lab == k)
                 idx = sel[member]
                 key = idx.tobytes()
                 if key not in fitted:
-                    fitted[key] = fit_box(dense.xyz[idx], class_id,
-                                          yaw_step_deg, fit_criterion)
+                    fitted[key] = fit(member)
                 candidates.append(BoxCandidate(fitted[key], radius, idx))
     return candidates

@@ -317,6 +317,29 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def bev_candidate_pairs(boxes: list[Box3D]) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), each unordered pair of distinct boxes at most
+    once, that hold every pair whose BEV footprints overlap.
+
+    A sweep along x over the footprints' corner bounding boxes: two boxes
+    pair when their bounding boxes meet, edges included, after widening
+    by the disjointness margin of bev_intersection_area. It can only
+    over-select, so bev_iou on the pairs alone finds every overlap.
+    """
+    corners = np.array([b.corners_bev() for b in boxes]).reshape(-1, 4, 2)
+    pad = _DISJOINT_MARGIN * float(np.abs(corners).max(initial=0.0))
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    # Box k pairs with the boxes after it whose x range starts by hi_x + pad.
+    count = np.searchsorted(lo[:, 0], hi[:, 0] + pad, side="right") \
+        - np.arange(len(order)) - 1
+    a = np.repeat(np.arange(len(order)), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    meet = (lo[b, 1] <= hi[a, 1] + pad) & (lo[a, 1] <= hi[b, 1] + pad)
+    return order[a[meet]], order[b[meet]]
+
+
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D IoU: BEV intersection area times z overlap, over the volume union."""
     inter_bev = bev_intersection_area(a, b)

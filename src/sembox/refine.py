@@ -21,8 +21,9 @@ from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
 from .config import PipelineConfig
-from .geometry import (BevGridSpec, Box3D, PointCloud, Pose, bev_iou,
-                       points_in_box, transform_box)
+from .geometry import (BevGridSpec, Box3D, PointCloud, Pose,
+                       bev_candidate_pairs, bev_iou, points_in_box,
+                       transform_box)
 from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
                       label_weight, selection_order)
 
@@ -95,10 +96,9 @@ def sequence_motion_grid(frames: list[Frame], cell_size: float,
 def _connected_groups(boxes: list[Box3D]) -> list[list[int]]:
     """Connected components under 'any BEV overlap' between boxes, each
     ascending and ordered by its smallest index."""
-    n = len(boxes)
-    edges = np.array([(i, j) for i in range(n) for j in range(i + 1, n)
-                      if bev_iou(boxes[i], boxes[j]) > 0.0], dtype=np.int64)
-    root = connected_components(n, *edges.reshape(-1, 2).T)
+    i, j = bev_candidate_pairs(boxes)
+    hit = [k for k in range(len(i)) if bev_iou(boxes[i[k]], boxes[j[k]]) > 0.0]
+    root = connected_components(len(boxes), i[hit], j[hit])
     return [np.flatnonzero(root == r).tolist() for r in np.unique(root)]
 
 

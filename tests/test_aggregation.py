@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sembox import pipeline
 from sembox.aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                                 build_dense_cloud, build_motion_grid,
                                 register_window)
 from sembox.config import PipelineConfig
-from sembox.geometry import BevGridSpec, PointCloud, Pose
+from sembox.geometry import BevGridSpec, PointCloud, Pose, grid_indices
 from sembox.synth import generate_sequence, preset_scene
 
 from conftest import with_background
@@ -81,6 +82,60 @@ class TestMotionGrid:
         assert labels.tolist() == [CELL_STATIC, CELL_MOVING, CELL_EMPTY,
                                    CELL_EMPTY, CELL_EMPTY, CELL_EMPTY]
         assert len(grid.labels_at(np.zeros((0, 2)))) == 0
+
+
+def dense_motion_labels(registered, spec, epsilon):
+    """Reference for build_motion_grid: the run count over every cell of
+    the grid, frame by frame."""
+    longest = np.zeros((spec.nx, spec.ny), dtype=np.int64)
+    run = np.zeros((spec.nx, spec.ny), dtype=np.int64)
+    ever = np.zeros((spec.nx, spec.ny), dtype=bool)
+    for cloud in registered:
+        occ = np.zeros((spec.nx, spec.ny), dtype=bool)
+        fg = cloud.foreground
+        if fg.any():
+            ij = grid_indices(cloud.xyz[fg, :2], spec)
+            ij = ij[ij[:, 0] >= 0]
+            occ[ij[:, 0], ij[:, 1]] = True
+        run = np.where(occ, run + 1, 0)
+        np.maximum(longest, run, out=longest)
+        ever |= occ
+    label = np.zeros((spec.nx, spec.ny), dtype=np.uint8)
+    label[ever] = CELL_MOVING
+    label[longest >= epsilon] = CELL_STATIC
+    return label
+
+
+class TestMotionGridOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 7),
+           data=st.data())
+    def test_labels_equal_dense_reference(self, seed, n_frames, data):
+        rng = np.random.default_rng(seed)
+        x0, y0 = rng.uniform(-5, 5, 2)
+        cell = float(rng.choice([0.5, 1.0, 1.7]))
+        spec = BevGridSpec.covering(x0, y0, x0 + rng.uniform(0.1, 6),
+                                    y0 + rng.uniform(0.1, 9), cell)
+        # Frames draw from one pool of spots, so cells stay occupied over
+        # runs of frames; a margin around the grid puts some spots off it.
+        pool = rng.uniform([x0 - 2, y0 - 2], [x0 + spec.nx * cell + 2,
+                                              y0 + spec.ny * cell + 2], (12, 2))
+        frames = []
+        for _ in range(n_frames):
+            kind = rng.integers(0, 4)  # empty, background only, mixed, far
+            n = 0 if kind == 0 else int(rng.integers(1, 30))
+            xy = pool[rng.integers(0, len(pool), n)]
+            if kind == 3:
+                xy[0] = [1e9, -1e9]
+            cls = np.zeros(n) if kind == 1 else rng.integers(0, 3, n)
+            frames.append(PointCloud(np.column_stack([xy, np.zeros(n)]),
+                                     cls.astype(np.int32)))
+        epsilon = data.draw(st.integers(1, n_frames + 1))
+        grid = build_motion_grid(frames, spec, epsilon)
+        assert grid.label.shape == (spec.nx, spec.ny)
+        assert grid.label.dtype == np.uint8
+        np.testing.assert_array_equal(grid.label,
+                                      dense_motion_labels(frames, spec, epsilon))
 
 
 def make_frame(fid, cloud, pose=None):

@@ -298,6 +298,27 @@ class TestMultiScale:
             assert c.box == fit_box(cloud.xyz[c.cluster_point_indices],
                                     c.box.class_id, 2.0, "closeness")
 
+    def test_area_candidates_project_each_point_once(self, rng, monkeypatch):
+        blobs = two_blob_cloud(0.5, rng=rng)
+        cloud = PointCloud(np.concatenate([blobs.xyz, blobs.xyz + [0, 9, 0]]),
+                           np.repeat([1, 2], len(blobs)))
+        params = {c: ClusterParams((0.35, 0.6, 1.1, 1.6), min_pts=3,
+                                   min_cluster_size=4) for c in (1, 2)}
+        projected = []
+
+        def counting(xyz, *args):
+            projected.append(len(xyz))
+            return extents(xyz, *args)
+
+        extents = clustering._yaw_extents
+        monkeypatch.setattr(clustering, "_yaw_extents", counting)
+        cands = multi_scale_cluster(cloud, params)
+        clustered = [len(np.unique(np.concatenate(
+            [c.cluster_point_indices for c in cands if c.box.class_id == cid])))
+            for cid in (1, 2)]
+        assert len(cands) > len({c.cluster_point_indices.tobytes() for c in cands})
+        assert projected == clustered
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ClusterParams(())
@@ -307,3 +328,55 @@ class TestMultiScale:
             ClusterParams((1.0, 0.5))
         with pytest.raises(ValueError):
             ClusterParams((0.5,), min_pts=0)
+
+
+def oracle_cloud(rng: np.random.Generator) -> PointCloud:
+    """Blobs of three classes, some below any useful cluster size, with
+    duplicate points, a collinear run and one far outlier."""
+    parts, classes = [], []
+    for class_id in (1, 2, 3):
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(1, 40))
+            xy = rng.normal(rng.uniform(-8, 8, 2), rng.uniform(0.1, 1.2), (n, 2))
+            parts.append(np.column_stack([xy, rng.uniform(0, 2, n)]))
+            classes.append(np.full(n, class_id))
+        dup = parts[-1][rng.integers(0, len(parts[-1]), 6)]
+        t = np.linspace(0, 3, int(rng.integers(2, 12)))[:, None]
+        line = parts[-1][0] + t * [math.cos(class_id), math.sin(class_id), 0.0]
+        parts += [dup, line]
+        classes += [np.full(len(dup), class_id), np.full(len(line), class_id)]
+    parts.append(np.array([[1e6, -1e6, 0.5]]))
+    classes.append(np.array([int(rng.integers(1, 4))]))
+    return PointCloud(np.concatenate(parts), np.concatenate(classes))
+
+
+class TestAtomFitOracle:
+    """Area boxes built from per-atom yaw extents equal fit_box on each
+    candidate's own points."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_radii=st.integers(1, 4),
+           step=st.sampled_from([1.0, 2.0, 7.0, 90.0]))
+    def test_boxes_equal_fit_box(self, seed, n_radii, step):
+        rng = np.random.default_rng(seed)
+        cloud = oracle_cloud(rng)
+        radii = tuple(np.cumsum(rng.uniform(0.1, 1.0, n_radii)).tolist())
+        params = {c: ClusterParams(radii, min_pts=int(rng.integers(1, 5)),
+                                   min_cluster_size=int(rng.integers(1, 9)))
+                  for c in (1, 2, 3)}
+        cands = multi_scale_cluster(cloud, params, step, "area")
+        for c in cands:
+            assert c.box == fit_box(cloud.xyz[c.cluster_point_indices],
+                                    c.box.class_id, step)
+
+    def test_small_blocks_change_nothing(self, monkeypatch):
+        # Atoms and single sets spread over many projection blocks.
+        for seed in range(10):
+            cloud = oracle_cloud(np.random.default_rng(seed))
+            params = {c: ClusterParams((0.4, 0.9, 1.5), min_pts=2,
+                                       min_cluster_size=3) for c in (1, 2, 3)}
+            want = multi_scale_cluster(cloud, params)
+            monkeypatch.setattr(clustering, "_EXTENT_BLOCK", 5)
+            got = multi_scale_cluster(cloud, params)
+            monkeypatch.undo()
+            assert want and [c.box for c in got] == [c.box for c in want]

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sembox import refine
 from sembox.aggregation import Frame
+from sembox.clustering import connected_components
 from sembox.config import PipelineConfig
-from sembox.geometry import Box3D, PointCloud, Pose, iou_3d, points_in_box
+from sembox.geometry import (Box3D, PointCloud, Pose, bev_candidate_pairs,
+                             bev_iou, iou_3d, points_in_box)
 from sembox.refine import (NOISE_PROFILES, NoiseModel, Prediction,
                            box_absent_foreground_filter, mock_detector,
                            refine_round, semantic_consistency_filter,
@@ -132,6 +136,59 @@ def static_scene(seed=0, far=True):
         objs.append(ObjectSpec(VEHICLE, _VEH, (38.0, -5.0), 1.0, density=160.0))
     return SceneSpec(seed=seed, objects=tuple(objs), ego_velocity=(5.0, 0.0),
                      background_points=400)
+
+
+def all_pairs_groups(boxes):
+    """Reference for refine._connected_groups: bev_iou on every pair."""
+    n = len(boxes)
+    edges = np.array([(i, j) for i in range(n) for j in range(i + 1, n)
+                      if bev_iou(boxes[i], boxes[j]) > 0.0], dtype=np.int64)
+    root = connected_components(n, *edges.reshape(-1, 2).T)
+    return [np.flatnonzero(root == r).tolist() for r in np.unique(root)]
+
+
+class TestConnectedGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24))
+    def test_groups_equal_all_pairs(self, seed, n):
+        rng = np.random.default_rng(seed)
+        boxes = []
+        for _ in range(n):
+            kind = rng.integers(0, 4)
+            if kind == 0 or not boxes:  # anywhere, any yaw
+                boxes.append(Box3D(*rng.uniform(-8, 8, 2), 0.5,
+                                   *rng.uniform(0.5, 5, 2), 1.5,
+                                   rng.uniform(-np.pi, np.pi)))
+                continue
+            # Axis-aligned on a half-metre lattice, beside an earlier
+            # axis-aligned box: edge to edge, corner to corner, or apart.
+            b = boxes[int(rng.integers(0, len(boxes)))]
+            if b.yaw != 0.0:
+                b = Box3D(round(b.cx), round(b.cy), 0.5, 2.0, 1.0, 1.5, 0.0)
+                boxes.append(b)
+            l, w = float(rng.integers(1, 5)), float(rng.integers(1, 3))
+            dx = (b.l + l) / 2 + (0.5 if kind == 3 else 0.0)
+            dy = (b.w + w) / 2 if kind == 2 else 0.0
+            boxes.append(Box3D(b.cx + dx, b.cy + dy, 0.5, max(l, w), min(l, w),
+                               1.5, 0.0))
+        want = all_pairs_groups(boxes)
+        assert refine._connected_groups(boxes) == want
+        i, j = bev_candidate_pairs(boxes)
+        pairs = {frozenset(p) for p in zip(i.tolist(), j.tolist())}
+        assert len(pairs) == len(i) and all(len(p) == 2 for p in pairs)
+        assert all(frozenset((a, b)) in pairs
+                   for a in range(len(boxes)) for b in range(a + 1, len(boxes))
+                   if bev_iou(boxes[a], boxes[b]) > 0.0)
+
+    def test_touching_boxes_are_candidates(self):
+        a = Box3D(0.0, 0.0, 0.5, 2.0, 1.0, 1.5, 0.0)
+        edge = Box3D(2.0, 0.0, 0.5, 2.0, 1.0, 1.5, 0.0)
+        corner = Box3D(2.0, 1.0, 0.5, 2.0, 1.0, 1.5, 0.0)
+        apart = Box3D(2.5, 0.0, 0.5, 2.0, 1.0, 1.5, 0.0)
+        i, j = bev_candidate_pairs([a, edge, corner, apart])
+        pairs = {frozenset(p) for p in zip(i.tolist(), j.tolist())}
+        assert {frozenset((0, 1)), frozenset((0, 2))} <= pairs
+        assert frozenset((0, 3)) not in pairs
 
 
 class TestSpatialTemporal:
