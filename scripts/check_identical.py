@@ -16,7 +16,7 @@ kept as a file too. Every file of one tree is then
 compared with the same file of the other. The files that differ, the
 files that only one tree wrote and the commands that failed are listed,
 and the exit status is 1 if there are any. --quick limits the datasets to
-the binary presets.
+the presets, in text and binary.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ for seed in map(int, sys.argv[4:]):
         scenes["perf"] = synth.perf_scene(seed)
     for name, spec in scenes.items():
         frames, gt = synth.generate_sequence(spec)
-        for fmt in ("binary",) if quick else ("text", "binary"):
+        for fmt in ("text", "binary"):
             dataio.write_dataset(root / f"{name}-{fmt}-{seed}", frames, names,
                                  gt=gt, points_format=fmt)
 """
@@ -138,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("src_a", type=Path, help="src/ directory of tree A")
     parser.add_argument("src_b", type=Path, help="src/ directory of tree B")
     parser.add_argument("--quick", action="store_true",
-                        help="binary presets only")
+                        help="the presets only, in text and binary")
     parser.add_argument("--threads", type=int, nargs="+", default=[1])
     parser.add_argument("--work", type=Path, default=None,
                         help="keep the outputs in this new directory "

@@ -21,6 +21,13 @@ manifest.json    frame order, timestamps, file names, class-name table
 A dataset directory holds one sequence: ``manifest.json``, ``points/``,
 ``poses/`` and (for synthetic data) ``gt_labels/``. ``read_manifest`` reads
 and checks ``manifest.json``; ``load_dataset`` adds every points and pose file.
+
+Text points take one of two routes into ``np.loadtxt``: plain ASCII without
+``\\v``, ``\\f`` or ``\\x1c``-``\\x1e`` goes as a path, which numpy reads in C
+chunks, unless numpy would decompress a file of that name; any other text
+goes as ``str.splitlines()`` lines, which break at those characters too.
+Retained indices are formatted from a uint8 digit matrix, one block per run
+of equal digit count, with the bytes of ``"%d\\n"`` per index.
 """
 
 from __future__ import annotations
@@ -45,6 +52,13 @@ logger = logging.getLogger("sembox")
 POINTS_MAGIC = b"S2BPTS01"
 _POINT_RECORD = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "<u2")])
 _TEXT_POINT = np.dtype([("xyz", "<f8", 3), ("c", "<i4")])
+# The ASCII bytes at which str.splitlines breaks a line and a file read
+# does not; the ASCII bytes that str.strip() strips; and the file name
+# suffixes that np.loadtxt opens through a decompressor.
+_SPLITLINES_ONLY_ASCII = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+_NUMPY_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # an int64 has <= 19 digits
 
 LABEL_FIELDS = ("frame_id", "class_id", "cx", "cy", "cz", "l", "w", "h",
                 "yaw", "occ", "alg", "ms", "msf", "weight", "source")
@@ -105,19 +119,27 @@ def read_points(path: str | Path) -> PointCloud:
     first = raw[:1]
     if first and not (first.isdigit() or first.isspace() or first in b"-+."):
         raise FormatError(f"{path}: unrecognized points file magic")
-    text = _decode(path, raw)
-    if not text.strip():  # loadtxt would warn about an empty input
+    # Read as a file, loadtxt breaks lines only at \n, \r and \r\n; the
+    # loop's splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and
+    # \u2029. So only ASCII text without those goes to loadtxt as a path,
+    # and never under a name that numpy would open with a decompressor.
+    if (raw.isascii() and not any(b in raw for b in _SPLITLINES_ONLY_ASCII)
+            and path.suffix not in _NUMPY_DECOMPRESSED):
+        empty = not raw.strip(_ASCII_SPACE)  # as str.strip() strips it
+        source: Path | list[str] = path
+    else:
+        text = _decode(path, raw)
+        empty = not text.strip()
+        source = text.splitlines()
+    if empty:  # loadtxt would warn about an empty input
         return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
-    # loadtxt gets the loop's lines: reading the text as a stream, it would
-    # not break lines at \v, \f, \x1c-\x1e, \x85, \u2028 or \u2029.
-    lines = text.splitlines()
     try:
         with warnings.catch_warnings():
             # Older numpy loads an int column's "1.0" with only this warning.
             warnings.simplefilter("error", DeprecationWarning)
-            rec = np.loadtxt(lines, dtype=_TEXT_POINT, comments=None, ndmin=1)
+            rec = np.loadtxt(source, dtype=_TEXT_POINT, comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
-        return _read_points_lines(path, lines)
+        return _read_points_lines(path, raw.decode("utf-8").splitlines())
     return PointCloud(rec["xyz"], rec["c"].copy())
 
 
@@ -310,9 +332,31 @@ def write_retained_indices(out_dir: str | Path,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame_id in sorted(per_frame):
-        idx = per_frame[frame_id]
-        (out_dir / frame_file(frame_id, ".txt")).write_text(
-            ("%d\n" * len(idx)) % tuple(idx.tolist()))
+        (out_dir / frame_file(frame_id, ".txt")).write_bytes(
+            _index_lines(per_frame[frame_id]))
+
+
+def _index_lines(idx: np.ndarray) -> bytes:
+    """The bytes of ``"%d\\n"`` for each index, built as a uint8 digit
+    matrix: one block per run of indices with equal digit counts (at most
+    19 runs for sorted indices), filled one digit column at a time."""
+    v = np.asarray(idx, dtype=np.int64)
+    if (v < 0).any():
+        raise ValueError("point indices must be non-negative")
+    width = np.searchsorted(_POW10, v, side="right") + 1
+    out = np.empty(int((width + 1).sum()), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(width, prepend=0))
+    at = 0
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(v)]):
+        w = int(width[a])
+        block = out[at:at + (b - a) * (w + 1)].reshape(b - a, w + 1)
+        at += block.size
+        block[:, w] = ord("\n")
+        rest = v[a:b]
+        for col in range(w - 1, -1, -1):
+            rest, block[:, col] = np.divmod(rest, 10)
+        block[:, :w] += ord("0")
+    return out.tobytes()
 
 
 # Dataset ------------------------------------------------------------------

@@ -165,16 +165,17 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
         moved = PointCloud.concatenate(
             [fg[fr.frame_id].transformed(fr.pose) for fr in frames])
         static = moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC)
+        to_local = {fr.frame_id: fr.pose.inverse() for fr in frames}
         for cid in sorted(static_by_class):
             global_boxes = static_by_class[cid]
             scores = config.score_boxes(global_boxes, static)
+            class_xyz = {fid: pts.xyz[pts.class_id == cid] for fid, pts in fg.items()}
             for group in _connected_groups(global_boxes):
                 best_local = selection_order([scores[g] for g in group])[0]
                 winner = global_boxes[group[best_local]]
                 for fr in frames:
-                    local = transform_box(winner, fr.pose.inverse())
-                    pts = fg[fr.frame_id]
-                    if points_in_box(pts.xyz[pts.class_id == cid], local).any():
+                    local = transform_box(winner, to_local[fr.frame_id])
+                    if points_in_box(class_xyz[fr.frame_id], local).any():
                         # The broadcast replaces whatever same-class
                         # predictions it overlaps in this frame.
                         out[fr.frame_id] = [

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sembox import dataio
 from sembox.config import ClassConfig, ConfigError, PipelineConfig
@@ -63,6 +63,17 @@ class TestPoints:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert len(dataio.read_points(path)) == 0
+
+    def test_spaces_and_unit_separators_load_empty(self, tmp_path):
+        # str.strip() strips \x1f; bytes.strip() would not, and loadtxt would
+        # warn that the input holds no data.
+        path = tmp_path / "p.txt"
+        path.write_bytes(b" \x1f  \x1f\x1f ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = dataio.read_points(path)
+        assert back.xyz.shape == (0, 3)
+        assert back.class_id.shape == (0,)
 
     @pytest.mark.parametrize("first", ["\t", "\r\n", "\r"])
     def test_leading_whitespace_is_text(self, tmp_path, first):
@@ -155,13 +166,24 @@ _CLASS_TOKENS = st.one_of(
     st.sampled_from(["+1", "-0", "007", "1_0", "2147483647", "-2147483648",
                      "2147483648", "99999999999", "1.0", "1.5"]),
 )
-_JUNK_TOKENS = st.sampled_from(["x", "#", "1.0.0", "\u0661", "--1", "0x10", ""])
-_SEP = st.sampled_from([" ", "  ", "\t", " \t", "\xa0"])
-_EOL = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"])
+# Plain ASCII text, which read_points hands loadtxt as a path, draws only
+# the plain pieces; other text adds non-ASCII characters and the ASCII line
+# breaks of str.splitlines that a file read does not break at.
+_PLAIN_JUNK = ["x", "#", "1.0.0", "--1", "0x10", "", "\x00", "1\x00"]
+_PLAIN_SEP = [" ", "  ", "\t", " \t", "\x1f"]
+_PLAIN_EOL = ["\n", "\r\n", "\r"]
+_OTHER_JUNK = ["\u0661"]
+_OTHER_SEP = ["\xa0"]
+_OTHER_EOL = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
 def _points_text(draw):
+    plain = draw(st.booleans())
+    junk, sep, eol = (st.sampled_from(pieces if plain else pieces + other)
+                      for pieces, other in ((_PLAIN_JUNK, _OTHER_JUNK),
+                                            (_PLAIN_SEP, _OTHER_SEP),
+                                            (_PLAIN_EOL, _OTHER_EOL)))
     lines = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["point", "point", "point", "split", "blank",
@@ -171,13 +193,13 @@ def _points_text(draw):
         elif kind == "blank":
             tokens = []
         else:
-            tokens = draw(st.lists(st.one_of(_NUMBER_TOKENS, _CLASS_TOKENS, _JUNK_TOKENS),
+            tokens = draw(st.lists(st.one_of(_NUMBER_TOKENS, _CLASS_TOKENS, junk),
                                    max_size=6))
-        line = draw(st.sampled_from(["", " ", "\t"])) + draw(_SEP).join(tokens)
+        line = draw(st.sampled_from(["", " ", "\t", "\x1f"])) + draw(sep).join(tokens)
         if kind == "split":  # a point broken over two lines is two bad lines
             at = len(line) - len(tokens[-1])
-            line = line[:at] + draw(_EOL) + line[at:]
-        lines.append(line + draw(_EOL))
+            line = line[:at] + draw(eol) + line[at:]
+        lines.append(line + draw(eol))
     text = "".join(lines)
     # Text starts with what the magic sniff takes for text.
     return text if text[:1] in ("", " ", "\t", "\r", "\n") else " " + text
@@ -187,6 +209,12 @@ class TestBulkMatchesLines:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_points_text())
+    # A point split by each ASCII break that only splitlines breaks at.
+    @example(text="1 2 3\x0b4\n")
+    @example(text="1 2 3\x0c4\n")
+    @example(text="1 2 3\x1c4\n")
+    @example(text="1 2 3\x1d4\n")
+    @example(text="1 2 3\x1e4\n")
     def test_reader_equals_line_loop(self, tmp_path, text):
         path = tmp_path / "p.txt"
         path.write_bytes(text.encode())
@@ -202,6 +230,27 @@ class TestBulkMatchesLines:
         assert back.xyz.tobytes() == xyz.tobytes()  # -0.0 and NaN bits too
         assert back.class_id.dtype == np.int32
         np.testing.assert_array_equal(back.class_id, cls)
+
+    @pytest.mark.parametrize("name, text, route", [
+        ("p.txt", "1 2 3 1\r\n4 5 6 2\n", "path"),
+        ("p.txt", "1 2 3 1\x0c4 5 6 2\n", "lines"),
+        ("p.gz", "1 2 3 1\r\n4 5 6 2\n", "lines"),  # numpy would gunzip a path
+    ])
+    def test_read_route(self, tmp_path, monkeypatch, name, text, route):
+        sources = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda src, **kw: sources.append(src) or loadtxt(src, **kw))
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        back = dataio.read_points(path)
+        np.testing.assert_array_equal(back.xyz, [[1, 2, 3], [4, 5, 6]])
+        np.testing.assert_array_equal(back.class_id, [1, 2])
+        [source] = sources
+        if route == "path":
+            assert source == path
+        else:
+            assert source == ["1 2 3 1", "4 5 6 2"]
 
     @pytest.mark.parametrize("xyz, cls", [
         (np.zeros((0, 3)), []),
@@ -258,6 +307,28 @@ class TestBulkMatchesLines:
         assert (tmp_path / "r" / "frame_000000.txt").read_text() == ""
         assert (tmp_path / "r" / "frame_000001.txt").read_text() == \
             "\n".join(str(int(i)) for i in idx[1]) + "\n"
+
+    _BOUNDARIES = [0, 2**40, 2**63 - 1] + [10**k + d for k in range(1, 19)
+                                           for d in (-1, 0)]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.one_of(st.integers(0, 2**63 - 1),
+                                     st.integers(0, 10**6),
+                                     st.sampled_from(_BOUNDARIES)), max_size=40),
+           order=st.sampled_from(["drawn", "sorted"]),
+           negative=st.one_of(st.none(), st.integers(-2**63, -1)))
+    def test_retained_writer_bytes(self, tmp_path, values, order, negative):
+        idx = np.array(sorted(values) if order == "sorted" else values,
+                       dtype=np.int64)
+        if negative is not None:  # a negative index is a programming error
+            bad = np.insert(idx, len(idx) // 2, negative)
+            with pytest.raises(ValueError):
+                dataio.write_retained_indices(tmp_path / "r", {0: bad})
+            return
+        dataio.write_retained_indices(tmp_path / "r", {3: idx})
+        assert (tmp_path / "r" / "frame_000003.txt").read_bytes() == \
+            (("%d\n" * len(idx)) % tuple(idx.tolist())).encode()
 
 
 class TestPose:
