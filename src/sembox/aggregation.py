@@ -12,10 +12,11 @@ ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import BevGridSpec, PointCloud, Pose, grid_indices
+from .geometry import BevGridSpec, PointCloud, PointIndex, Pose, grid_indices
 
 CELL_EMPTY = 0
 CELL_STATIC = 1
@@ -30,6 +31,12 @@ class Frame:
     timestamp: float
     pose: Pose
     points: PointCloud
+
+    @cached_property
+    def foreground_index(self) -> PointIndex:
+        """The foreground points, in their order, indexed for box queries.
+        Built on first use and kept, so points must not be replaced after."""
+        return PointIndex(self.points.xyz[self.points.foreground])
 
 
 @dataclass

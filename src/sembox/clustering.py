@@ -198,9 +198,14 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     vectorised over all cells at once: cells whose population reaches
     min_pts are wholly core (their diagonal is eps); points of sparse cells
     count their neighbours over the 5x5 (2D) neighbourhood; clusters are
-    connected components of core cells, with cell pairs linked when their
-    closest core points are within eps. A cell pair whose member bounding
+    connected components of core cells, with cell pairs linked when some
+    pair of their cores is within eps. A cell pair whose member bounding
     boxes lie further apart than eps is never expanded into point pairs.
+    The link tests run in three tiers, cheapest first: each cell's first
+    core, then each cell's core furthest along the pair's offset, then
+    every core pair. A later tier sees only pairs still in different
+    components; the components, and so the labels, are the same whichever
+    tier finds a link.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -241,22 +246,33 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     if not core.any():
         return labels
 
-    # Link core cells. The two points furthest towards each other along the
-    # cells' offset settle most linked pairs at once; the full cross
-    # product then runs only for pairs still in different components.
+    # Link core cells in three tiers of exact tests, each later tier only
+    # for pairs still in different components: the first core of each cell
+    # against the other's; the two cores furthest towards each other along
+    # the cells' offset; the full cross product. Every link is a core pair
+    # within eps, and a true link a tier skips joins cells already
+    # connected, so the components are those of all core pairs within eps.
     cores = grid.members(core)
     sel = (nbr > cell) & near(cores, cores, cell, nbr)
-    ca, cb = cell[sel], nbr[sel]
-    dirs, dir_of = np.unique(off[sel], axis=0, return_inverse=True)
-    dir_of = dir_of.reshape(-1)
-    dirs = dirs.astype(np.float64)
-    linked = d2(cores.extremes(pts, dirs)[ca, dir_of],
-                cores.extremes(pts, -dirs)[cb, dir_of]) <= eps2
+    ca, cb, off = cell[sel], nbr[sel], off[sel]
+    linked = d2(cores.order[cores.start[ca]], cores.order[cores.start[cb]]) <= eps2
     root = connected_components(len(grid.keys), ca[linked], cb[linked])
     todo = np.flatnonzero(root[ca] != root[cb])
-    for k, i, j in _pair_chunks(cores, cores, ca[todo], cb[todo]):
-        linked[todo[k[d2(i, j) <= eps2]]] = True
-    root = connected_components(len(grid.keys), ca[linked], cb[linked])
+    if len(todo):
+        need = np.zeros(len(grid.keys), dtype=bool)
+        need[ca[todo]] = need[cb[todo]] = True
+        part = grid.members(core & need[grid.cell_of])
+        dirs, dir_of = np.unique(off[todo], axis=0, return_inverse=True)
+        dir_of = dir_of.reshape(-1)
+        dirs = dirs.astype(np.float64)
+        linked[todo] = d2(part.extremes(pts, dirs)[ca[todo], dir_of],
+                          part.extremes(pts, -dirs)[cb[todo], dir_of]) <= eps2
+        root = connected_components(len(grid.keys), ca[linked], cb[linked])
+        todo = todo[root[ca[todo]] != root[cb[todo]]]
+        if len(todo):
+            for k, i, j in _pair_chunks(part, part, ca[todo], cb[todo]):
+                linked[todo[k[d2(i, j) <= eps2]]] = True
+            root = connected_components(len(grid.keys), ca[linked], cb[linked])
 
     # Components numbered by their smallest core point index: the order in
     # which ascending-seed expansion would discover them.

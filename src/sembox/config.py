@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .clustering import ClusterParams
-from .geometry import Box3D, PointCloud
+from .geometry import Box3D, PointCloud, PointIndex
 from .scoring import MetaShape, ScoreBreakdown, msf_score, validate_lambdas
 
 
@@ -216,14 +216,16 @@ class PipelineConfig:
                     cloud: PointCloud) -> list[ScoreBreakdown]:
         """Score breakdown of each box against the points of its class in
         cloud, under this config's shape prior, score weights and
-        occupancy grid. The cloud is split by class once per call, and
-        equal boxes are scored once."""
-        class_xyz = {cid: cloud.xyz[cloud.class_id == cid]
-                     for cid in {b.class_id for b in boxes}}
+        occupancy grid. The cloud is split by class and each class indexed
+        once per call; each box is scored on its in-box points, which is
+        all msf_score reads, and equal boxes are scored once."""
+        index = {cid: PointIndex(cloud.xyz[cloud.class_id == cid])
+                 for cid in {b.class_id for b in boxes}}
         scores: dict[Box3D, ScoreBreakdown] = {}
         for b in boxes:
             if b not in scores:
-                scores[b] = msf_score(b, class_xyz[b.class_id],
+                pts = index[b.class_id]
+                scores[b] = msf_score(b, pts.xyz[pts.inside(b)],
                                       self.meta_shape(b.class_id),
                                       self.lambdas, self.occ_grid_r)
         return [scores[b] for b in boxes]

@@ -174,20 +174,21 @@ def write_pose(path: str | Path, pose: Pose) -> None:
 def read_pose(path: str | Path) -> Pose:
     path = Path(path)
     text = _decode(path, path.read_bytes())
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 3:
-        raise FormatError(f"{path}: pose file must have 3 rows, got {len(lines)}")
+    rows = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip()]
+    if len(rows) != 3:
+        raise FormatError(f"{path}: pose file must have 3 rows, got {len(rows)}")
     rot = np.zeros((3, 3))
     t = np.zeros(3)
-    for i, line in enumerate(lines):
+    for i, (lineno, line) in enumerate(rows):
         parts = line.split()
         if len(parts) != 4:
-            raise FormatError(f"{path}: pose row {i} must have 4 numbers")
+            raise FormatError(f"{path}:{lineno}: pose row must have 4 numbers")
         try:
             rot[i] = [float(v) for v in parts[:3]]
             t[i] = float(parts[3])
         except ValueError as e:
-            raise FormatError(f"{path}: pose row {i}: {e}") from e
+            raise FormatError(f"{path}:{lineno}: {e}") from e
     try:
         return Pose(rot, t)
     except ValueError as e:

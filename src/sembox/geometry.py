@@ -228,6 +228,34 @@ def points_in_box(xyz: np.ndarray, box: Box3D) -> np.ndarray:
     )
 
 
+class PointIndex:
+    """Points sorted by x, so that a box query tests only the x-slab under
+    the box.
+
+    inside(box) equals np.flatnonzero(points_in_box(xyz, box)). The slab is
+    cx +- (|cos yaw| l/2 + |sin yaw| w/2), the x half-extent of the BEV
+    footprint, widened by _DISJOINT_MARGIN times the box's coordinates'
+    magnitude, as bev_candidate_pairs widens. An accepted point may lie
+    outside the unpadded slab only by the rounding of to_frame, which is
+    far below the pad, so the slab loses no point and points_in_box alone
+    decides every result.
+    """
+
+    def __init__(self, xyz: np.ndarray):
+        self.xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+        self.order = np.argsort(self.xyz[:, 0], kind="stable")
+        self.x = self.xyz[self.order, 0]
+
+    def inside(self, box: Box3D) -> np.ndarray:
+        """Ascending indices of the points inside box."""
+        half = (abs(math.cos(box.yaw)) * box.l + abs(math.sin(box.yaw)) * box.w) / 2.0
+        reach = half + _DISJOINT_MARGIN * (abs(box.cx) + abs(box.cy) + box.l + box.w)
+        lo = np.searchsorted(self.x, box.cx - reach, side="left")
+        hi = np.searchsorted(self.x, box.cx + reach, side="right")
+        slab = np.sort(self.order[lo:hi])
+        return slab[points_in_box(self.xyz[slab], box)]
+
+
 def transform_box(box: Box3D, pose: Pose) -> Box3D:
     """Transform a box by a pose, assuming a planar (heading-only) rotation.
 

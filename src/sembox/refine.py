@@ -21,9 +21,8 @@ from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
 from .config import PipelineConfig
-from .geometry import (BevGridSpec, Box3D, PointCloud, Pose,
-                       bev_candidate_pairs, bev_iou, points_in_box,
-                       transform_box)
+from .geometry import (BevGridSpec, Box3D, PointCloud, PointIndex,
+                       bev_candidate_pairs, bev_iou, transform_box)
 from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
                       label_weight, selection_order)
 
@@ -61,9 +60,9 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
     classes are present at once.
     """
     kept: list[Prediction] = []
-    fg = frame.points.select_foreground()
+    fg_class = frame.points.class_id[frame.points.foreground]
     for pred in preds:
-        inside = fg.class_id[points_in_box(fg.xyz, pred.box)]
+        inside = fg_class[frame.foreground_index.inside(pred.box)]
         if len(inside) == 0:
             continue
         ids, counts = np.unique(inside, return_counts=True)
@@ -108,7 +107,7 @@ class RefinedBox:
     source: str
 
 
-def _prediction_motion_state(pred: Prediction, pose: Pose, fg: PointCloud,
+def _prediction_motion_state(pred: Prediction, frame: Frame,
                              grid: MotionGrid) -> int:
     """Motion classification of a prediction, in global-grid cell labels.
 
@@ -116,16 +115,17 @@ def _prediction_motion_state(pred: Prediction, pose: Pose, fg: PointCloud,
     are hollow for surface returns, so an empty center falls back to a
     vote over the cells of the box's own interior foreground points:
     static wins ties, no points at all means no motion evidence (empty).
-    fg holds the frame's foreground points in sensor coordinates.
+    The box is in the frame's sensor coordinates.
     """
-    center = pose.apply(pred.box.center.reshape(1, 3))
+    center = frame.pose.apply(pred.box.center.reshape(1, 3))
     label = int(grid.labels_at(center[:, :2])[0])
     if label != CELL_EMPTY:
         return label
-    inside = points_in_box(fg.xyz, pred.box)
-    if not inside.any():
+    index = frame.foreground_index
+    inside = index.inside(pred.box)
+    if len(inside) == 0:
         return CELL_EMPTY
-    pts = pose.apply(fg.xyz[inside])
+    pts = frame.pose.apply(index.xyz[inside])
     states = grid.labels_at(pts[:, :2])
     n_static = int((states == CELL_STATIC).sum())
     n_moving = int((states == CELL_MOVING).sum())
@@ -147,15 +147,15 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     other predictions pass through unrefined. Every key of
     preds_per_frame must be the id of one of the frames.
     """
-    pose = {fr.frame_id: fr.pose for fr in frames}
+    frame_of = {fr.frame_id: fr for fr in frames}
     fg = {fr.frame_id: fr.points.select_foreground() for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
     static_by_class: dict[int, list[Box3D]] = {}  # global coordinates
     for fid in sorted(preds_per_frame):
         for pred in preds_per_frame[fid]:
-            state = _prediction_motion_state(pred, pose[fid], fg[fid], grid)
+            state = _prediction_motion_state(pred, frame_of[fid], grid)
             if state == CELL_STATIC:
-                box = transform_box(pred.box, pose[fid])
+                box = transform_box(pred.box, frame_of[fid].pose)
                 static_by_class.setdefault(box.class_id, []).append(box)
             else:
                 out[fid].append(RefinedBox(pred.box, SOURCE_INIT))
@@ -169,13 +169,14 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
         for cid in sorted(static_by_class):
             global_boxes = static_by_class[cid]
             scores = config.score_boxes(global_boxes, static)
-            class_xyz = {fid: pts.xyz[pts.class_id == cid] for fid, pts in fg.items()}
+            class_index = {fid: PointIndex(pts.xyz[pts.class_id == cid])
+                           for fid, pts in fg.items()}
             for group in _connected_groups(global_boxes):
                 best_local = selection_order([scores[g] for g in group])[0]
                 winner = global_boxes[group[best_local]]
                 for fr in frames:
                     local = transform_box(winner, to_local[fr.frame_id])
-                    if points_in_box(class_xyz[fr.frame_id], local).any():
+                    if len(class_index[fr.frame_id].inside(local)):
                         # The broadcast replaces whatever same-class
                         # predictions it overlaps in this frame.
                         out[fr.frame_id] = [
@@ -194,12 +195,8 @@ def box_absent_foreground_filter(frame: Frame,
     covered by at least one label box. Sorted ascending."""
     keep = ~frame.points.foreground
     fg_idx = np.flatnonzero(frame.points.foreground)
-    if len(fg_idx) and labels:
-        covered = np.zeros(len(fg_idx), dtype=bool)
-        fg_xyz = frame.points.xyz[fg_idx]
-        for lab in labels:
-            covered |= points_in_box(fg_xyz, lab.box)
-        keep[fg_idx[covered]] = True
+    for lab in labels:
+        keep[fg_idx[frame.foreground_index.inside(lab.box)]] = True
     return np.flatnonzero(keep)
 
 

@@ -416,6 +416,8 @@ MALFORMED = {
     "non-utf8-config": _bad_config(b'{"cell_size": \xff}',
                                    "cfg.json: 'utf-8' codec can't decode"),
     "manifest-not-object": _bad_bytes("manifest", b"5", ": expected a JSON object"),
+    "pose-row-after-blank-line": _bad_bytes(
+        "pose", b"\n1 0 0 0\n0 1 0 x\n0 0 1 0\n", ":3: could not convert"),
     "points-class-id-99999999999": _bad_bytes(
         "points", b"1 2 3 1\n1 2 3 99999999999\n", ":2: class id 99999999999"),
     **{f"manifest-no-frames-{command}": _bad_manifest(

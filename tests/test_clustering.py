@@ -134,6 +134,63 @@ class TestDbscan:
         np.testing.assert_array_equal(dbscan(pts, 0.3, 4), want)
         np.testing.assert_array_equal(want, brute_force_dbscan(pts, 0.3, 4))
 
+    # Two core cells of side 1/sqrt(2) at eps 1, min_pts 1: cell (0, 0)
+    # and cell (1, 0) or (2, 0). Each pair is linked by exactly one tier.
+    LINKED_BY_FIRST_CORES = [[0.1, 0.1], [0.8, 0.1]]
+    # The first cores are 1.45 apart; the cores furthest along the
+    # offset (1, 0) are 0.85 apart.
+    LINKED_BY_EXTREMES = [[0.05, 0.1], [0.65, 0.1], [1.5, 0.1]]
+    # The cores furthest towards each other along (1, 0), (0.70, 0) and
+    # (1.42, 0.70), are 1.004 apart; (0.69, 0.69) and (1.42, 0.70) are
+    # 0.73 apart.
+    LINKED_BY_CROSS_PRODUCT = [[0.0, 0.0], [0.70, 0.0], [0.69, 0.69],
+                               [1.42, 0.70]]
+
+    @pytest.mark.parametrize("pts, tiers", [(LINKED_BY_FIRST_CORES, 1),
+                                            (LINKED_BY_EXTREMES, 2),
+                                            (LINKED_BY_CROSS_PRODUCT, 3)],
+                             ids=["first-cores", "extremes", "cross-product"])
+    def test_each_link_tier(self, pts, tiers, monkeypatch):
+        # Each tier that runs ends in one connected_components call, and
+        # only the second and third tiers compute extremes.
+        calls = {"components": 0, "extremes": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+        monkeypatch.setattr(clustering, "connected_components",
+                            counted("components", clustering.connected_components))
+        monkeypatch.setattr(clustering._Members, "extremes",
+                            counted("extremes", clustering._Members.extremes))
+        pts = np.array(pts)
+        labels = dbscan(pts, 1.0, 1)
+        assert labels.tolist() == [0] * len(pts)
+        np.testing.assert_array_equal(labels, brute_force_dbscan(pts, 1.0, 1))
+        assert calls == {"components": tiers, "extremes": 2 * (tiers > 1)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           decimals=st.sampled_from([1, 2]), eps=st.sampled_from([0.2, 0.3, 0.5]),
+           min_pts=st.integers(1, 6), collinear=st.integers(0, 30),
+           outlier=st.booleans())
+    def test_clustered_data_equals_brute_force(self, dim, seed, decimals, eps,
+                                               min_pts, collinear, outlier):
+        # Blobs with rounded coordinates (duplicates, equidistant cores),
+        # a collinear row of evenly spaced points and a far outlier.
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-3, 3, (int(rng.integers(1, 5)), dim))
+        blobs = (centers[rng.integers(0, len(centers), 80)]
+                 + rng.normal(0, 0.3, (80, dim)))
+        row = np.zeros((collinear, dim))
+        row[:, 0] = np.arange(collinear) * eps * rng.choice([0.5, 1.0])
+        pts = np.round(np.concatenate([blobs, row]), decimals)
+        if outlier:
+            pts = np.concatenate([pts, np.full((1, dim), 1e9)])
+        np.testing.assert_array_equal(dbscan(pts, eps, min_pts),
+                                      brute_force_dbscan(pts, eps, min_pts))
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             dbscan(np.zeros((3, 2)), eps=0.0, min_pts=3)

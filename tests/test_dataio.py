@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import warnings
 from dataclasses import replace
 
@@ -344,6 +345,18 @@ class TestPose:
         path = tmp_path / "pose.txt"
         path.write_text("1 0 0 0\n0 1 0 0\n")
         with pytest.raises(FormatError, match="3 rows"):
+            dataio.read_pose(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("\n1 0 0 0\n0 1 0 x\n0 0 1 0\n", 3),
+        ("\n\n1 0 0 0\n0 1 0\n0 0 1 0\n", 4),
+    ], ids=["bad-number", "three-fields"])
+    def test_bad_row_names_physical_line(self, tmp_path, text, line):
+        # Blank lines are skipped but still counted: the message names the
+        # 1-based line of the file, not the row of the matrix.
+        path = tmp_path / "pose.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: "):
             dataio.read_pose(path)
 
 

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sembox import geometry
-from sembox.geometry import (BevGridSpec, Box3D, PointCloud, Pose, bev_iou,
-                             bev_intersection_area, grid_indices, iou_3d,
-                             points_in_box)
+from sembox.geometry import (BevGridSpec, Box3D, PointCloud, PointIndex, Pose,
+                             bev_iou, bev_intersection_area, grid_indices,
+                             iou_3d, points_in_box)
 
 from conftest import monte_carlo_bev_iou, random_box
 
@@ -189,6 +189,69 @@ class TestIntersectionArea:
         a, b = pair
         assert bev_intersection_area(a, b) == clip_only_area(a, b)
         assert bev_intersection_area(b, a) == clip_only_area(a, b)
+
+
+@st.composite
+def indexed_queries(draw):
+    """A box at any yaw with |cx|, |cy| up to 1e6, and up to 30 points on
+    its corners, edges and faces, inside it and around it; some are
+    duplicated and some share another point's x. The cloud may be empty."""
+    box = Box3D(draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6)),
+                draw(st.floats(-10.0, 10.0)), draw(extents), draw(extents),
+                draw(extents), draw(angles))
+    corners = box.corners_bev()
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    unit = st.floats(0.0, 1.0)
+    rows = []
+    for kind, k, t, u, zk in draw(st.lists(st.tuples(
+            st.sampled_from(["corner", "edge", "inside", "around"]),
+            st.integers(0, 3), unit, unit,
+            st.sampled_from(["bottom", "top", "middle", "any"])), max_size=30)):
+        if kind == "corner":
+            x, y = corners[k]
+        elif kind == "edge":
+            x, y = corners[k] + t * (corners[(k + 1) % 4] - corners[k])
+        else:
+            grow = 1.0 if kind == "inside" else 3.0
+            du, dv = (t - 0.5) * box.l * grow, (u - 0.5) * box.w * grow
+            x, y = box.cx + c * du - s * dv, box.cy + s * du + c * dv
+        z = {"bottom": box.cz - box.h / 2.0, "top": box.cz + box.h / 2.0,
+             "middle": box.cz, "any": box.cz + (u - 0.5) * 3.0 * box.h}[zk]
+        rows.append((x, y, z))
+    xyz = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    if len(xyz):
+        at = st.integers(0, len(xyz) - 1)
+        xyz = np.concatenate([xyz, xyz[draw(st.lists(at, max_size=5))]])
+        for i, j in draw(st.lists(st.tuples(at, at), max_size=5)):
+            xyz[i, 0] = xyz[j, 0]
+    return box, xyz
+
+
+_QUARTER_TURN = Box3D(0.0, 0.0, 0.0, 1.0, 0.7, 1.0, math.pi / 4)
+
+
+class TestPointIndex:
+    # A corner of this box lies above cx + |cos yaw| l/2 + |sin yaw| w/2
+    # in float, yet points_in_box accepts it: only the pad keeps it.
+    @example(case=(_QUARTER_TURN, np.c_[_QUARTER_TURN.corners_bev(), np.zeros(4)]))
+    @settings(max_examples=500, deadline=None)
+    @given(case=indexed_queries())
+    def test_equals_points_in_box(self, case):
+        box, xyz = case
+        got = PointIndex(xyz).inside(box)
+        np.testing.assert_array_equal(got, np.flatnonzero(points_in_box(xyz, box)))
+
+    def test_unpadded_slab_would_drop_a_corner(self):
+        # Pins the premise of the @example above.
+        corner = _QUARTER_TURN.corners_bev()[1]
+        half = (abs(math.cos(_QUARTER_TURN.yaw)) * _QUARTER_TURN.l
+                + abs(math.sin(_QUARTER_TURN.yaw)) * _QUARTER_TURN.w) / 2.0
+        assert corner[0] > _QUARTER_TURN.cx + half
+        assert points_in_box(np.array([[*corner, 0.0]]), _QUARTER_TURN)[0]
+
+    def test_empty_cloud(self):
+        got = PointIndex(np.zeros((0, 3))).inside(_QUARTER_TURN)
+        assert got.size == 0 and got.dtype == np.intp
 
 
 class TestIou3d:
