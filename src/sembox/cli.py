@@ -60,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=("text", "binary"), default="text")
-    p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--threads", type=_thread_count, default=None)
+    _add_common(p)
 
     p = sub.add_parser("generate", help="generate pseudo-labels for a dataset")
     p.add_argument("dataset", type=Path)

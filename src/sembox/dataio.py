@@ -22,10 +22,14 @@ A dataset directory holds one sequence: ``manifest.json``, ``points/``,
 ``poses/`` and (for synthetic data) ``gt_labels/``. ``read_manifest`` reads
 and checks ``manifest.json``; ``load_dataset`` adds every points and pose file.
 
-Text points take one of two routes into ``np.loadtxt``: plain ASCII without
-``\\v``, ``\\f`` or ``\\x1c``-``\\x1e`` goes as a path, which numpy reads in C
-chunks, unless numpy would decompress a file of that name; any other text
-goes as ``str.splitlines()`` lines, which break at those characters too.
+Every line format goes through one row reader, ``_rows``: one decode, one
+``str.splitlines``, blank lines skipped, physical lines numbered from 1, the
+field count checked, and a conversion's ``ValueError`` raised as
+``path:line: <message>``. Plain ASCII text points without ``\\v``, ``\\f`` or
+``\\x1c``-``\\x1e`` go to ``np.loadtxt`` as a path first (numpy reads it in C
+chunks), unless numpy would decompress a file of that name. Other text (no
+writer here makes any) and text ``loadtxt`` rejects take the slower row
+reader, which names the first bad ``path:line``.
 Retained indices are formatted from a uint8 digit matrix, one block per run
 of equal digit count, with the bytes of ``"%d\\n"`` per index.
 """
@@ -60,6 +64,8 @@ _ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
 _NUMPY_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # an int64 has <= 19 digits
 
+_POINT_FIELDS = ("x", "y", "z", "class_id")
+_POSE_FIELDS = ("r_i0", "r_i1", "r_i2", "t_i")
 LABEL_FIELDS = ("frame_id", "class_id", "cx", "cy", "cz", "l", "w", "h",
                 "yaw", "occ", "alg", "ms", "msf", "weight", "source")
 PREDICTION_FIELDS = ("frame_id", "class_id", "cx", "cy", "cz", "l", "w", "h",
@@ -81,6 +87,32 @@ def _decode(path: Path, raw: bytes) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {e}") from e
 
 
+def _parse(where, convert, *args):
+    """convert(*args), with a ValueError raised as a FormatError at where."""
+    try:
+        return convert(*args)
+    except ValueError as e:
+        raise FormatError(f"{where}: {e}") from e
+
+
+def _rows(path: Path, raw: bytes, fields: tuple[str, ...], convert) -> list:
+    """(line number, convert(fields of the line)) for each non-blank line
+    of a text file, numbering physical lines from 1. A line holding other
+    than len(fields) fields names the first missing or broken one."""
+    out = []
+    for lineno, line in enumerate(_decode(path, raw).splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != len(fields):
+            raise FormatError(
+                f"{path}:{lineno}: expected {len(fields)} fields, got "
+                f"{len(parts)} (first missing/broken field: "
+                f"{fields[min(len(parts), len(fields) - 1)]})")
+        out.append((lineno, _parse(f"{path}:{lineno}", convert, parts)))
+    return out
+
+
 # Points -----------------------------------------------------------------
 
 
@@ -98,12 +130,18 @@ def write_points_binary(path: str | Path, cloud: PointCloud) -> None:
     Path(path).write_bytes(POINTS_MAGIC + rec.tobytes())
 
 
+# points_format -> (file name suffix, writer)
+_POINTS_FORMATS = {"text": (".txt", write_points_text),
+                   "binary": (".bin", write_points_binary)}
+
+
 def read_points(path: str | Path) -> PointCloud:
     """Read a points file, auto-detecting the binary magic.
 
-    Text is parsed in one ``np.loadtxt`` pass; when that fails, the line
-    loop parses it again and names the first bad ``path:line``, or accepts
-    what only Python's ``float``/``int`` accept (``1_0``, non-ASCII digits).
+    Plain text is parsed in one ``np.loadtxt`` pass; other text, or text
+    that pass rejects, goes through the row reader, which names the first
+    bad ``path:line`` or accepts what only Python's ``float``/``int``
+    accept (``1_0``, non-ASCII digits).
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -119,48 +157,32 @@ def read_points(path: str | Path) -> PointCloud:
     first = raw[:1]
     if first and not (first.isdigit() or first.isspace() or first in b"-+."):
         raise FormatError(f"{path}: unrecognized points file magic")
-    # Read as a file, loadtxt breaks lines only at \n, \r and \r\n; the
-    # loop's splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and
-    # \u2029. So only ASCII text without those goes to loadtxt as a path,
+    # Read as a file, loadtxt breaks lines only at \n, \r and \r\n; the row
+    # reader's splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and
+    # \u2029. So only ASCII text without those goes to loadtxt, as a path,
     # and never under a name that numpy would open with a decompressor.
     if (raw.isascii() and not any(b in raw for b in _SPLITLINES_ONLY_ASCII)
-            and path.suffix not in _NUMPY_DECOMPRESSED):
-        empty = not raw.strip(_ASCII_SPACE)  # as str.strip() strips it
-        source: Path | list[str] = path
-    else:
-        text = _decode(path, raw)
-        empty = not text.strip()
-        source = text.splitlines()
-    if empty:  # loadtxt would warn about an empty input
-        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
-    try:
-        with warnings.catch_warnings():
-            # Older numpy loads an int column's "1.0" with only this warning.
-            warnings.simplefilter("error", DeprecationWarning)
-            rec = np.loadtxt(source, dtype=_TEXT_POINT, comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return _read_points_lines(path, raw.decode("utf-8").splitlines())
-    return PointCloud(rec["xyz"], rec["c"].copy())
-
-
-def _read_points_lines(path: Path, lines: list[str]) -> PointCloud:
-    rows = []
-    cls = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            and path.suffix not in _NUMPY_DECOMPRESSED
+            and raw.strip(_ASCII_SPACE)):  # loadtxt warns about empty input
         try:
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            cls.append(int(parts[3]))
-        except ValueError as e:
-            raise FormatError(f"{path}:{lineno}: {e}") from e
-        if not -2**31 <= cls[-1] < 2**31:
-            raise FormatError(f"{path}:{lineno}: class id {cls[-1]} is outside int32")
-    xyz = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 3))
-    return PointCloud(xyz, np.array(cls, dtype=np.int32))
+            with warnings.catch_warnings():
+                # Older numpy loads an int column's "1.0" with only this warning.
+                warnings.simplefilter("error", DeprecationWarning)
+                rec = np.loadtxt(path, dtype=_TEXT_POINT, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            pass  # the row reader names the first bad line
+        else:
+            return PointCloud(rec["xyz"], rec["c"].copy())
+    rows = _rows(path, raw, _POINT_FIELDS, _point)
+    m = np.array([p for _, p in rows], dtype=np.float64).reshape(-1, 4)
+    return PointCloud(m[:, :3], m[:, 3].astype(np.int32))
+
+
+def _point(parts: list[str]) -> tuple:
+    x, y, z, c = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
+    if not -2**31 <= c < 2**31:
+        raise ValueError(f"class id {c} is outside int32")
+    return x, y, z, c
 
 
 # Poses ------------------------------------------------------------------
@@ -173,35 +195,42 @@ def write_pose(path: str | Path, pose: Pose) -> None:
 
 def read_pose(path: str | Path) -> Pose:
     path = Path(path)
-    text = _decode(path, path.read_bytes())
-    rows = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip()]
+    rows = _rows(path, path.read_bytes(), _POSE_FIELDS,
+                 lambda parts: [float(v) for v in parts])
     if len(rows) != 3:
         raise FormatError(f"{path}: pose file must have 3 rows, got {len(rows)}")
-    rot = np.zeros((3, 3))
-    t = np.zeros(3)
-    for i, (lineno, line) in enumerate(rows):
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: pose row must have 4 numbers")
-        try:
-            rot[i] = [float(v) for v in parts[:3]]
-            t[i] = float(parts[3])
-        except ValueError as e:
-            raise FormatError(f"{path}:{lineno}: {e}") from e
-    try:
-        return Pose(rot, t)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from e
+    m = np.array([r for _, r in rows])
+    return _parse(path, Pose, m[:, :3], m[:, 3])
 
 
 # Labels and predictions --------------------------------------------------
 
 
-def _check_frame_id(path: Path, lineno: int, stated: int, frame_id: int) -> None:
-    if stated != frame_id:
-        raise FormatError(f"{path}:{lineno}: frame_id {stated} differs from "
-                          f"frame {frame_id} of the file name")
+def _read_boxes(path: str | Path, frame_id: int, fields: tuple[str, ...],
+                make) -> list:
+    """(line number, value) of each line of a labels or predictions file: a
+    line states the file's frame_id, a class_id >= 1 and a box, and
+    make(box, rest) builds its value from the box and the fields after it."""
+    path = Path(path)
+
+    def convert(parts: list[str]):
+        stated, class_id = int(parts[0]), int(parts[1])
+        if stated != frame_id:
+            raise ValueError(f"frame_id {stated} differs from frame {frame_id} "
+                             "of the file name")
+        if class_id < 1:
+            raise ValueError(f"class_id {class_id} is not a foreground class (>= 1)")
+        return make(Box3D(*map(float, parts[2:9]), class_id=class_id), parts[9:])
+
+    return _rows(path, path.read_bytes(), fields, convert)
+
+
+def _label(box: Box3D, rest: list[str]) -> PseudoLabel:
+    nums = [float(v) for v in rest[:5]]
+    for name, v in zip(LABEL_FIELDS[9:14], nums):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} {v!r} is not finite")
+    return PseudoLabel(box, ScoreBreakdown(*nums[:4]), nums[4], rest[5])
 
 
 def write_labels(path: str | Path, frame_id: int,
@@ -223,35 +252,15 @@ def read_labels(path: str | Path, frame_id: int,
     When thresholds are given, a stored weight inconsistent with the
     stored combined score raises a warning in the log but loads anyway.
     """
-    path = Path(path)
-    text = _decode(path, path.read_bytes())
-    out: list[PseudoLabel] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != len(LABEL_FIELDS):
-            missing = LABEL_FIELDS[min(len(parts), len(LABEL_FIELDS) - 1)]
-            raise FormatError(
-                f"{path}:{lineno}: expected {len(LABEL_FIELDS)} fields, got "
-                f"{len(parts)} (first missing/broken field: {missing})")
-        try:
-            stated = int(parts[0])
-            nums = [float(v) for v in parts[2:14]]
-            box = Box3D(*nums[0:7], class_id=int(parts[1]))
-        except ValueError as e:
-            raise FormatError(f"{path}:{lineno}: {e}") from e
-        _check_frame_id(path, lineno, stated, frame_id)
-        scores = ScoreBreakdown(occ=nums[7], alg=nums[8], ms=nums[9], msf=nums[10])
-        weight = nums[11]
-        if weight_thresholds is not None:
-            expect = label_weight(scores.msf, *weight_thresholds)
-            if not math.isclose(weight, expect, abs_tol=1e-9):
-                logger.warning(
-                    "%s:%d: stored weight %.9g inconsistent with msf %.9g "
-                    "(expected %.9g)", path, lineno, weight, scores.msf, expect)
-        out.append(PseudoLabel(box, scores, weight, parts[14]))
-    return out
+    rows = _read_boxes(path, frame_id, LABEL_FIELDS, _label)
+    if weight_thresholds is not None:
+        for lineno, lab in rows:
+            expect = label_weight(lab.scores.msf, *weight_thresholds)
+            if not math.isclose(lab.weight, expect, abs_tol=1e-9):
+                logger.warning("%s:%d: stored weight %.9g inconsistent with "
+                               "msf %.9g (expected %.9g)", path, lineno,
+                               lab.weight, lab.scores.msf, expect)
+    return [lab for _, lab in rows]
 
 
 def write_predictions(path: str | Path, frame_id: int,
@@ -265,27 +274,17 @@ def write_predictions(path: str | Path, frame_id: int,
 
 
 def read_predictions(path: str | Path, frame_id: int) -> list[Prediction]:
-    path = Path(path)
-    text = _decode(path, path.read_bytes())
-    out: list[Prediction] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != len(PREDICTION_FIELDS):
-            missing = PREDICTION_FIELDS[min(len(parts), len(PREDICTION_FIELDS) - 1)]
-            raise FormatError(
-                f"{path}:{lineno}: expected {len(PREDICTION_FIELDS)} fields, got "
-                f"{len(parts)} (first missing/broken field: {missing})")
-        try:
-            stated = int(parts[0])
-            nums = [float(v) for v in parts[2:10]]
-            pred = Prediction(Box3D(*nums[0:7], class_id=int(parts[1])), nums[7])
-        except ValueError as e:
-            raise FormatError(f"{path}:{lineno}: {e}") from e
-        _check_frame_id(path, lineno, stated, frame_id)
-        out.append(pred)
-    return out
+    return [p for _, p in _read_boxes(
+        path, frame_id, PREDICTION_FIELDS,
+        lambda box, rest: Prediction(box, float(rest[0])))]
+
+
+# kind -> (reader(path, frame_id, weight_thresholds), writer)
+_BOX_KINDS = {
+    "labels": (read_labels, write_labels),
+    "predictions": (lambda path, frame_id, _: read_predictions(path, frame_id),
+                    write_predictions),
+}
 
 
 # Per-frame directories ----------------------------------------------------
@@ -298,9 +297,9 @@ def frame_file(frame_id: int, suffix: str) -> str:
 def write_box_dir(out_dir: str | Path, per_frame: dict,
                   kind: str = "labels") -> None:
     """Write one labels/predictions file per frame id."""
+    writer = _BOX_KINDS[kind][1]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    writer = write_labels if kind == "labels" else write_predictions
     for frame_id in sorted(per_frame):
         writer(out_dir / frame_file(frame_id, ".txt"), frame_id,
                per_frame[frame_id])
@@ -310,6 +309,7 @@ def read_box_dir(dir_path: str | Path, kind: str = "labels",
                  weight_thresholds: tuple[float, float] | None = None) -> dict:
     """Read the frame_<digits>.txt files of a directory, keyed by frame id;
     any other frame_*.txt name, or a second name of one id, is an error."""
+    reader = _BOX_KINDS[kind][0]
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
         raise FormatError(f"{dir_path}: not a directory")
@@ -321,10 +321,7 @@ def read_box_dir(dir_path: str | Path, kind: str = "labels",
         frame_id = int(m.group(1))
         if frame_id in out:
             raise FormatError(f"{f}: another file already holds frame {frame_id}")
-        if kind == "labels":
-            out[frame_id] = read_labels(f, frame_id, weight_thresholds)
-        else:
-            out[frame_id] = read_predictions(f, frame_id)
+        out[frame_id] = reader(f, frame_id, weight_thresholds)
     return out
 
 
@@ -367,11 +364,10 @@ def write_dataset(root: str | Path, frames: list[Frame],
                   class_names: dict[int, str],
                   gt: dict[int, list[Box3D]] | None = None,
                   points_format: str = "text") -> None:
+    suffix, writer = _POINTS_FORMATS[points_format]
     root = Path(root)
     (root / "points").mkdir(parents=True, exist_ok=True)
     (root / "poses").mkdir(parents=True, exist_ok=True)
-    suffix = ".bin" if points_format == "binary" else ".txt"
-    writer = write_points_binary if points_format == "binary" else write_points_text
     manifest = {
         "sequence": root.name,
         "classes": {"0": "background", **{str(k): v for k, v in sorted(class_names.items())}},
@@ -469,10 +465,7 @@ def load_dataset(root: str | Path) -> tuple[list[Frame], dict[int, str]]:
     frames: list[Frame] = []
     for entry in entries:
         cloud = read_points(entry.points)
-        try:
-            cloud.validate(num_classes)
-        except ValueError as e:
-            raise FormatError(f"{entry.points}: {e}") from e
+        _parse(entry.points, cloud.validate, num_classes)
         frames.append(Frame(entry.frame_id, entry.timestamp,
                             read_pose(entry.pose), cloud))
     return frames, classes

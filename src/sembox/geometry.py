@@ -220,7 +220,11 @@ class Box3D:
 
 def points_in_box(xyz: np.ndarray, box: Box3D) -> np.ndarray:
     """Boundary-inclusive containment mask for an array of points."""
-    p = box.to_frame(xyz)
+    return in_box_frame(box.to_frame(xyz), box)
+
+
+def in_box_frame(p: np.ndarray, box: Box3D) -> np.ndarray:
+    """points_in_box for points already in the box frame (box.to_frame)."""
     return (
         (np.abs(p[:, 0]) <= box.l / 2.0)
         & (np.abs(p[:, 1]) <= box.w / 2.0)

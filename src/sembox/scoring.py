@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import BoxCandidate
-from .geometry import Box3D, bev_iou, points_in_box
+from .geometry import Box3D, bev_iou, in_box_frame
 
 SOURCE_INIT = "init"
 SOURCE_REFINED = "stcf-refined"
@@ -78,9 +78,8 @@ def _box_grid_counts(box: Box3D, xyz: np.ndarray, r: int):
     """
     if r < 1:
         raise ValueError("grid resolution must be >= 1")
-    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-    inside = points_in_box(xyz, box)
-    p = box.to_frame(xyz[inside])
+    p = box.to_frame(xyz)
+    p = p[in_box_frame(p, box)]
     ci = np.floor((p[:, 0] + box.l / 2.0) / (box.l / r)).astype(np.int64)
     cj = np.floor((p[:, 1] + box.w / 2.0) / (box.w / r)).astype(np.int64)
     np.clip(ci, 0, r - 1, out=ci)

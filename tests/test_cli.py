@@ -420,6 +420,26 @@ MALFORMED = {
         "pose", b"\n1 0 0 0\n0 1 0 x\n0 0 1 0\n", ":3: could not convert"),
     "points-class-id-99999999999": _bad_bytes(
         "points", b"1 2 3 1\n1 2 3 99999999999\n", ":2: class id 99999999999"),
+    "label-msf-nan": _bad_bytes(
+        "labels", b"2 1 10 0 0.8 4 1.8 1.6 0 1 1 1 nan 1 init\n",
+        ":1: msf nan is not finite"),
+    "label-weight-inf": _bad_bytes(
+        "labels", b"2 1 10 0 0.8 4 1.8 1.6 0 1 1 1 1 inf init\n",
+        ":1: weight inf is not finite"),
+    "label-class-0": _bad_bytes(
+        "labels", b"2 0 10 0 0.8 4 1.8 1.6 0 1 1 1 1 1 init\n",
+        ":1: class_id 0 is not a foreground class"),
+    "prediction-class-0": _bad_bytes(
+        "predictions", b"2 1 10 0 0.8 4 1.8 1.6 0 0.9\n2 0 20 0 0.8 4 1.8 1.6 0 0.9\n",
+        ":2: class_id 0 is not a foreground class"),
+    **{f"{kind}-field-count": _bad_bytes(kind, content, where)
+       for kind, content, where in (
+           ("points", b"1 2 3 1\n1 2 3\n", ":2: expected 4 fields, got 3"),
+           ("pose", b"1 0 0 0\n0 1 0\n0 0 1 0\n", ":2: expected 4 fields, got 3"),
+           ("labels", b"\n2 1 10 0 0.8 4 1.8 1.6 0 1 1 1 1 1\n",
+            ":2: expected 15 fields, got 14"),
+           ("predictions", b"2 1 10 0 0.8 4 1.8 1.6 0 0.9 7\n",
+            ":1: expected 10 fields, got 11"))},
     **{f"manifest-no-frames-{command}": _bad_manifest(
         lambda manifest: manifest.update(frames=[]),
         "manifest.json: frames must be a non-empty list", command)

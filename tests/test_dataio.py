@@ -98,7 +98,9 @@ def line_read_points(path):
             continue
         parts = line.split()
         if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            missing = ("x", "y", "z", "class_id")[min(len(parts), 3)]
+            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)} "
+                              f"(first missing/broken field: {missing})")
         try:
             rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
             cls.append(int(parts[3]))
@@ -247,11 +249,8 @@ class TestBulkMatchesLines:
         back = dataio.read_points(path)
         np.testing.assert_array_equal(back.xyz, [[1, 2, 3], [4, 5, 6]])
         np.testing.assert_array_equal(back.class_id, [1, 2])
-        [source] = sources
-        if route == "path":
-            assert source == path
-        else:
-            assert source == ["1 2 3 1", "4 5 6 2"]
+        # Only a path ever goes to loadtxt; other text goes to the row reader.
+        assert sources == ([path] if route == "path" else [])
 
     @pytest.mark.parametrize("xyz, cls", [
         (np.zeros((0, 3)), []),
@@ -414,6 +413,16 @@ class TestLabels:
         back = dataio.read_box_dir(tmp_path / "labels")
         assert sorted(back) == [0, 3]
         assert len(back[3]) == 2
+
+    def test_unknown_kind_or_format_raises(self, tmp_path):
+        # "label" once silently read and wrote the predictions format.
+        with pytest.raises(KeyError):
+            dataio.write_box_dir(tmp_path / "labels", {0: [label()]}, kind="label")
+        with pytest.raises(KeyError):
+            dataio.read_box_dir(tmp_path, kind="label")
+        with pytest.raises(KeyError):
+            dataio.write_dataset(tmp_path / "ds", [], {}, points_format="bin")
+        assert not (tmp_path / "labels").exists() and not (tmp_path / "ds").exists()
 
 
 class TestDataset:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sembox import config as config_module, scoring
 from sembox.clustering import BoxCandidate
 from sembox.config import PipelineConfig
-from sembox.geometry import Box3D, PointCloud, Pose, bev_iou, points_in_box
+from sembox.geometry import Box3D, PointCloud, Pose, bev_iou, in_box_frame
 from sembox.scoring import (MetaShape, alignment_from_angles, alignment_score,
                             combine_scores, label_weight, meta_shape_score,
                             msf_score, nms_select, occupancy_score)
@@ -206,15 +206,22 @@ class TestScoreBoxes:
         assert scores[0] == scores[2] == scores[5] and scores[1] == scores[4]
 
     def test_msf_tests_containment_once(self, monkeypatch, rng):
-        calls = []
+        # One rotation into the box frame, and one containment test there.
+        rotated, tested = [], []
+        to_frame = Box3D.to_frame
 
-        def counting(xyz, box):
-            calls.append(len(xyz))
-            return points_in_box(xyz, box)
+        def counting_to_frame(box, xyz):
+            rotated.append(len(xyz))
+            return to_frame(box, xyz)
 
-        monkeypatch.setattr(scoring, "points_in_box", counting)
+        def counting_in_box_frame(p, box):
+            tested.append(len(p))
+            return in_box_frame(p, box)
+
+        monkeypatch.setattr(Box3D, "to_frame", counting_to_frame)
+        monkeypatch.setattr(scoring, "in_box_frame", counting_in_box_frame)
         msf_score(random_box(rng, span=2), rng.uniform(-3, 3, (50, 3)), VEH_META)
-        assert calls == [50]
+        assert rotated == tested == [50]
 
 
 class TestLabelWeight:
