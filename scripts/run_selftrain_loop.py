@@ -8,13 +8,12 @@ per round show the refinement direction.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from sembox.config import PipelineConfig
-from sembox.evaluation import match_labels
+from sembox.evaluation import compute_report
 from sembox.refine import NOISE_PROFILES, mock_detector, refine_round
 from sembox.synth import ObjectSpec, SceneSpec, VEHICLE, generate_sequence
 
@@ -34,19 +33,13 @@ def static_heavy(seed):
 
 
 def far_mae(boxes_per_frame, scores_per_frame, gt, cutoff=30.0):
-    pos, size = [], []
-    for fid, gts in gt.items():
-        boxes = boxes_per_frame.get(fid, [])
-        scores = scores_per_frame.get(fid, [])
-        for i, j, _ in match_labels(boxes, scores, gts, 1e-9).pairs:
-            g = gts[j]
-            if math.hypot(g.cx, g.cy) < cutoff:
-                continue
-            pos.append(math.hypot(boxes[i].cx - g.cx, boxes[i].cy - g.cy))
-            size.append((abs(boxes[i].l - g.l) + abs(boxes[i].w - g.w)
-                         + abs(boxes[i].h - g.h)) / 3)
-    return (np.mean(pos) if pos else float("nan"),
-            np.mean(size) if size else float("nan"), len(pos))
+    report = compute_report(
+        [(boxes_per_frame.get(fid, []), scores_per_frame.get(fid, []), gts)
+         for fid, gts in gt.items()], range_bin_edges=(0.0, cutoff))
+    far = report.range_bins[-1]
+    pos, size, _ = far.mae()
+    return (np.nan if pos is None else pos, np.nan if size is None else size,
+            far.count)
 
 
 def main():

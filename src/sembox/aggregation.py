@@ -23,7 +23,7 @@ CELL_STATIC = 1
 CELL_MOVING = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Frame:
     """One LiDAR sweep: sensor-coordinate points plus the pose to global."""
 
@@ -33,10 +33,15 @@ class Frame:
     points: PointCloud
 
     @cached_property
+    def foreground(self) -> PointCloud:
+        """The foreground points, in their order: the only points that are
+        clustered, scored or counted against a box. Selected on first use."""
+        return self.points.select(self.points.foreground)
+
+    @cached_property
     def foreground_index(self) -> PointIndex:
-        """The foreground points, in their order, indexed for box queries.
-        Built on first use and kept, so points must not be replaced after."""
-        return PointIndex(self.points.xyz[self.points.foreground])
+        """The foreground points, in their order, indexed for box queries."""
+        return PointIndex(self.foreground.xyz)
 
 
 @dataclass

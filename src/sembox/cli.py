@@ -31,20 +31,23 @@ from .synth import PRESET_NAMES, generate_sequence, preset_scene
 logger = logging.getLogger("sembox")
 
 
-def _thread_count(text: str) -> int:
-    try:
-        threads = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
-    return threads
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="pipeline config JSON (defaults used when omitted)")
-    p.add_argument("--threads", type=_thread_count, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="worker count (default: all cores, or "
                         f"${pipeline.THREADS_ENV_VAR})")
 
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic dataset")
     p.add_argument("--preset", required=True, choices=PRESET_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     _add_common(p)
@@ -94,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", default="default",
                    help=f"profile name {sorted(NOISE_PROFILES)} or a JSON file")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="noise seed (default: the config's seed)")
     _add_common(p)
     return parser

@@ -169,7 +169,8 @@ def compute_report(per_frame: list[tuple[list[Box3D], list[float], list[Box3D]]]
     Position error is the BEV center distance, size error the mean of the
     absolute extent differences, yaw error the orientation distance (folded
     modulo pi). Errors are binned by the ground-truth center's distance
-    from the sensor origin.
+    from the sensor origin; a pair whose gt lies below the first edge is in
+    no range bin, only in the IoU histogram.
     """
     report = EvalReport(thresholds=tuple(thresholds))
     for thr in thresholds:
@@ -201,11 +202,10 @@ def compute_report(per_frame: list[tuple[list[Box3D], list[float], list[Box3D]]]
             k = min(int(iou * _HIST_BINS), _HIST_BINS - 1)
             report.iou_histogram[k] += 1
             dist = math.hypot(g.cx, g.cy)
-            rb = report.range_bins[-1]
-            for cand in report.range_bins:
-                if cand.lo <= dist < cand.hi:
-                    rb = cand
-                    break
+            rb = next((rb for rb in report.range_bins if rb.lo <= dist < rb.hi),
+                      None)
+            if rb is None:
+                continue
             rb.count += 1
             rb.position_abs += math.hypot(b.cx - g.cx, b.cy - g.cy)
             rb.size_abs += (abs(b.l - g.l) + abs(b.w - g.w) + abs(b.h - g.h)) / 3.0

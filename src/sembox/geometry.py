@@ -131,11 +131,6 @@ class PointCloud:
     def foreground(self) -> np.ndarray:
         return self.class_id > 0
 
-    def select_foreground(self) -> "PointCloud":
-        """The foreground points, in their order: the only points that are
-        clustered, scored or counted against a box."""
-        return self.select(self.foreground)
-
     @staticmethod
     def concatenate(clouds: list["PointCloud"]) -> "PointCloud":
         if not clouds:

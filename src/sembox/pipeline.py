@@ -55,8 +55,7 @@ def aggregate_window(frames: list[Frame], index: int,
     n = config.window_half_size
     lo = max(0, index - n)
     hi = min(len(frames), index + n + 1)
-    window = [replace(f, points=f.points.select_foreground())
-              for f in frames[lo:hi]]
+    window = [replace(f, points=f.foreground) for f in frames[lo:hi]]
     registered = register_window(window, index - lo)
 
     spec = BevGridSpec.centered(config.detection_range, config.cell_size)
@@ -104,9 +103,12 @@ def generate_labels(frames: list[Frame], config: PipelineConfig,
                 for i in indices}
 
     # Under fork the initializer's arguments are inherited, never pickled.
+    # Python >= 3.11 forks every worker at the first submit, so the pool
+    # holds at most one worker per frame.
     ctx = (multiprocessing.get_context("fork")
            if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx,
+    with ProcessPoolExecutor(max_workers=min(threads, len(frames)),
+                             mp_context=ctx,
                              initializer=_init_active,
                              initargs=(frames, config)) as pool:
         results = dict(pool.map(_worker, indices))

@@ -21,8 +21,8 @@ from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
 from .config import PipelineConfig
-from .geometry import (BevGridSpec, Box3D, PointCloud, PointIndex,
-                       bev_candidate_pairs, bev_iou, transform_box)
+from .geometry import (BevGridSpec, Box3D, PointCloud, bev_candidate_pairs,
+                       bev_iou, transform_box)
 from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
                       label_weight, selection_order)
 
@@ -60,9 +60,8 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
     classes are present at once.
     """
     kept: list[Prediction] = []
-    fg_class = frame.points.class_id[frame.points.foreground]
     for pred in preds:
-        inside = fg_class[frame.foreground_index.inside(pred.box)]
+        inside = frame.foreground.class_id[frame.foreground_index.inside(pred.box)]
         if len(inside) == 0:
             continue
         ids, counts = np.unique(inside, return_counts=True)
@@ -82,8 +81,7 @@ def sequence_motion_grid(frames: list[Frame], cell_size: float,
     each frame's foreground points, the only ones it counts."""
     if not frames:
         raise ValueError("empty sequence")
-    registered = [fr.points.select_foreground().transformed(fr.pose)
-                  for fr in frames]
+    registered = [fr.foreground.transformed(fr.pose) for fr in frames]
     centers = np.array([fr.pose.translation[:2] for fr in frames])
     spec = BevGridSpec.covering(
         centers[:, 0].min() - detection_range, centers[:, 1].min() - detection_range,
@@ -148,7 +146,6 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     preds_per_frame must be the id of one of the frames.
     """
     frame_of = {fr.frame_id: fr for fr in frames}
-    fg = {fr.frame_id: fr.points.select_foreground() for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
     static_by_class: dict[int, list[Box3D]] = {}  # global coordinates
     for fid in sorted(preds_per_frame):
@@ -163,20 +160,19 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     if static_by_class:
         # Foreground points in static cells, global coordinates.
         moved = PointCloud.concatenate(
-            [fg[fr.frame_id].transformed(fr.pose) for fr in frames])
+            [fr.foreground.transformed(fr.pose) for fr in frames])
         static = moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC)
         to_local = {fr.frame_id: fr.pose.inverse() for fr in frames}
         for cid in sorted(static_by_class):
             global_boxes = static_by_class[cid]
             scores = config.score_boxes(global_boxes, static)
-            class_index = {fid: PointIndex(pts.xyz[pts.class_id == cid])
-                           for fid, pts in fg.items()}
             for group in _connected_groups(global_boxes):
                 best_local = selection_order([scores[g] for g in group])[0]
                 winner = global_boxes[group[best_local]]
                 for fr in frames:
                     local = transform_box(winner, to_local[fr.frame_id])
-                    if len(class_index[fr.frame_id].inside(local)):
+                    hits = fr.foreground_index.inside(local)
+                    if np.any(fr.foreground.class_id[hits] == cid):
                         # The broadcast replaces whatever same-class
                         # predictions it overlaps in this frame.
                         out[fr.frame_id] = [
@@ -225,7 +221,7 @@ def refine_round(frames: list[Frame],
     retained: dict[int, np.ndarray] = {}
     for fr in frames:
         boxes = refined[fr.frame_id]
-        scores = config.score_boxes([rb.box for rb in boxes], fr.points)
+        scores = config.score_boxes([rb.box for rb in boxes], fr.foreground)
         frame_labels = [PseudoLabel(
             box=rb.box, scores=sc,
             weight=label_weight(sc.msf, config.theta_low, config.theta_high),

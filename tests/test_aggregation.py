@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from sembox.aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                                 register_window)
 from sembox.config import PipelineConfig
 from sembox.geometry import BevGridSpec, PointCloud, Pose, grid_indices
+from sembox.refine import NOISE_PROFILES, mock_detector, refine_round
 from sembox.synth import generate_sequence, preset_scene
 
 from conftest import with_background
@@ -222,3 +225,77 @@ class TestForegroundOnlyWindow:
         assert any(want.values())
         assert len(registered) > len(frames)
         assert all((cls > 0).all() for cls in registered)
+
+
+class TestFrameForeground:
+    """A frame selects its foreground once, on first use, and keeps it:
+    generate's windows and every refine stage read that one view."""
+
+    @staticmethod
+    def count_selections(monkeypatch, frames):
+        """Calls of PointCloud.select on each frame's points, by frame id."""
+        calls = {fr.frame_id: 0 for fr in frames}
+        frame_of = {id(fr.points): fr.frame_id for fr in frames}
+        select = PointCloud.select
+
+        def counting(cloud, mask):
+            if id(cloud) in frame_of:
+                calls[frame_of[id(cloud)]] += 1
+            return select(cloud, mask)
+
+        monkeypatch.setattr(PointCloud, "select", counting)
+        return calls
+
+    def test_generate_selects_once_per_frame(self, monkeypatch):
+        frames, _ = generate_sequence(preset_scene("mixed", 0))
+        calls = self.count_selections(monkeypatch, frames)
+        pipeline.generate_labels(frames, PipelineConfig())
+        assert max(calls.values()) == 1
+
+    def test_refine_selects_once_per_frame(self, monkeypatch):
+        frames, gt = generate_sequence(preset_scene("mixed", 0))
+        preds = mock_detector(gt, NOISE_PROFILES["mild"], seed=0)
+        calls = self.count_selections(monkeypatch, frames)
+        result = refine_round(frames, preds, PipelineConfig())
+        assert any(result.labels.values())
+        assert max(calls.values()) == 1
+
+    def test_frame_is_frozen(self):
+        frames, _ = generate_sequence(preset_scene("mixed", 0))
+        fr = frames[0]
+        np.testing.assert_array_equal(fr.foreground.xyz,
+                                      fr.points.xyz[fr.points.class_id > 0])
+        with pytest.raises(FrozenInstanceError):
+            fr.points = fr.foreground
+
+
+class TestWorkerPool:
+    def test_at_most_one_worker_per_frame(self, monkeypatch):
+        frames, _ = generate_sequence(preset_scene("mixed", 0))
+        frames = frames[:3]
+        config = PipelineConfig()
+        recorded = []
+
+        class InlinePool:
+            """ProcessPoolExecutor without a process: records max_workers,
+            runs the initializer and maps in this process."""
+
+            def __init__(self, max_workers, mp_context, initializer,
+                         initargs):
+                recorded.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pipeline, "_ACTIVE", None)
+        pooled = pipeline.generate_labels(frames, config, threads=8)
+        assert recorded == [3]
+        assert pooled == pipeline.generate_labels(frames, config, threads=1)

@@ -461,6 +461,8 @@ MALFORMED = {
         "lambdas: must be a list of finite numbers, got (nan, 0.5, 0.5)"),
     "config-seed-2.5": _bad_config({"seed": 2.5}, "seed: must be an integer, got 2.5",
                                    "mock-detect"),
+    "config-seed--1": _bad_config({"seed": -1}, "seed: must be >= 0",
+                                  "mock-detect"),
     "config-class_agnostic_eval-1": _bad_config(
         {"class_agnostic_eval": 1},
         "class_agnostic_eval: must be true or false, got 1"),
@@ -480,6 +482,22 @@ MALFORMED = {
                            "meta_shape": [4.6, 1.8, 1.6]}}},
         "classes[1].min_cluster_size: must be an integer, got 2.5"),
 }
+
+
+class TestSeedFlags:
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    @pytest.mark.parametrize("command", ["synth", "mock-detect"])
+    def test_seed_below_zero_rejected_at_parse(self, dataset, tmp_path,
+                                               capsys, command, value):
+        out = tmp_path / "out"
+        argv = {"synth": ["synth", "--preset", "adjacent"],
+                "mock-detect": ["mock-detect", str(dataset), "--labels",
+                                str(dataset / "gt_labels")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), "--seed", value])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMalformedInput:

@@ -146,6 +146,16 @@ class TestReport:
         total = sum(rb.yaw_abs for rb in rep.range_bins)
         assert total == pytest.approx(0.0, abs=1e-9)
 
+    def test_gt_below_first_edge_in_no_range_bin(self):
+        gts = [veh(5, 0), veh(40, -2)]
+        labels = [veh(5.2, 0), veh(40.2, -2)]
+        rep = compute_report([(labels, [0.9, 0.9], gts)],
+                             range_bin_edges=(10.0, 30.0))
+        assert [(rb.lo, rb.hi, rb.count) for rb in rep.range_bins] == [
+            (10.0, 30.0, 0), (30.0, math.inf, 1)]
+        assert rep.range_bins[1].mae()[0] == pytest.approx(0.2, abs=1e-9)
+        assert int(rep.iou_histogram.sum()) == 2
+
     def test_empty_dataset(self):
         rep = compute_report([])
         assert rep.n_frames == 0
