@@ -1,12 +1,12 @@
 """Multi-frame aggregation with motion-artifact removal.
 
-A window of consecutive frames is registered into the target frame's
-coordinates and BEV space is classified by how long each cell stays
-continuously occupied by foreground points: short maximal runs mean a
-moving object passed through, long runs mean static structure. Foreground
-points from non-target frames are dropped wherever motion was detected,
-so the aggregated cloud densifies static objects without smearing moving
-ones.
+The foreground of a window of consecutive frames is registered into the
+target frame's coordinates, and BEV space is classified by how long each
+cell stays continuously occupied: short maximal runs mean a moving object
+passed through, long runs mean static structure. Points from non-target
+frames are dropped wherever motion was detected, so the aggregated cloud
+densifies static objects without smearing moving ones. Past registration
+no step looks at a point's class.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Frame:
 @dataclass
 class MotionGrid:
     """BEV cells classified static/moving/empty by their longest run of
-    consecutive foreground-occupied frames (see build_motion_grid)."""
+    consecutive occupied frames (see build_motion_grid)."""
 
     spec: BevGridSpec
     label: np.ndarray  # (nx, ny) uint8: CELL_* constants
@@ -69,7 +69,8 @@ class DenseCloud:
 
 
 def register_window(frames: list[Frame], target_index: int) -> list[PointCloud]:
-    """Transform each frame's points into the target frame's coordinates.
+    """Transform each frame's foreground into the target frame's
+    coordinates.
 
     The returned clouds are in window order.
     """
@@ -78,16 +79,17 @@ def register_window(frames: list[Frame], target_index: int) -> list[PointCloud]:
     if not (0 <= target_index < len(frames)):
         raise ValueError("target_index outside the window")
     to_target = frames[target_index].pose.inverse()
-    return [f.points.transformed(to_target.compose(f.pose)) for f in frames]
+    return [f.foreground.transformed(to_target.compose(f.pose))
+            for f in frames]
 
 
 def build_motion_grid(registered: list[PointCloud], spec: BevGridSpec,
                       epsilon: int) -> MotionGrid:
-    """Classify BEV cells by their maximal consecutive foreground run.
+    """Classify BEV cells by their maximal consecutive occupied run.
 
     For each cell the longest run of consecutive frames with at least one
-    foreground point inside is counted; cells with a run >= epsilon are
-    static, ever-occupied cells below it are moving, the rest empty.
+    point inside is counted; cells with a run >= epsilon are static,
+    ever-occupied cells below it are moving, the rest empty.
     """
     if not registered:
         raise ValueError("empty aggregation window")
@@ -98,7 +100,7 @@ def build_motion_grid(registered: list[PointCloud], spec: BevGridSpec,
     # are counted over the cells some frame occupies, not the whole grid.
     occupied = []
     for cloud in registered:
-        ij = grid_indices(cloud.xyz[cloud.foreground, :2], spec)
+        ij = grid_indices(cloud.xyz[:, :2], spec)
         ij = ij[ij[:, 0] >= 0]
         occupied.append(ij[:, 0] * spec.ny + ij[:, 1])
     cells = np.unique(np.concatenate(occupied))
@@ -122,22 +124,14 @@ def build_dense_cloud(registered: list[PointCloud], grid: MotionGrid,
     """Aggregate the registered window, dropping motion artifacts.
 
     Every point of the target frame, registered[target_index], is kept.
-    For other frames, foreground points falling in moving cells are
-    removed; background points (and points outside the grid, which carry
-    no motion evidence) are kept with their class so semantic checks
-    downstream can see them.
+    From other frames, points falling in moving cells are removed; points
+    outside the grid carry no motion evidence and are kept.
     """
     if not registered:
         raise ValueError("empty aggregation window")
     if not (0 <= target_index < len(registered)):
         raise ValueError("target_index outside the window")
-    kept = []
-    for k, cloud in enumerate(registered):
-        if k == target_index:
-            kept.append(cloud)
-            continue
-        fg = cloud.foreground
-        drop = np.zeros(len(cloud), dtype=bool)
-        drop[fg] = grid.labels_at(cloud.xyz[fg, :2]) == CELL_MOVING
-        kept.append(cloud.select(~drop))
+    kept = [cloud if k == target_index else
+            cloud.select(grid.labels_at(cloud.xyz[:, :2]) != CELL_MOVING)
+            for k, cloud in enumerate(registered)]
     return DenseCloud(PointCloud.concatenate(kept))

@@ -182,6 +182,8 @@ class PipelineConfig:
         if not self.eval_iou_thresholds or any(
                 not 0 < t <= 1 for t in self.eval_iou_thresholds):
             raise ConfigError("eval_iou_thresholds: must be in (0, 1]")
+        if len(set(self.eval_iou_thresholds)) < len(self.eval_iou_thresholds):
+            raise ConfigError("eval_iou_thresholds: must be distinct")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if not self.classes:

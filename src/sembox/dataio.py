@@ -124,6 +124,9 @@ def write_points_text(path: str | Path, cloud: PointCloud) -> None:
 
 
 def write_points_binary(path: str | Path, cloud: PointCloud) -> None:
+    bad = (cloud.class_id < 0) | (cloud.class_id > 0xFFFF)
+    if bad.any():
+        raise ValueError(f"class id {cloud.class_id[bad][0]} is outside uint16")
     rec = np.empty(len(cloud), dtype=_POINT_RECORD)
     rec["x"], rec["y"], rec["z"] = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
     rec["c"] = cloud.class_id.astype(np.uint16)
@@ -318,6 +321,8 @@ def read_box_dir(dir_path: str | Path, kind: str = "labels",
         m = _BOX_FILE.fullmatch(f.name)
         if m is None:
             raise FormatError(f"{f}: file name is not frame_<digits>.txt")
+        if not f.is_file():
+            raise FormatError(f"{f}: not a file")
         frame_id = int(m.group(1))
         if frame_id in out:
             raise FormatError(f"{f}: another file already holds frame {frame_id}")

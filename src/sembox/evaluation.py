@@ -172,6 +172,8 @@ def compute_report(per_frame: list[tuple[list[Box3D], list[float], list[Box3D]]]
     from the sensor origin; a pair whose gt lies below the first edge is in
     no range bin, only in the IoU histogram.
     """
+    if len(set(thresholds)) < len(thresholds):
+        raise ValueError(f"repeated IoU threshold in {tuple(thresholds)}")
     report = EvalReport(thresholds=tuple(thresholds))
     for thr in thresholds:
         report.counts[thr] = {"overall": PRCounts()}

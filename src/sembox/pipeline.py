@@ -12,7 +12,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -46,20 +45,14 @@ def aggregate_window(frames: list[Frame], index: int,
     """Foreground dense cloud of frames[index] from its window of up to
     window_half_size frames on each side: register, classify motion,
     aggregate.
-
-    Only foreground points are clustered and scored, so background is
-    dropped before registration. Foreground points keep their order, and
-    registration transforms each point on its own, so the cloud holds the
-    same foreground points as one aggregated with the background.
     """
     n = config.window_half_size
     lo = max(0, index - n)
     hi = min(len(frames), index + n + 1)
-    window = [replace(f, points=f.foreground) for f in frames[lo:hi]]
-    registered = register_window(window, index - lo)
+    registered = register_window(frames[lo:hi], index - lo)
 
     spec = BevGridSpec.centered(config.detection_range, config.cell_size)
-    epsilon = config.effective_epsilon(len(window))
+    epsilon = config.effective_epsilon(len(registered))
     grid = build_motion_grid(registered, spec, epsilon)
     return build_dense_cloud(registered, grid, index - lo)
 

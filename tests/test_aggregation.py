@@ -49,11 +49,6 @@ class TestMotionGrid:
         grid = build_motion_grid(frames, SPEC, epsilon=3)
         assert grid.label[5, 5] == CELL_EMPTY
 
-    def test_background_does_not_occupy(self):
-        frames = [cloud_at([(2, 2)], cls=0) for _ in range(5)]
-        grid = build_motion_grid(frames, SPEC, epsilon=1)
-        assert grid.label[2, 2] == CELL_EMPTY
-
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="empty aggregation window"):
             build_motion_grid([], SPEC, epsilon=1)
@@ -89,17 +84,16 @@ class TestMotionGrid:
 
 def dense_motion_labels(registered, spec, epsilon):
     """Reference for build_motion_grid: the run count over every cell of
-    the grid, frame by frame."""
+    the grid, frame by frame; every point occupies its cell, whatever its
+    class."""
     longest = np.zeros((spec.nx, spec.ny), dtype=np.int64)
     run = np.zeros((spec.nx, spec.ny), dtype=np.int64)
     ever = np.zeros((spec.nx, spec.ny), dtype=bool)
     for cloud in registered:
         occ = np.zeros((spec.nx, spec.ny), dtype=bool)
-        fg = cloud.foreground
-        if fg.any():
-            ij = grid_indices(cloud.xyz[fg, :2], spec)
-            ij = ij[ij[:, 0] >= 0]
-            occ[ij[:, 0], ij[:, 1]] = True
+        ij = grid_indices(cloud.xyz[:, :2], spec)
+        ij = ij[ij[:, 0] >= 0]
+        occ[ij[:, 0], ij[:, 1]] = True
         run = np.where(occ, run + 1, 0)
         np.maximum(longest, run, out=longest)
         ever |= occ
@@ -160,6 +154,22 @@ class TestRegister:
         # Window order is kept: the target frame sits at its own position.
         np.testing.assert_allclose(reg[0].xyz, frames[0].points.xyz, atol=1e-12)
 
+    def test_only_foreground_registered_in_order(self):
+        # Background interleaved with foreground: each frame registers its
+        # foreground alone, in frame order, and nothing else.
+        poses = [Pose.from_xyz_yaw(1.0, 0.0, 0.0, 0.3),
+                 Pose.from_xyz_yaw(2.0, -1.0, 0.0, -0.2)]
+        xyz = np.arange(18, dtype=float).reshape(6, 3)
+        cls = np.array([0, 2, 0, 0, 1, 3], dtype=np.int32)
+        frames = [make_frame(k, PointCloud(xyz + k, cls), pose)
+                  for k, pose in enumerate(poses)]
+        reg = register_window(frames, 1)
+        to_target = poses[1].inverse()
+        for f, cloud in zip(frames, reg):
+            want = f.foreground.transformed(to_target.compose(f.pose))
+            np.testing.assert_array_equal(cloud.xyz, want.xyz)
+            assert cloud.class_id.tolist() == [2, 1, 3]
+
 
 class TestDenseCloud:
     def test_static_scene_keeps_everything(self):
@@ -176,16 +186,18 @@ class TestDenseCloud:
         assert len(dense.points) == 1
         np.testing.assert_array_equal(dense.points.xyz, frames[1].xyz)
 
-    def test_background_kept_everywhere(self):
-        moving_fg = [cloud_at([(k, 0)]) for k in range(3)]
-        with_bg = [PointCloud(
-            np.concatenate([c.xyz, [[6.5, 6.5, 0.0]]]),
-            np.concatenate([c.class_id, [0]]))
-            for c in moving_fg]
-        grid = build_motion_grid(with_bg, SPEC, epsilon=2)
-        dense = build_dense_cloud(with_bg, grid, 1)
-        assert (dense.points.class_id == 0).sum() == 3
-        assert (dense.points.class_id == 1).sum() == 1
+    def test_class_does_not_matter(self):
+        # A class-0 point hopping cells beside a static foreground point:
+        # in non-target frames it is dropped like any other moving point.
+        frames = [PointCloud(np.concatenate([cloud_at([(6, 6)]).xyz,
+                                             cloud_at([(k, 0)]).xyz]),
+                             np.array([1, 0], dtype=np.int32))
+                  for k in range(3)]
+        grid = build_motion_grid(frames, SPEC, epsilon=2)
+        assert grid.label[0, 0] == CELL_MOVING
+        dense = build_dense_cloud(frames, grid, 1)
+        assert dense.points.class_id.tolist() == [1, 1, 0, 1]
+        np.testing.assert_array_equal(dense.points.xyz[2], frames[1].xyz[1])
 
     def test_single_frame_window_equals_target(self):
         frames = [cloud_at([(1, 1), (2, 2)])]
@@ -215,8 +227,9 @@ class TestForegroundOnlyWindow:
         registered = []
 
         def recording(window, target_index):
-            registered.extend(f.points.class_id for f in window)
-            return register_window(window, target_index)
+            out = register_window(window, target_index)
+            registered.extend(cloud.class_id for cloud in out)
+            return out
 
         monkeypatch.setattr(pipeline, "register_window", recording)
         config = PipelineConfig()

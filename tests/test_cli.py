@@ -241,12 +241,16 @@ def _bad_label(fields, frame="0", name="frame_000000.txt"):
 
 
 def _label_files(*names):
-    """Empty label files; the last name is the one the error must name."""
+    """Empty label files, or directories for names ending in "/"; the last
+    name is the one the error must name."""
     def build(dataset, tmp):
         labels = tmp / "labels"
         labels.mkdir()
         for name in names:
-            (labels / name).write_text("")
+            if name.endswith("/"):
+                (labels / name).mkdir()
+            else:
+                (labels / name).write_text("")
         return (["mock-detect", str(dataset), "--labels", str(labels),
                  "--out", str(tmp / "out")], str(labels / names[-1]))
     return build
@@ -385,6 +389,7 @@ MALFORMED = {
     "label-frame_id-differs": _bad_label("10 0 0.8 4 1.8 1.6 0", frame="7",
                                          name="frame_000003.txt"),
     "frame_abc.txt": _label_files("frame_abc.txt"),
+    "frame_000001.txt-directory": _label_files("frame_000001.txt/"),
     "frame_1_copy.txt": _label_files("frame_000001.txt", "frame_1_copy.txt"),
     "frame_1.txt-beside-frame_000001.txt": _label_files("frame_000001.txt",
                                                         "frame_1.txt"),
@@ -461,6 +466,9 @@ MALFORMED = {
         "lambdas: must be a list of finite numbers, got (nan, 0.5, 0.5)"),
     "config-seed-2.5": _bad_config({"seed": 2.5}, "seed: must be an integer, got 2.5",
                                    "mock-detect"),
+    "config-eval_iou_thresholds-repeated": _bad_config(
+        {"eval_iou_thresholds": [0.5, 0.5]},
+        "eval_iou_thresholds: must be distinct", "evaluate"),
     "config-seed--1": _bad_config({"seed": -1}, "seed: must be >= 0",
                                   "mock-detect"),
     "config-class_agnostic_eval-1": _bad_config(

@@ -39,6 +39,15 @@ class TestPoints:
         assert back.xyz.tobytes() == cloud.xyz.tobytes()
         np.testing.assert_array_equal(back.class_id, cloud.class_id)
 
+    @pytest.mark.parametrize("cls", [70000, -1])
+    def test_binary_rejects_class_outside_uint16(self, tmp_path, cls):
+        # Text round-trips these ids; uint16 records would wrap them.
+        cloud = PointCloud(np.zeros((2, 3)), np.array([1, cls], dtype=np.int32))
+        with pytest.raises(ValueError, match=f"class id {cls} "):
+            dataio.write_points_binary(tmp_path / "p.bin", cloud)
+        dataio.write_points_text(tmp_path / "p.txt", cloud)
+        assert dataio.read_points(tmp_path / "p.txt").class_id.tolist() == [1, cls]
+
     def test_truncated_binary_names_record(self, tmp_path, rng):
         cloud = random_cloud(rng, n=10)
         path = tmp_path / "p.bin"

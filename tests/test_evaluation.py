@@ -156,6 +156,14 @@ class TestReport:
         assert rep.range_bins[1].mae()[0] == pytest.approx(0.2, abs=1e-9)
         assert int(rep.iou_histogram.sum()) == 2
 
+    def test_repeated_threshold_rejected(self):
+        # Counted once per threshold entry, a repeat would double every count.
+        gts = [veh(5, 0)]
+        with pytest.raises(ValueError, match="repeated IoU threshold"):
+            compute_report([(gts, [0.9], gts)], thresholds=(0.5, 0.5))
+        assert compute_report([(gts, [0.9], gts)],
+                              thresholds=(0.5,)).counts[0.5]["overall"].tp == 1
+
     def test_empty_dataset(self):
         rep = compute_report([])
         assert rep.n_frames == 0
