@@ -44,12 +44,14 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="pipeline config JSON (defaults used when omitted)")
     p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help="worker count (default: all cores, or "
-                        f"${pipeline.THREADS_ENV_VAR})")
+                   help=(f"worker count (default: all cores, or "
+                         f"${pipeline.THREADS_ENV_VAR})") if workers else
+                        ("checked but unused: only generate starts workers, "
+                         "this command runs in one process"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate pseudo-labels for a dataset")
     p.add_argument("dataset", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, workers=True)
 
     p = sub.add_parser("refine", help="run one self-training refinement round")
     p.add_argument("dataset", type=Path)

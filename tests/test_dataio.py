@@ -14,7 +14,7 @@ from sembox.dataio import FormatError
 from sembox.geometry import Box3D, PointCloud, Pose
 from sembox.refine import Prediction
 from sembox.scoring import PseudoLabel, ScoreBreakdown
-from sembox.synth import generate_sequence, preset_scene
+from sembox.synth import generate_sequence, perf_scene, preset_scene
 
 
 def random_cloud(rng, n=50):
@@ -280,6 +280,81 @@ class TestBulkMatchesLines:
                            np.arange(len(xyz)))
         dataio.write_points_text(tmp_path / "p.txt", cloud)
         assert (tmp_path / "p.txt").read_text() == line_points_text(cloud)
+
+    @staticmethod
+    def _assert_oracle_bytes(tmp_path, xyz, cls=None):
+        xyz = np.array(xyz, dtype=np.float64).reshape(-1, 3)
+        cloud = PointCloud(xyz, np.zeros(len(xyz)) if cls is None else cls)
+        dataio.write_points_text(tmp_path / "p.txt", cloud)
+        assert (tmp_path / "p.txt").read_text() == line_points_text(cloud)
+
+    # Coordinates in %g's fixed-notation range, many with trailing zeros.
+    _FIXED_RANGE = st.one_of(st.floats(-1e10, 1e10),
+                             st.integers(-10**12, 10**12).map(lambda k: k / 1e6),
+                             st.integers(-10**6, 10**6).map(lambda k: k * 1e-9))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(xyz=st.lists(st.tuples(*[_FIXED_RANGE] * 3), max_size=20),
+           cls=st.integers(-2**31, 2**31 - 1))
+    def test_points_writer_bytes_fixed_notation(self, tmp_path, xyz, cls):
+        self._assert_oracle_bytes(tmp_path, xyz, np.full(len(xyz), cls))
+
+    @pytest.mark.parametrize("e", range(-5, 11))
+    def test_points_writer_near_ties(self, tmp_path, e):
+        # (k + 0.5) * 10**(e - 9) sits on or next to a rounding tie of the
+        # 10th significant digit; each value comes with its +-1 ulp neighbours.
+        k = np.array([10**9, 1234567890, 5000000000, 9999999998, 9999999999])
+        v = (k + 0.5) * 10.0 ** (e - 9)
+        v = np.concatenate([v, np.nextafter(v, 0), np.nextafter(v, np.inf)])
+        self._assert_oracle_bytes(tmp_path, np.column_stack([v, -v, v[::-1]]))
+
+    def test_points_writer_notation_edges(self, tmp_path):
+        tens = 10.0 ** np.arange(-6, 13)
+        # tens * (1 - 3e-11) rounds up to the next power at 10 digits.
+        v = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                            tens * (1 - 3e-11), tens * (1 - 7e-11),
+                            [1e-4, 9.99999999995e-5, 9.9999999999e-5,
+                             9999999999.5, 9999999999.4, 1e10, 999999999.95]])
+        self._assert_oracle_bytes(tmp_path, np.column_stack([v, -v, v[::-1]]))
+
+    def test_points_writer_zero_nonfinite_subnormal(self, tmp_path):
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
+        rows = [[s, 1.5, -2.25] for s in special] + [[1.5, s, s] for s in special]
+        self._assert_oracle_bytes(tmp_path, rows)
+
+    @pytest.mark.parametrize("cls", [0, -1, 9, 10, 99999, 100000,
+                                     2**31 - 1, -2**31])
+    def test_points_writer_class_ids(self, tmp_path, cls):
+        self._assert_oracle_bytes(tmp_path, [[1.5, -2.5, 0.125], [3.0, 0.0, 7.0]],
+                                  [cls, 1])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_points_writer_chunk_edges(self, tmp_path, rng, extra):
+        n = dataio._POINTS_CHUNK + extra
+        xyz = rng.uniform(-80, 80, (n, 3))
+        # Rows formatted by % alone at the first and last row of each chunk.
+        for at in {0, n - 1, dataio._POINTS_CHUNK - 1, dataio._POINTS_CHUNK} & set(range(n)):
+            xyz[at, at % 3] = 0.0
+        cls = rng.integers(-3, 12, n)
+        self._assert_oracle_bytes(tmp_path, xyz, cls)
+        self._assert_oracle_bytes(tmp_path, xyz[:1], cls[:1])
+
+    @pytest.fixture(scope="class")
+    def perf_frame(self):
+        return generate_sequence(perf_scene(0))[0][0].points
+
+    def test_points_writer_perf_frame(self, tmp_path, monkeypatch, perf_frame):
+        # The % route is for rows the fast route cannot prove; on a real
+        # frame it must stay rare, or the writer loses its speed.
+        calls = []
+        point_line = dataio._point_line
+        monkeypatch.setattr(dataio, "_point_line",
+                            lambda *row: calls.append(row) or point_line(*row))
+        dataio.write_points_text(tmp_path / "p.txt", perf_frame)
+        assert (tmp_path / "p.txt").read_text() == line_points_text(perf_frame)
+        assert len(calls) < 0.01 * len(perf_frame)
 
     def test_text_and_binary_load_equal_arrays(self, tmp_path, rng):
         # Coordinates with 10 significant digits survive text exactly.
