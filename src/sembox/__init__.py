@@ -14,9 +14,8 @@ from .pipeline import aggregate_window, generate_labels, process_frame
 from .refine import (NoiseModel, Prediction, RefinedLabelSet,
                      box_absent_foreground_filter, mock_detector, refine_round,
                      semantic_consistency_filter, spatial_temporal_fine_tune)
-from .scoring import (MetaShape, PseudoLabel, ScoreBreakdown, alignment_score,
-                      label_weight, meta_shape_score, msf_score, nms_select,
-                      occupancy_score)
+from .scoring import (MetaShape, PseudoLabel, ScoreBreakdown, label_weight,
+                      meta_shape_score, msf_score, nms_select)
 from .synth import ObjectSpec, SceneSpec, generate_sequence, preset_scene
 
 __version__ = "0.1.0"

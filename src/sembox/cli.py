@@ -25,7 +25,7 @@ from . import dataio, evaluation, pipeline
 from .config import ConfigError, PipelineConfig
 from .dataio import FormatError
 from .refine import NOISE_PROFILES, NoiseModel, mock_detector, refine_round
-from .scoring import PseudoLabel, label_weight
+from .scoring import PseudoLabel
 from .synth import PRESET_NAMES, generate_sequence, preset_scene
 
 logger = logging.getLogger("sembox")
@@ -191,9 +191,7 @@ def cmd_score_labels(args) -> int:
     for fid in sorted(loaded):
         dense = pipeline.aggregate_window(frames, index_of[fid], config)
         scores = config.score_boxes([lab.box for lab in loaded[fid]], dense.points)
-        out = [PseudoLabel(lab.box, sc,
-                           label_weight(sc.msf, config.theta_low, config.theta_high),
-                           lab.source)
+        out = [config.label(lab.box, sc, lab.source)
                for lab, sc in zip(loaded[fid], scores)]
         rescored[fid] = out
         for old, new in zip(loaded[fid], out):

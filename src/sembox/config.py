@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .clustering import ClusterParams
 from .geometry import Box3D, PointCloud, PointIndex
-from .scoring import MetaShape, ScoreBreakdown, msf_score, validate_lambdas
+from .scoring import (MetaShape, PseudoLabel, ScoreBreakdown, label_weight,
+                      msf_score, validate_lambdas)
 
 
 class ConfigError(ValueError):
@@ -234,6 +235,13 @@ class PipelineConfig:
                                       self.lambdas, self.occ_grid_r)
         return [scores[b] for b in boxes]
 
+    def label(self, box: Box3D, scores: ScoreBreakdown,
+              source: str) -> PseudoLabel:
+        """A scored box as a label, weighted from its msf by this config's
+        thresholds."""
+        return PseudoLabel(box, scores, label_weight(
+            scores.msf, self.theta_low, self.theta_high), source)
+
     @property
     def num_classes(self) -> int:
         return max(self.classes)
@@ -268,9 +276,6 @@ class PipelineConfig:
             raise
         except (TypeError, ValueError) as e:  # a value of the wrong type
             raise ConfigError(f"config: {e}") from e
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @staticmethod
     def from_json(path: str | Path) -> "PipelineConfig":

@@ -57,7 +57,7 @@ import numpy as np
 from .aggregation import Frame
 from .geometry import Box3D, PointCloud, Pose
 from .refine import Prediction
-from .scoring import PseudoLabel, ScoreBreakdown, label_weight
+from .scoring import SOURCE_INIT, PseudoLabel, ScoreBreakdown, label_weight
 
 logger = logging.getLogger("sembox")
 
@@ -534,13 +534,9 @@ def write_dataset(root: str | Path, frames: list[Frame],
         })
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if gt is not None:
-        gt_labels = {
-            fid: [
-                PseudoLabel(box, ScoreBreakdown(1.0, 1.0, 1.0, 1.0), 1.0, "init")
-                for box in boxes
-            ]
-            for fid, boxes in gt.items()
-        }
+        perfect = ScoreBreakdown(1.0, 1.0, 1.0, 1.0)
+        gt_labels = {fid: [PseudoLabel(box, perfect, 1.0, SOURCE_INIT)
+                           for box in boxes] for fid, boxes in gt.items()}
         write_box_dir(root / "gt_labels", gt_labels, kind="labels")
 
 

@@ -66,10 +66,6 @@ class Pose:
             raise ValueError(f"pose rotation determinant {det:.8f} != +1")
 
     @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    @staticmethod
     def from_xyz_yaw(x: float, y: float, z: float, yaw: float) -> "Pose":
         c, s = math.cos(yaw), math.sin(yaw)
         r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

@@ -20,7 +20,7 @@ from .aggregation import (DenseCloud, Frame, build_dense_cloud,
 from .clustering import multi_scale_cluster
 from .config import ConfigError, PipelineConfig
 from .geometry import BevGridSpec
-from .scoring import PseudoLabel, label_sort_key, nms_select
+from .scoring import SOURCE_INIT, PseudoLabel, label_sort_key, nms_select
 
 THREADS_ENV_VAR = "SEMBOX_THREADS"
 
@@ -63,9 +63,10 @@ def process_frame(frames: list[Frame], index: int,
     dense = aggregate_window(frames, index, config)
     candidates = multi_scale_cluster(dense.points, config.cluster_params(),
                                      config.yaw_step_deg, config.fit_criterion)
-    scores = config.score_boxes([c.box for c in candidates], dense.points)
-    labels = nms_select(candidates, scores, config.nms_iou_threshold,
-                        config.theta_low, config.theta_high)
+    boxes = [c.box for c in candidates]
+    scores = config.score_boxes(boxes, dense.points)
+    labels = [config.label(boxes[i], scores[i], SOURCE_INIT)
+              for i in nms_select(boxes, scores, config.nms_iou_threshold)]
     labels.sort(key=label_sort_key)
     return labels
 

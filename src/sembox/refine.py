@@ -24,7 +24,7 @@ from .config import PipelineConfig
 from .geometry import (BevGridSpec, Box3D, PointCloud, bev_candidate_pairs,
                        bev_iou, transform_box)
 from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
-                      label_weight, selection_order)
+                      selection_order)
 
 
 @dataclass(frozen=True)
@@ -222,10 +222,8 @@ def refine_round(frames: list[Frame],
     for fr in frames:
         boxes = refined[fr.frame_id]
         scores = config.score_boxes([rb.box for rb in boxes], fr.foreground)
-        frame_labels = [PseudoLabel(
-            box=rb.box, scores=sc,
-            weight=label_weight(sc.msf, config.theta_low, config.theta_high),
-            source=rb.source) for rb, sc in zip(boxes, scores)]
+        frame_labels = [config.label(rb.box, sc, rb.source)
+                        for rb, sc in zip(boxes, scores)]
         frame_labels.sort(key=label_sort_key)
         labels[fr.frame_id] = frame_labels
         retained[fr.frame_id] = box_absent_foreground_filter(fr, frame_labels)

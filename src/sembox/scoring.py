@@ -14,7 +14,7 @@ A candidate box is scored by three complementary signals, each in [0, 1]:
 
 The combined score is a convex combination of the three. Selection keeps,
 per class, greedily by combined score, every candidate that overlaps no
-already-kept box above the IoU threshold.
+already-kept box at or above the IoU threshold.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import BoxCandidate
 from .geometry import Box3D, bev_iou, in_box_frame
 
 SOURCE_INIT = "init"
@@ -53,7 +52,6 @@ class ScoreBreakdown:
     alg: float
     ms: float
     msf: float
-    lambdas: tuple[float, float, float] | None = None  # None for loaded labels
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,8 @@ def _box_grid_counts(box: Box3D, xyz: np.ndarray, r: int):
 
 
 def _occupancy(grid) -> float:
-    return float(np.count_nonzero(grid[0])) / float(grid[0].size)
-
-
-def occupancy_score(box: Box3D, xyz: np.ndarray, r: int = 7) -> float:
     """Fraction of the r x r footprint grid occupied by in-box points."""
-    return _occupancy(_box_grid_counts(box, xyz, r))
+    return float(np.count_nonzero(grid[0])) / float(grid[0].size)
 
 
 def alignment_from_angles(alpha: float, theta: float) -> float:
@@ -116,6 +110,13 @@ def alignment_from_angles(alpha: float, theta: float) -> float:
 
 
 def _alignment(grid) -> float:
+    """Alignment of the densest in-box region with the box heading.
+
+    The densest cell of the r x r footprint grid plus its 8-neighborhood is
+    selected; the principal direction of those points (leading eigenvector
+    of their xy covariance) is compared with the heading. Fewer than two
+    points, or zero spatial variance, is uninformative and scores 0.
+    """
     counts, ci, cj, p = grid
     if len(p) < 2 or counts.max() == 0:
         return 0.0
@@ -135,17 +136,6 @@ def _alignment(grid) -> float:
     theta = math.atan2(v[1], v[0])
     # p is already in the box frame, so the heading is at angle 0.
     return alignment_from_angles(0.0, theta)
-
-
-def alignment_score(box: Box3D, xyz: np.ndarray, r: int = 7) -> float:
-    """Alignment of the densest in-box region with the box heading.
-
-    The densest cell of the r x r footprint grid plus its 8-neighborhood is
-    selected; the principal direction of those points (leading eigenvector
-    of their xy covariance) is compared with the heading. Fewer than two
-    points, or zero spatial variance, is uninformative and scores 0.
-    """
-    return _alignment(_box_grid_counts(box, xyz, r))
 
 
 def meta_shape_score(box: Box3D, meta: MetaShape) -> float:
@@ -178,7 +168,7 @@ def combine_scores(occ: float, alg: float, ms: float,
     """Convex combination of the three sub-scores."""
     validate_lambdas(lambdas)
     msf = lambdas[0] * occ + lambdas[1] * alg + lambdas[2] * ms
-    return ScoreBreakdown(occ, alg, ms, msf, tuple(lambdas))
+    return ScoreBreakdown(occ, alg, ms, msf)
 
 
 def msf_score(box: Box3D, class_xyz: np.ndarray, meta: MetaShape,
@@ -210,27 +200,21 @@ def selection_order(scores: list[ScoreBreakdown]) -> list[int]:
                   key=lambda i: (-scores[i].msf, -scores[i].occ, i))
 
 
-def nms_select(candidates: list[BoxCandidate], scores: list[ScoreBreakdown],
-               iou_threshold: float, theta_low: float,
-               theta_high: float) -> list[PseudoLabel]:
-    """Greedy per-class NMS keeping the best-scored non-overlapping boxes.
+def nms_select(boxes: list[Box3D], scores: list[ScoreBreakdown],
+               iou_threshold: float) -> list[int]:
+    """Greedy per-class NMS: indices of the kept boxes, in selection order.
 
-    A candidate is kept iff its BEV IoU with every already-kept box of the
-    same class is below the threshold. Kept candidates become labels with
-    their Eq-style training weight attached.
+    A box is kept iff its BEV IoU with every already-kept box of the same
+    class is below the threshold.
     """
-    if len(candidates) != len(scores):
-        raise ValueError("candidates and scores must align")
-    kept: list[PseudoLabel] = []
+    if len(boxes) != len(scores):
+        raise ValueError("boxes and scores must align")
+    kept: list[int] = []
     kept_boxes: dict[int, list[Box3D]] = {}
     for i in selection_order(scores):
-        cand = candidates[i]
-        boxes = kept_boxes.setdefault(cand.box.class_id, [])
-        if any(bev_iou(cand.box, kb) >= iou_threshold for kb in boxes):
+        same_class = kept_boxes.setdefault(boxes[i].class_id, [])
+        if any(bev_iou(boxes[i], kb) >= iou_threshold for kb in same_class):
             continue
-        boxes.append(cand.box)
-        kept.append(PseudoLabel(
-            box=cand.box, scores=scores[i],
-            weight=label_weight(scores[i].msf, theta_low, theta_high),
-            source=SOURCE_INIT))
+        same_class.append(boxes[i])
+        kept.append(i)
     return kept

@@ -136,7 +136,7 @@ class TestMotionGridOracle:
 
 
 def make_frame(fid, cloud, pose=None):
-    return Frame(fid, fid * 0.1, pose or Pose.identity(), cloud)
+    return Frame(fid, fid * 0.1, pose or Pose(np.eye(3), np.zeros(3)), cloud)
 
 
 class TestRegister:

@@ -570,7 +570,7 @@ class TestConfig:
         cfg = PipelineConfig(window_half_size=3, cell_size=0.5,
                              nms_iou_threshold=0.25)
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        path.write_text(json.dumps(cfg.to_dict()))
         back = PipelineConfig.from_json(path)
         assert back == cfg
 

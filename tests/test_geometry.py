@@ -31,7 +31,7 @@ def pose_strategy():
 class TestTransform:
     def test_identity(self):
         cloud = make_cloud([[1, 2, 3], [4, 5, 6]])
-        out = cloud.transformed(Pose.identity())
+        out = cloud.transformed(Pose(np.eye(3), np.zeros(3)))
         np.testing.assert_array_equal(out.xyz, cloud.xyz)
         np.testing.assert_array_equal(out.class_id, cloud.class_id)
 

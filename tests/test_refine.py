@@ -22,7 +22,7 @@ from conftest import with_background
 
 
 def frame_with(xyz, cls, fid=0, pose=None):
-    return Frame(fid, 0.1 * fid, pose or Pose.identity(),
+    return Frame(fid, 0.1 * fid, pose or Pose(np.eye(3), np.zeros(3)),
                  PointCloud(np.asarray(xyz, float),
                             np.asarray(cls, np.int32)))
 

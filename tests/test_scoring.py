@@ -8,9 +8,9 @@ from sembox import config as config_module, scoring
 from sembox.clustering import BoxCandidate
 from sembox.config import PipelineConfig
 from sembox.geometry import Box3D, PointCloud, Pose, bev_iou, in_box_frame
-from sembox.scoring import (MetaShape, alignment_from_angles, alignment_score,
-                            combine_scores, label_weight, meta_shape_score,
-                            msf_score, nms_select, occupancy_score)
+from sembox.scoring import (MetaShape, alignment_from_angles, combine_scores,
+                            label_weight, meta_shape_score, msf_score,
+                            nms_select)
 
 from conftest import random_box
 
@@ -35,31 +35,31 @@ class TestOccupancy:
     def test_full_coverage(self):
         box = Box3D(2, -3, 0.5, 4.2, 1.9, 1.5, 0.4)
         cells = [(i, j) for i in range(7) for j in range(7)]
-        assert occupancy_score(box, grid_cell_points(box, cells)) == 1.0
+        assert msf_score(box, grid_cell_points(box, cells), VEH_META).occ == 1.0
 
     def test_partial_coverage(self):
         box = Box3D(0, 0, 0, 4.6, 1.8, 1.6, 0.0)
         cells = [(i, j) for i in range(7) for j in range(7)][:24]
-        got = occupancy_score(box, grid_cell_points(box, cells))
+        got = msf_score(box, grid_cell_points(box, cells), VEH_META).occ
         assert got == pytest.approx(24 / 49, abs=1e-12)
 
     def test_empty_box(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0.0)
-        assert occupancy_score(box, np.zeros((0, 3))) == 0.0
+        assert msf_score(box, np.zeros((0, 3)), VEH_META).occ == 0.0
         far = np.array([[50.0, 50.0, 0.0]])
-        assert occupancy_score(box, far) == 0.0
+        assert msf_score(box, far, VEH_META).occ == 0.0
 
     def test_rigid_invariance(self, rng):
         box = Box3D(1, 2, 0.2, 4.0, 1.6, 1.4, 0.3)
         cells = [(i, j) for i in range(7) for j in range(7)][::3]
         pts = grid_cell_points(box, cells, jitter=0.05, rng=rng)
-        base = occupancy_score(box, pts)
+        base = msf_score(box, pts, VEH_META).occ
         for _ in range(10):
             pose = Pose.from_xyz_yaw(*rng.uniform(-20, 20, 2), rng.uniform(-2, 2),
                                      rng.uniform(-math.pi, math.pi))
             moved_box = Box3D(*pose.apply(box.center.reshape(1, 3))[0],
                               box.l, box.w, box.h, box.yaw + pose.yaw)
-            moved = occupancy_score(moved_box, pose.apply(pts))
+            moved = msf_score(moved_box, pose.apply(pts), VEH_META).occ
             assert moved == pytest.approx(base, abs=1e-9)
 
 
@@ -75,12 +75,13 @@ def line_points(angle, n=60, length=3.0, z=0.5, center=(0.0, 0.0)):
 class TestAlignment:
     def test_parallel_line_scores_one(self):
         box = Box3D(0, 0, 0.5, 4, 2, 1.5, 0.3)
-        assert alignment_score(box, line_points(0.3)) == pytest.approx(1.0, abs=1e-6)
+        got = msf_score(box, line_points(0.3), VEH_META).alg
+        assert got == pytest.approx(1.0, abs=1e-6)
 
     def test_perpendicular_line_scores_one(self):
         box = Box3D(0, 0, 0.5, 4, 2, 1.5, 0.3)
         pts = line_points(0.3 + math.pi / 2, length=1.5)
-        assert alignment_score(box, pts) == pytest.approx(1.0, abs=1e-6)
+        assert msf_score(box, pts, VEH_META).alg == pytest.approx(1.0, abs=1e-6)
 
     def test_quarter_pi_off(self):
         assert alignment_from_angles(0.2, 0.2 + math.pi / 4) == pytest.approx(
@@ -88,12 +89,12 @@ class TestAlignment:
 
     def test_too_few_points(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
-        assert alignment_score(box, np.array([[0.0, 0.0, 0.0]])) == 0.0
+        assert msf_score(box, np.array([[0.0, 0.0, 0.0]]), VEH_META).alg == 0.0
 
     def test_zero_variance(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
         pts = np.tile([[0.1, 0.2, 0.0]], (5, 1))
-        assert alignment_score(box, pts) == 0.0
+        assert msf_score(box, pts, VEH_META).alg == 0.0
 
     def test_heading_relabel_invariance(self):
         # The same physical box entered with swapped extents; the canonical
@@ -101,8 +102,8 @@ class TestAlignment:
         pts = line_points(1.0, center=(1, 2))
         a = Box3D(1, 2, 0.5, 4, 2, 1.5, 1.0)
         b = Box3D(1, 2, 0.5, 2, 4, 1.5, 1.0 - math.pi / 2)
-        assert alignment_score(a, pts) == pytest.approx(
-            alignment_score(b, pts), abs=1e-9)
+        assert msf_score(a, pts, VEH_META).alg == pytest.approx(
+            msf_score(b, pts, VEH_META).alg, abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(-10, 10), theta=st.floats(-10, 10))
@@ -247,27 +248,32 @@ class TestLabelWeight:
         assert label_weight(lo) <= label_weight(hi)
 
 
-def candidate(box, cluster=(0,)):
-    return BoxCandidate(box, 0.5, np.array(cluster))
+class TestLabel:
+    def test_weight_from_config_thresholds(self):
+        config = PipelineConfig(theta_low=0.2, theta_high=0.6)
+        box = Box3D(0, 0, 0, 4, 2, 1.5, 0, class_id=1)
+        for occ, weight in ((0.1, 0.0), (0.2, 0.0), (0.5, 0.75), (0.6, 1.0),
+                            (0.9, 1.0)):
+            sb = combine_scores(occ, 0.0, 0.0, (1.0, 0.0, 0.0))
+            lab = config.label(box, sb, "stcf-refined")
+            assert (lab.box, lab.scores, lab.source) == (box, sb, "stcf-refined")
+            assert lab.weight == pytest.approx(weight, abs=1e-12)
+            assert lab.weight == label_weight(occ, 0.2, 0.6)
+
+
+def scored(*msf):
+    return [combine_scores(m, m, m, (1 / 3,) * 3) for m in msf]
 
 
 class TestNms:
     def test_identical_boxes_keep_best(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0, class_id=1)
-        cands = [candidate(box), candidate(box)]
-        scores = [combine_scores(0.9, 0.9, 0.9, (1 / 3,) * 3),
-                  combine_scores(0.7, 0.7, 0.7, (1 / 3,) * 3)]
-        kept = nms_select(cands, scores, 0.2, 0.4, 0.8)
-        assert len(kept) == 1
-        assert kept[0].scores.msf == pytest.approx(0.9)
-        assert kept[0].source == "init"
+        assert nms_select([box, box], scored(0.7, 0.9), 0.2) == [1]
 
     def test_disjoint_boxes_both_kept(self):
         a = Box3D(0, 0, 0, 4, 2, 1.5, 0, class_id=1)
         b = Box3D(20, 0, 0, 4, 2, 1.5, 0, class_id=1)
-        scores = [combine_scores(0.8, 0.8, 0.8, (1 / 3,) * 3)] * 2
-        kept = nms_select([candidate(a), candidate(b)], scores, 0.2, 0.4, 0.8)
-        assert len(kept) == 2
+        assert nms_select([a, b], scored(0.8, 0.8), 0.2) == [0, 1]
 
     def test_adjacency_scenario(self):
         # Two tight boxes and one merged box overlapping both: the merged
@@ -276,43 +282,51 @@ class TestNms:
         b = Box3D(0, -1.15, 0, 4.6, 1.8, 1.6, 0, class_id=1)
         merged = Box3D(0, 0, 0, 4.6, 4.1, 1.6, 0, class_id=1)
         lam = (1 / 3, 1 / 3, 1 / 3)
-        cands = [candidate(a), candidate(b), candidate(merged)]
-        scores = [combine_scores(0.5, 0.9, 1.0, lam),
+        scores = [combine_scores(0.5, 0.9, 0.0, lam),
                   combine_scores(0.5, 0.9, 1.0, lam),
-                  combine_scores(0.5, 0.9, 0.0, lam)]
-        kept = nms_select(cands, scores, 0.2, 0.4, 0.8)
-        assert len(kept) == 2
-        assert {k.box.cy for k in kept} == {1.15, -1.15}
+                  combine_scores(0.5, 0.9, 1.0, lam)]
+        assert nms_select([merged, a, b], scores, 0.2) == [1, 2]
 
     def test_classes_do_not_suppress_each_other(self):
         a = Box3D(0, 0, 0, 1.8, 0.6, 1.7, 0, class_id=3)
         b = Box3D(0, 0, 0, 1.8, 0.8, 1.7, 0, class_id=2)
-        scores = [combine_scores(0.9, 0.9, 0.9, (1 / 3,) * 3),
-                  combine_scores(0.5, 0.5, 0.5, (1 / 3,) * 3)]
-        kept = nms_select([candidate(a), candidate(b)], scores, 0.2, 0.4, 0.8)
-        assert len(kept) == 2
+        assert nms_select([b, a], scored(0.5, 0.9), 0.2) == [1, 0]
 
+    def test_misaligned_inputs_rejected(self):
+        box = Box3D(0, 0, 0, 4, 2, 1.5, 0, class_id=1)
+        with pytest.raises(ValueError):
+            nms_select([box, box], scored(0.5), 0.2)
+
+    @pytest.mark.parametrize("iou_threshold", [0.0, 0.3, 1.0])
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_postconditions(self, seed):
+    def test_postconditions(self, iou_threshold, seed):
         rng = np.random.default_rng(seed)
         lam = (1 / 3, 1 / 3, 1 / 3)
-        cands, scores = [], []
-        for _ in range(12):
-            b = random_box(rng, span=6)
-            cands.append(candidate(b))
-            scores.append(combine_scores(*rng.uniform(0, 1, 3), lam))
-        kept = nms_select(cands, scores, 0.3, 0.4, 0.8)
-        boxes = [k.box for k in kept]
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                assert bev_iou(boxes[i], boxes[j]) < 0.3
-        kept_msf = {k.scores.msf for k in kept}
-        for cand, sb in zip(cands, scores):
-            if sb.msf in kept_msf:
-                continue
-            # Every suppressed candidate overlaps a kept box with >= msf.
-            assert any(bev_iou(cand.box, k.box) >= 0.3
-                       and k.scores.msf >= sb.msf for k in kept)
-        for k in kept:
-            assert k.weight == label_weight(k.scores.msf, 0.4, 0.8)
+        boxes = [random_box(rng, span=6, class_id=int(rng.integers(1, 3)))
+                 for _ in range(12)]
+        boxes += [boxes[i] for i in rng.integers(0, 12, 3)]  # exact duplicates
+        scores = [combine_scores(*rng.uniform(0, 1, 3), lam) for _ in boxes]
+        kept = nms_select(boxes, scores, iou_threshold)
+        assert len(set(kept)) == len(kept)
+        # Selection order: best score first.
+        assert [scores[i].msf for i in kept] == sorted(
+            (scores[i].msf for i in kept), reverse=True)
+        for n, i in enumerate(kept):
+            for j in kept[n + 1:]:
+                if boxes[i].class_id == boxes[j].class_id:
+                    assert bev_iou(boxes[i], boxes[j]) < iou_threshold
+        for j in set(range(len(boxes))) - set(kept):
+            # Every suppressed box overlaps a kept box of its class with
+            # >= msf at or above the threshold.
+            assert any(boxes[i].class_id == boxes[j].class_id
+                       and bev_iou(boxes[i], boxes[j]) >= iou_threshold
+                       and scores[i].msf >= scores[j].msf for i in kept)
+        classes = {b.class_id for b in boxes}
+        if iou_threshold == 0.0:
+            # Any two boxes overlap at IoU >= 0: one box per class survives.
+            assert sorted(boxes[i].class_id for i in kept) == sorted(classes)
+        if iou_threshold == 1.0:
+            # Only an exact duplicate can reach IoU 1: every distinct box
+            # is kept.
+            assert {boxes[i] for i in kept} == set(boxes)

@@ -1,0 +1,48 @@
+"""Static checks on the package source; no linter is a dependency."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sembox
+
+MODULES = sorted(p for p in Path(sembox.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads. A quoted annotation counts
+    as a read of the names in it."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import json\nimport numpy as np\nfrom math import pi, tau\n"
+              "x: 'np.ndarray' = tau\n")
+    assert unused_imports(source) == ["line 2: json", "line 4: pi"]
