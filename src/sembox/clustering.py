@@ -9,7 +9,6 @@ selection downstream keeps the best per instance.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,72 +60,40 @@ class BoxCandidate:
     cluster_point_indices: np.ndarray
 
 
-class _Members:
-    """Some points of a _CellGrid, grouped by cell: cell k holds
-    order[start[k]:start[k] + length[k]]. lo and hi bound each cell's
-    members per axis (+inf and -inf for a cell with none)."""
-
-    def __init__(self, pts: np.ndarray, order: np.ndarray, cell_of: np.ndarray,
-                 ncells: int):
-        self.order = order
-        self.length = np.bincount(cell_of[order], minlength=ncells)
-        self.start = np.r_[0, np.cumsum(self.length)[:-1]]
-        d = pts.shape[1]
-        self.lo = np.full((ncells, d), np.inf)
-        self.hi = np.full((ncells, d), -np.inf)
-        full = self.length > 0
-        if full.any():
-            self.lo[full] = np.minimum.reduceat(pts[order], self.start[full])
-            self.hi[full] = np.maximum.reduceat(pts[order], self.start[full])
-
-    def extremes(self, pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """(ncells, ndirs) point of each cell furthest along each direction,
-        ties to the first in `order`; -1 where the cell has no members."""
-        proj = pts[self.order] @ dirs.T
-        full = self.length > 0
-        seg = np.repeat(np.arange(int(full.sum())), self.length[full])
-        top = np.maximum.reduceat(proj, self.start[full])
-        pos = np.where(proj == top[seg], np.arange(len(proj))[:, None],
-                       len(proj))
-        out = np.full((len(self.length), len(dirs)), -1)
-        out[full] = self.order[np.minimum.reduceat(pos, self.start[full])]
-        return out
-
-
 class _CellGrid:
-    """Points bucketed into square cells of side eps / sqrt(d).
+    """Points sorted into square cells of side eps / sqrt(d).
 
     The side is chosen so that any two points sharing a cell are within eps
     of each other (the cell diagonal is exactly eps), and any two points
-    within eps sit in cells no more than `reach` apart per axis. Along each
-    axis, a step longer than reach + 1 between consecutive occupied cell
-    coordinates shrinks to reach + 1: no neighbourhood changes, and the
-    packed cell keys cannot overflow however far apart the points lie.
+    within eps sit in cells no more than `reach` apart per axis. One
+    lexsort of the floored coordinates orders the points by cell, and by
+    index within a cell: cell k holds pts[start[k]:start[k] + length[k]],
+    with bounds lo[k] and hi[k] per axis. Along each axis, a step longer
+    than reach + 1 between consecutive occupied cell coordinates shrinks
+    to reach + 1: no neighbourhood changes, and the packed cell keys
+    cannot overflow however far apart the points lie.
     """
 
-    def __init__(self, pts: np.ndarray, eps: float):
-        n, d = pts.shape
-        self.pts = pts
+    def __init__(self, points: np.ndarray, eps: float):
+        n, d = points.shape
         self.reach = r = math.ceil(math.sqrt(d))
-        ij = np.empty((n, d), dtype=np.int64)
+        floor = np.floor(points.T / (eps / math.sqrt(d)))  # (d, n)
+        self.order = np.lexsort(floor)
+        floor = np.take(floor, self.order, axis=1)
+        self.pts = np.take(points, self.order, axis=0)
+        opens = np.r_[True, (floor[:, 1:] != floor[:, :-1]).any(axis=0)]
+        self.start = np.flatnonzero(opens)
+        self.length = np.diff(np.r_[self.start, n])
+        self.cell_of = np.cumsum(opens) - 1
+        self.lo = np.minimum.reduceat(self.pts, self.start)
+        self.hi = np.maximum.reduceat(self.pts, self.start)
+        ij = np.empty((len(self.start), d), dtype=np.int64)
         for axis in range(d):
-            rows, at = np.unique(np.floor(pts[:, axis] / (eps / math.sqrt(d))),
-                                 return_inverse=True)
+            rows, at = np.unique(floor[axis, self.start], return_inverse=True)
             steps = np.minimum(np.diff(rows), r + 1).astype(np.int64)
             ij[:, axis] = np.r_[r, r + np.cumsum(steps)][at.reshape(-1)]
         self.strides = np.cumprod([1, *(ij.max(axis=0) + r + 1)][:d])
-        keys = ij @ self.strides
-        self.order = np.argsort(keys, kind="stable")  # points grouped by cell
-        sorted_keys = keys[self.order]
-        opens = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-        self.keys = sorted_keys[opens]  # ascending, one per cell
-        self.cell_of = np.empty(n, dtype=np.int64)
-        self.cell_of[self.order] = np.cumsum(opens) - 1
-
-    def members(self, mask: np.ndarray) -> _Members:
-        """The points where mask holds, grouped by cell."""
-        return _Members(self.pts, self.order[mask[self.order]], self.cell_of,
-                        len(self.keys))
+        self.keys = ij @ self.strides  # ascending: the lexsort's cell order
 
     def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cell, neighbour, offset) for every ordered pair of cells no more
@@ -145,16 +112,16 @@ class _CellGrid:
 _PAIR_CHUNK = 1 << 20
 
 
-def _pair_chunks(a: _Members, b: _Members, ca: np.ndarray, cb: np.ndarray):
-    """Yield (k, i, j) over every member i of cell ca[k] in `a` times every
-    member j of cell cb[k] in `b`, in chunks of about _PAIR_CHUNK pairs; a
-    larger product is split by rows."""
-    a_len, b_len = a.length[ca], b.length[cb]
-    rows = np.maximum(1, _PAIR_CHUNK // np.maximum(b_len, 1))
+def _pair_chunks(grid: _CellGrid, ca: np.ndarray, cb: np.ndarray):
+    """Yield (k, i, j) over every point i of cell ca[k] times every point j
+    of cell cb[k], as positions in grid.pts, in chunks of about
+    _PAIR_CHUNK pairs; a larger product is split by rows."""
+    a_len, b_len = grid.length[ca], grid.length[cb]
+    rows = np.maximum(1, _PAIR_CHUNK // b_len)
     pieces = -(-a_len // rows)
     k = np.repeat(np.arange(len(ca)), pieces)
     skip = (np.arange(len(k)) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * rows[k]
-    a_at = a.start[ca[k]] + skip
+    a_at = grid.start[ca[k]] + skip
     size = np.minimum(rows[k], a_len[k] - skip) * b_len[k]
     chunk = (np.cumsum(size) - size) // _PAIR_CHUNK
     bounds = np.r_[0, np.flatnonzero(np.diff(chunk)) + 1, len(size)]
@@ -163,8 +130,26 @@ def _pair_chunks(a: _Members, b: _Members, ca: np.ndarray, cb: np.ndarray):
         r = np.arange(len(piece)) - np.repeat(np.cumsum(size[lo:hi]) - size[lo:hi],
                                              size[lo:hi])
         width = b_len[k[piece]]
-        yield (k[piece], a.order[a_at[piece] + r // width],
-               b.order[b.start[cb[k[piece]]] + r % width])
+        yield (k[piece], a_at[piece] + r // width,
+               grid.start[cb[k[piece]]] + r % width)
+
+
+def _facing_cores(grid: _CellGrid, core: np.ndarray, ca: np.ndarray,
+                  cb: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell pair k, the positions in grid.pts of the core of ca[k]
+    furthest along off[k] and of the core of cb[k] furthest along
+    -off[k], ties to the first; every cell must hold a core. Only the
+    points of the given pairs' cells are projected."""
+    cells, dirs = np.r_[ca, cb], np.r_[off, -off].astype(np.float64)
+    length = grid.length[cells]
+    seg = np.repeat(np.arange(len(cells)), length)
+    first = np.cumsum(length) - length
+    pos = grid.start[cells][seg] + np.arange(len(seg)) - first[seg]
+    proj = np.where(core[pos], (np.take(grid.pts, pos, axis=0) * dirs[seg]).sum(1),
+                    -np.inf)
+    top = np.maximum.reduceat(proj, first)[seg]
+    far = np.minimum.reduceat(np.where(proj == top, pos, len(core)), first)
+    return far[:len(ca)], far[len(ca):]
 
 
 def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,17 +180,19 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     permutation. Cluster ids follow each component's smallest point index.
 
     Exact grid implementation (Gunawan 2013; Gan & Tao, SIGMOD 2015),
-    vectorised over all cells at once: cells whose population reaches
-    min_pts are wholly core (their diagonal is eps); points of sparse cells
-    count their neighbours over the 5x5 (2D) neighbourhood; clusters are
-    connected components of core cells, with cell pairs linked when some
-    pair of their cores is within eps. A cell pair whose member bounding
-    boxes lie further apart than eps is never expanded into point pairs.
-    The link tests run in three tiers, cheapest first: each cell's first
-    core, then each cell's core furthest along the pair's offset, then
-    every core pair. A later tier sees only pairs still in different
-    components; the components, and so the labels, are the same whichever
-    tier finds a link.
+    vectorised over all cells at once on one copy of the points sorted by
+    cell, so every cell is a contiguous segment: cells whose population
+    reaches min_pts are wholly core (their diagonal is eps); points of
+    sparse cells count their neighbours over the 5x5 (2D) neighbourhood;
+    clusters are connected components of core cells, with cell pairs
+    linked when some pair of their cores is within eps. A cell pair whose
+    bounding boxes lie further apart than eps is never expanded into point
+    pairs; the bounds of a whole cell hold its cores and its borders, so
+    the reject is exact for both. The link tests run in three tiers,
+    cheapest first: each cell's first core, then each cell's core furthest
+    along the pair's offset, then every core pair. A later tier sees only
+    pairs still in different components; the components, and so the
+    labels, are the same whichever tier finds a link.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -214,6 +201,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a 2D array of positions")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     n = len(pts)
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
@@ -221,30 +210,31 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
     grid = _CellGrid(pts, eps)
     cell, nbr, off = grid.neighbor_pairs()
-    eps2 = eps * eps
+    p, eps2 = grid.pts, eps * eps
 
     def d2(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return ((pts[i] - pts[j]) ** 2).sum(-1)
+        return ((np.take(p, i, axis=0) - np.take(p, j, axis=0)) ** 2).sum(-1)
 
-    def near(a: _Members, b: _Members, ca: np.ndarray,
-             cb: np.ndarray) -> np.ndarray:
-        # Exact reject: the box gap never exceeds the distance of any
-        # member pair, rounding included.
-        gap = np.maximum(np.maximum(b.lo[cb] - a.hi[ca], a.lo[ca] - b.hi[cb]), 0.0)
-        return (gap ** 2).sum(-1) <= eps2
+    # Exact reject: the gap between two cells' bounds never exceeds the
+    # distance of any pair of their points, rounding included.
+    gap = np.maximum(np.maximum(grid.lo[nbr] - grid.hi[cell],
+                                grid.lo[cell] - grid.hi[nbr]), 0.0)
+    near = (gap ** 2).sum(-1) <= eps2
 
     # Core points: every point of a cell holding min_pts points; a point of
     # a sparse cell counts its eps-neighbours in the neighbouring cells.
-    every = grid.members(np.ones(n, dtype=bool))
-    core = np.zeros(n, dtype=bool)
-    core[every.order] = np.repeat(every.length >= min_pts, every.length)
-    sel = (every.length[cell] < min_pts) & near(every, every, cell, nbr)
+    core = np.repeat(grid.length >= min_pts, grid.length)
+    sel = (grid.length[cell] < min_pts) & near
     count = np.zeros(n, dtype=np.int64)
-    for _, i, j in _pair_chunks(every, every, cell[sel], nbr[sel]):
+    for _, i, j in _pair_chunks(grid, cell[sel], nbr[sel]):
         count += np.bincount(i[d2(i, j) <= eps2], minlength=n)
     core |= count >= min_pts
     if not core.any():
         return labels
+    at = np.flatnonzero(core)
+    opens = np.diff(grid.cell_of[at], prepend=-1) != 0
+    first = np.full(len(grid.start), -1)  # each cell's first core
+    first[grid.cell_of[at[opens]]] = at[opens]
 
     # Link core cells in three tiers of exact tests, each later tier only
     # for pairs still in different components: the first core of each cell
@@ -252,52 +242,48 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     # the cells' offset; the full cross product. Every link is a core pair
     # within eps, and a true link a tier skips joins cells already
     # connected, so the components are those of all core pairs within eps.
-    cores = grid.members(core)
-    sel = (nbr > cell) & near(cores, cores, cell, nbr)
+    sel = (nbr > cell) & (first[cell] >= 0) & (first[nbr] >= 0) & near
     ca, cb, off = cell[sel], nbr[sel], off[sel]
-    linked = d2(cores.order[cores.start[ca]], cores.order[cores.start[cb]]) <= eps2
-    root = connected_components(len(grid.keys), ca[linked], cb[linked])
+    linked = d2(first[ca], first[cb]) <= eps2
+    root = connected_components(len(first), ca[linked], cb[linked])
     todo = np.flatnonzero(root[ca] != root[cb])
     if len(todo):
-        need = np.zeros(len(grid.keys), dtype=bool)
-        need[ca[todo]] = need[cb[todo]] = True
-        part = grid.members(core & need[grid.cell_of])
-        dirs, dir_of = np.unique(off[todo], axis=0, return_inverse=True)
-        dir_of = dir_of.reshape(-1)
-        dirs = dirs.astype(np.float64)
-        linked[todo] = d2(part.extremes(pts, dirs)[ca[todo], dir_of],
-                          part.extremes(pts, -dirs)[cb[todo], dir_of]) <= eps2
-        root = connected_components(len(grid.keys), ca[linked], cb[linked])
+        linked[todo] = d2(*_facing_cores(grid, core, ca[todo], cb[todo],
+                                         off[todo])) <= eps2
+        root = connected_components(len(first), ca[linked], cb[linked])
         todo = todo[root[ca[todo]] != root[cb[todo]]]
         if len(todo):
-            for k, i, j in _pair_chunks(part, part, ca[todo], cb[todo]):
-                linked[todo[k[d2(i, j) <= eps2]]] = True
-            root = connected_components(len(grid.keys), ca[linked], cb[linked])
+            for k, i, j in _pair_chunks(grid, ca[todo], cb[todo]):
+                linked[todo[k[core[i] & core[j] & (d2(i, j) <= eps2)]]] = True
+            root = connected_components(len(first), ca[linked], cb[linked])
 
-    # Components numbered by their smallest core point index: the order in
-    # which ascending-seed expansion would discover them.
-    comp = root[grid.cell_of[cores.order]]
-    first = np.full(len(grid.keys), n)
-    np.minimum.at(first, comp, cores.order)
-    found = np.flatnonzero(first < n)
-    cluster = np.empty(len(grid.keys), dtype=np.int64)
-    cluster[found[np.argsort(first[found])]] = np.arange(len(found))
-    labels[cores.order] = cluster[comp]
+    # Components numbered by their smallest core point index, the order in
+    # which ascending-seed expansion would discover them: within a cell the
+    # points keep ascending index, so the first core is the cell's least.
+    full = np.flatnonzero(first >= 0)
+    least = np.full(len(first), n)
+    np.minimum.at(least, root[full], grid.order[first[full]])
+    found = np.flatnonzero(least < n)
+    cluster = np.empty(len(first), dtype=np.int64)
+    cluster[found[np.argsort(least[found])]] = np.arange(len(found))
+    sorted_labels = np.where(core, cluster[root[grid.cell_of]], -1)
 
     # Border points: non-core, adopted by the cluster of their nearest
-    # core within eps (exact ties to the smaller cluster id); else noise. A
-    # border point has fewer than min_pts such cores, so all hits fit.
-    borders = grid.members(~core)
-    sel = near(borders, cores, cell, nbr)
+    # core within eps (exact ties to the smaller cluster id); else noise.
+    # Only a sparse cell holds one, and a border point has fewer than
+    # min_pts such cores, so all hits fit.
+    sel = ~np.logical_and.reduceat(core, grid.start)[cell] & (first[nbr] >= 0) & near
     hit_i, hit_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for _, i, j in _pair_chunks(borders, cores, cell[sel], nbr[sel]):
-        keep = d2(i, j) <= eps2
+    for _, i, j in _pair_chunks(grid, cell[sel], nbr[sel]):
+        keep = ~core[i] & core[j] & (d2(i, j) <= eps2)
         hit_i.append(i[keep])
         hit_j.append(j[keep])
     i, j = np.concatenate(hit_i), np.concatenate(hit_j)
-    pick = np.lexsort((labels[j], d2(i, j), i))
-    _, first = np.unique(i[pick], return_index=True)
-    labels[i[pick[first]]] = labels[j[pick[first]]]
+    pick = np.lexsort((sorted_labels[j], d2(i, j), i))
+    i, j = i[pick], j[pick]
+    adopt = np.diff(i, prepend=-1) != 0
+    sorted_labels[i[adopt]] = sorted_labels[j[adopt]]
+    labels[grid.order] = sorted_labels
     return labels
 
 
@@ -412,30 +398,6 @@ def fit_box(xyz: np.ndarray, class_id: int, yaw_step_deg: float = 1.0,
                              angles, class_id, int(np.argmax(score)))
 
 
-def _atom_fitter(xyz: np.ndarray, labels: np.ndarray, angles: np.ndarray,
-                 class_id: int) -> Callable[[np.ndarray], Box3D]:
-    """A function from a cluster's members (column indices of labels,
-    radii x points, -1 for no cluster) to its area-criterion box, built
-    from the yaw extents of its atoms (see multi_scale_cluster). Each
-    point of some cluster is projected once, here."""
-    clustered = np.flatnonzero((labels >= 0).any(axis=0))
-    atom = np.zeros(len(clustered), dtype=np.int64)
-    for lab in labels[:, clustered]:
-        atom = np.unique(atom * (int(lab.max()) + 2) + lab + 1,
-                         return_inverse=True)[1].reshape(-1)
-    order = clustered[np.argsort(atom, kind="stable")]
-    atom_of = np.full(labels.shape[1], -1)
-    atom_of[clustered] = atom
-    lo, hi = _yaw_extents(xyz[order], atom_of[order], int(atom.max()) + 1,
-                          angles)
-
-    def box(member: np.ndarray) -> Box3D:
-        atoms = np.unique(atom_of[member])
-        return _box_from_extents(lo[atoms].min(axis=0), hi[atoms].max(axis=0),
-                                 angles, class_id)
-    return box
-
-
 def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
                         yaw_step_deg: float = 1.0,
                         fit_criterion: str = "area") -> list[BoxCandidate]:
@@ -445,16 +407,21 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
     returned; every candidate records the radius that produced it and the
     dense-cloud indices of its cluster. A cluster whose members a smaller
     radius already found is a candidate again, with the box fitted then.
+    Per radius, one stable argsort of the labels gives every cluster's
+    members.
 
-    Under the "area" criterion each class's points are split into atoms,
-    the points that share a cluster at every radius (clusters below
-    min_cluster_size counting as noise). Each atom's yaw extents are
-    computed once, and a cluster's box comes from the min/max over its
-    atoms' extents: exactly fit_box's box, with every point projected once
-    per class rather than once per radius. "closeness" sums over every
-    point, so it fits each distinct member set with fit_box.
+    Under the "area" criterion one lexsort of the label columns splits
+    each class's points into atoms, the points that share a cluster at
+    every radius (clusters below min_cluster_size counting as noise). Each
+    atom's yaw extents are computed once. Per radius, one reduceat over the
+    atoms' extents gives every cluster's extents, exactly the min/max over
+    its points, and one argmin its smallest-area yaw: fit_box's box, with
+    every point projected once per class rather than once per radius.
+    "closeness" sums over every point, so it fits each distinct member set
+    with fit_box.
     """
     angles = _yaw_angles(yaw_step_deg)
+    a = len(angles)
     candidates: list[BoxCandidate] = []
     for class_id in sorted(params):
         p = params[class_id]
@@ -468,21 +435,39 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
             lab = dbscan(xy, eps=radius, min_pts=p.min_pts)
             big = np.bincount(lab + 1)[lab + 1] >= p.min_cluster_size
             labels[r] = np.where((lab >= 0) & big, lab, -1)
-        if not (labels >= 0).any():
+        clustered = np.flatnonzero((labels >= 0).any(axis=0))
+        if len(clustered) == 0:
             continue
         if fit_criterion == "area":
-            fit = _atom_fitter(dense.xyz[sel], labels, angles, class_id)
-        else:
-            def fit(member: np.ndarray) -> Box3D:
-                return fit_box(dense.xyz[sel[member]], class_id, yaw_step_deg,
-                               fit_criterion)
+            # Atoms: the runs of equal label columns after one lexsort.
+            order = clustered[np.lexsort(labels[:, clustered])]
+            opens = np.r_[True, (np.diff(labels[:, order]) != 0).any(axis=0)]
+            atom = np.cumsum(opens) - 1
+            lo, hi = _yaw_extents(dense.xyz[sel[order]], atom, int(atom[-1]) + 1,
+                                  angles)
+            atom_labels = labels[:, order[opens]]
         fitted: dict[bytes, Box3D] = {}  # member indices -> box
-        for radius, lab in zip(p.radii, labels):
-            for k in np.unique(lab[lab >= 0]):
-                member = np.flatnonzero(lab == k)
-                idx = sel[member]
+        for r, radius in enumerate(p.radii):
+            # Cluster k's members: by_label[bounds[k]:bounds[k + 1]].
+            by_label = np.argsort(labels[r], kind="stable")
+            bounds = np.cumsum(np.bincount(labels[r] + 1))
+            ids = np.flatnonzero(np.diff(bounds))
+            if fit_criterion == "area" and len(ids):
+                by_atom = np.argsort(atom_labels[r], kind="stable")
+                by_atom = by_atom[atom_labels[r, by_atom] >= 0]
+                at = np.flatnonzero(np.diff(atom_labels[r, by_atom], prepend=-1))
+                c_lo = np.minimum.reduceat(lo[by_atom], at)
+                c_hi = np.maximum.reduceat(hi[by_atom], at)
+                span = c_hi - c_lo
+                best = np.argmin(span[:, :a] * span[:, a:2 * a], axis=1)
+            for n, k in enumerate(ids):
+                idx = sel[by_label[bounds[k]:bounds[k + 1]]]
                 key = idx.tobytes()
                 if key not in fitted:
-                    fitted[key] = fit(member)
+                    fitted[key] = (
+                        _box_from_extents(c_lo[n], c_hi[n], angles, class_id,
+                                          int(best[n]))
+                        if fit_criterion == "area" else
+                        fit_box(dense.xyz[idx], class_id, yaw_step_deg, fit_criterion))
                 candidates.append(BoxCandidate(fitted[key], radius, idx))
     return candidates

@@ -332,7 +332,11 @@ def bev_intersection_area(a: Box3D, b: Box3D) -> float:
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
-    """BEV IoU of two boxes: rotated-rectangle intersection over union."""
+    """BEV IoU of two boxes: rotated-rectangle intersection over union,
+    exactly 1.0 for equal footprints, which the polygon clip's rounding
+    can read just below 1."""
+    if (a.cx, a.cy, a.l, a.w, a.yaw) == (b.cx, b.cy, b.l, b.w, b.yaw):
+        return 1.0
     inter = bev_intersection_area(a, b)
     union = a.bev_area + b.bev_area - inter
     if union <= MIN_EXTENT * MIN_EXTENT:

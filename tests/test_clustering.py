@@ -134,6 +134,26 @@ class TestDbscan:
         np.testing.assert_array_equal(dbscan(pts, 0.3, 4), want)
         np.testing.assert_array_equal(want, brute_force_dbscan(pts, 0.3, 4))
 
+    @pytest.mark.parametrize("pair_chunk", [None, 7])
+    @pytest.mark.parametrize("min_pts", [4, 60])
+    def test_dense_cells_equal_brute_force(self, rng, monkeypatch, min_pts,
+                                           pair_chunk):
+        # A small patch holds up to ~75 points per cell, as an aggregated
+        # window does (about 130 on perf_scene), and a sparse fringe around
+        # it has cells of one or two points, counted point by point. At
+        # min_pts 60 some patch cells are counted point by point too.
+        eps = 0.3
+        patch = rng.uniform(0, 1, (1200, 2)) * [1.0, 0.8]
+        pts = np.round(np.concatenate([patch, rng.uniform(-1.5, 2.5, (150, 2))]), 2)
+        _, per_cell = np.unique(np.floor(pts / (eps / math.sqrt(2))), axis=0,
+                                return_counts=True)
+        assert (np.repeat(per_cell, per_cell) >= 50).mean() > 0.5
+        assert (per_cell < min_pts).any()
+        if pair_chunk:
+            monkeypatch.setattr(clustering, "_PAIR_CHUNK", pair_chunk)
+        np.testing.assert_array_equal(dbscan(pts, eps, min_pts),
+                                      brute_force_dbscan(pts, eps, min_pts))
+
     # Two core cells of side 1/sqrt(2) at eps 1, min_pts 1: cell (0, 0)
     # and cell (1, 0) or (2, 0). Each pair is linked by exactly one tier.
     LINKED_BY_FIRST_CORES = [[0.1, 0.1], [0.8, 0.1]]
@@ -152,7 +172,7 @@ class TestDbscan:
                              ids=["first-cores", "extremes", "cross-product"])
     def test_each_link_tier(self, pts, tiers, monkeypatch):
         # Each tier that runs ends in one connected_components call, and
-        # only the second and third tiers compute extremes.
+        # only the second and third tiers find the facing cores, once.
         calls = {"components": 0, "extremes": 0}
 
         def counted(name, f):
@@ -162,13 +182,13 @@ class TestDbscan:
             return wrapper
         monkeypatch.setattr(clustering, "connected_components",
                             counted("components", clustering.connected_components))
-        monkeypatch.setattr(clustering._Members, "extremes",
-                            counted("extremes", clustering._Members.extremes))
+        monkeypatch.setattr(clustering, "_facing_cores",
+                            counted("extremes", clustering._facing_cores))
         pts = np.array(pts)
         labels = dbscan(pts, 1.0, 1)
         assert labels.tolist() == [0] * len(pts)
         np.testing.assert_array_equal(labels, brute_force_dbscan(pts, 1.0, 1))
-        assert calls == {"components": tiers, "extremes": 2 * (tiers > 1)}
+        assert calls == {"components": tiers, "extremes": int(tiers > 1)}
 
     @settings(max_examples=150, deadline=None)
     @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
@@ -196,6 +216,13 @@ class TestDbscan:
             dbscan(np.zeros((3, 2)), eps=0.0, min_pts=3)
         with pytest.raises(ValueError):
             dbscan(np.zeros((3, 2)), eps=1.0, min_pts=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # A NaN used to fall into some cell and mislabel its finite points.
+        pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            dbscan(pts, eps=0.15, min_pts=2)
 
 
 def rectangle_outline(l, w, yaw, n_per_side=50, z=(0.0, 1.5)):

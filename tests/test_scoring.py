@@ -327,6 +327,7 @@ class TestNms:
             # Any two boxes overlap at IoU >= 0: one box per class survives.
             assert sorted(boxes[i].class_id for i in kept) == sorted(classes)
         if iou_threshold == 1.0:
-            # Only an exact duplicate can reach IoU 1: every distinct box
-            # is kept.
+            # Only an exact duplicate reaches IoU 1: every distinct box is
+            # kept, and no duplicate of a kept box.
             assert {boxes[i] for i in kept} == set(boxes)
+            assert len({boxes[i] for i in kept}) == len(kept)
