@@ -40,8 +40,9 @@ class Frame:
 
     @cached_property
     def foreground_index(self) -> PointIndex:
-        """The foreground points, in their order, indexed for box queries."""
-        return PointIndex(self.foreground.xyz)
+        """The foreground points and their class ids, indexed on first use
+        and kept: the one index every box query on this frame goes through."""
+        return PointIndex(self.foreground)
 
 
 @dataclass

@@ -24,6 +24,7 @@ from pathlib import Path
 from . import dataio, evaluation, pipeline
 from .config import ConfigError, PipelineConfig
 from .dataio import FormatError
+from .geometry import PointIndex
 from .refine import NOISE_PROFILES, NoiseModel, mock_detector, refine_round
 from .scoring import PseudoLabel
 from .synth import PRESET_NAMES, generate_sequence, preset_scene
@@ -154,8 +155,7 @@ def cmd_synth(args) -> int:
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     frames, _ = dataio.load_dataset(args.dataset)
-    threads = pipeline.resolve_threads(args.threads)
-    labels = pipeline.generate_labels(frames, config, threads=threads)
+    labels = pipeline.generate_labels(frames, config, threads=args.threads)
     out = Path(args.out)
     dataio.write_box_dir(out / "labels", labels, kind="labels")
     _write_summary(out, pipeline.summarize_labels(labels))
@@ -189,8 +189,8 @@ def cmd_score_labels(args) -> int:
                                (config.theta_low, config.theta_high))
     rescored: dict[int, list[PseudoLabel]] = {}
     for fid in sorted(loaded):
-        dense = pipeline.aggregate_window(frames, index_of[fid], config)
-        scores = config.score_boxes([lab.box for lab in loaded[fid]], dense.points)
+        dense = pipeline.aggregate_window(frames, index_of[fid], config).points
+        scores = config.score_boxes([lab.box for lab in loaded[fid]], PointIndex(dense))
         out = [config.label(lab.box, sc, lab.source)
                for lab, sc in zip(loaded[fid], scores)]
         rescored[fid] = out
@@ -257,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every command checks the thread count, though only generate uses it.
+        args.threads = pipeline.resolve_threads(args.threads)
         return _COMMANDS[args.command](args)
     except (ConfigError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)

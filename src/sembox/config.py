@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .clustering import ClusterParams
-from .geometry import Box3D, PointCloud, PointIndex
+from .geometry import Box3D, PointIndex
 from .scoring import (MetaShape, PseudoLabel, ScoreBreakdown, label_weight,
                       msf_score, validate_lambdas)
 
@@ -218,19 +218,17 @@ class PipelineConfig:
         return MetaShape(*cc.meta_shape)
 
     def score_boxes(self, boxes: list[Box3D],
-                    cloud: PointCloud) -> list[ScoreBreakdown]:
+                    index: PointIndex) -> list[ScoreBreakdown]:
         """Score breakdown of each box against the points of its class in
-        cloud, under this config's shape prior, score weights and
-        occupancy grid. The cloud is split by class and each class indexed
-        once per call; each box is scored on its in-box points, which is
-        all msf_score reads, and equal boxes are scored once."""
-        index = {cid: PointIndex(cloud.xyz[cloud.class_id == cid])
-                 for cid in {b.class_id for b in boxes}}
+        the caller's indexed cloud, under this config's shape prior, score
+        weights and occupancy grid. Each box is scored on its in-box points
+        of its class, which is all msf_score reads; equal boxes are scored once."""
         scores: dict[Box3D, ScoreBreakdown] = {}
         for b in boxes:
             if b not in scores:
-                pts = index[b.class_id]
-                scores[b] = msf_score(b, pts.xyz[pts.inside(b)],
+                hits = index.inside(b)
+                hits = hits[index.class_id[hits] == b.class_id]
+                scores[b] = msf_score(b, index.xyz[hits],
                                       self.meta_shape(b.class_id),
                                       self.lambdas, self.occ_grid_r)
         return [scores[b] for b in boxes]

@@ -224,20 +224,21 @@ def in_box_frame(p: np.ndarray, box: Box3D) -> np.ndarray:
 
 
 class PointIndex:
-    """Points sorted by x, so that a box query tests only the x-slab under
-    the box.
+    """A cloud's xyz and class_id, its points sorted by x, so that a box
+    query, of any class, tests only the x-slab under the box.
 
-    inside(box) equals np.flatnonzero(points_in_box(xyz, box)). The slab is
-    cx +- (|cos yaw| l/2 + |sin yaw| w/2), the x half-extent of the BEV
-    footprint, widened by _DISJOINT_MARGIN times the box's coordinates'
+    inside(box) equals np.flatnonzero(points_in_box(cloud.xyz, box)). The
+    slab is cx +- (|cos yaw| l/2 + |sin yaw| w/2), the x half-extent of the
+    BEV footprint, widened by _DISJOINT_MARGIN times the box's coordinates'
     magnitude, as bev_candidate_pairs widens. An accepted point may lie
     outside the unpadded slab only by the rounding of to_frame, which is
     far below the pad, so the slab loses no point and points_in_box alone
     decides every result.
     """
 
-    def __init__(self, xyz: np.ndarray):
-        self.xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    def __init__(self, cloud: PointCloud):
+        self.xyz = cloud.xyz
+        self.class_id = cloud.class_id
         self.order = np.argsort(self.xyz[:, 0], kind="stable")
         self.x = self.xyz[self.order, 0]
 

@@ -19,7 +19,7 @@ from .aggregation import (DenseCloud, Frame, build_dense_cloud,
                           build_motion_grid, register_window)
 from .clustering import multi_scale_cluster
 from .config import ConfigError, PipelineConfig
-from .geometry import BevGridSpec
+from .geometry import BevGridSpec, PointIndex
 from .scoring import SOURCE_INIT, PseudoLabel, label_sort_key, nms_select
 
 THREADS_ENV_VAR = "SEMBOX_THREADS"
@@ -64,7 +64,7 @@ def process_frame(frames: list[Frame], index: int,
     candidates = multi_scale_cluster(dense.points, config.cluster_params(),
                                      config.yaw_step_deg, config.fit_criterion)
     boxes = [c.box for c in candidates]
-    scores = config.score_boxes(boxes, dense.points)
+    scores = config.score_boxes(boxes, PointIndex(dense.points))
     labels = [config.label(boxes[i], scores[i], SOURCE_INIT)
               for i in nms_select(boxes, scores, config.nms_iou_threshold)]
     labels.sort(key=label_sort_key)

@@ -12,17 +12,16 @@ Moving objects are passed through untouched.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
-from .config import PipelineConfig
-from .geometry import (BevGridSpec, Box3D, PointCloud, bev_candidate_pairs,
-                       bev_iou, transform_box)
+from .config import PipelineConfig, _check_types
+from .geometry import (BevGridSpec, Box3D, PointCloud, PointIndex,
+                       bev_candidate_pairs, bev_iou, transform_box)
 from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
                       selection_order)
 
@@ -59,9 +58,10 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
     class disagrees with the predicted one, or when two or more foreground
     classes are present at once.
     """
+    index = frame.foreground_index
     kept: list[Prediction] = []
     for pred in preds:
-        inside = frame.foreground.class_id[frame.foreground_index.inside(pred.box)]
+        inside = index.class_id[index.inside(pred.box)]
         if len(inside) == 0:
             continue
         ids, counts = np.unique(inside, return_counts=True)
@@ -161,7 +161,7 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
         # Foreground points in static cells, global coordinates.
         moved = PointCloud.concatenate(
             [fr.foreground.transformed(fr.pose) for fr in frames])
-        static = moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC)
+        static = PointIndex(moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC))
         to_local = {fr.frame_id: fr.pose.inverse() for fr in frames}
         for cid in sorted(static_by_class):
             global_boxes = static_by_class[cid]
@@ -171,8 +171,8 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
                 winner = global_boxes[group[best_local]]
                 for fr in frames:
                     local = transform_box(winner, to_local[fr.frame_id])
-                    hits = fr.foreground_index.inside(local)
-                    if np.any(fr.foreground.class_id[hits] == cid):
+                    index = fr.foreground_index
+                    if np.any(index.class_id[index.inside(local)] == cid):
                         # The broadcast replaces whatever same-class
                         # predictions it overlaps in this frame.
                         out[fr.frame_id] = [
@@ -221,7 +221,7 @@ def refine_round(frames: list[Frame],
     retained: dict[int, np.ndarray] = {}
     for fr in frames:
         boxes = refined[fr.frame_id]
-        scores = config.score_boxes([rb.box for rb in boxes], fr.foreground)
+        scores = config.score_boxes([rb.box for rb in boxes], fr.foreground_index)
         frame_labels = [config.label(rb.box, sc, rb.source)
                         for rb, sc in zip(boxes, scores)]
         frame_labels.sort(key=label_sort_key)
@@ -249,10 +249,7 @@ class NoiseModel:
     confidence_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{f.name}: expected a finite number, got {value!r}")
+        _check_types(self)
         for name in ("pos_sigma", "size_sigma", "yaw_sigma_deg",
                      "false_positives_per_frame", "confidence_sigma"):
             if getattr(self, name) < 0:

@@ -207,14 +207,27 @@ class TestThreadResolution:
         with pytest.raises(ValueError, match=THREADS_ENV_VAR):
             resolve_threads(None)
 
+    @pytest.mark.parametrize("command", ["synth", "generate", "refine",
+                                         "score-labels", "evaluate",
+                                         "mock-detect"])
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_bad_env_exits_2(self, dataset, tmp_path, monkeypatch, capsys,
-                             value):
+                             value, command):
         from sembox.pipeline import THREADS_ENV_VAR
         monkeypatch.setenv(THREADS_ENV_VAR, value)
-        assert main(["generate", str(dataset), "--out",
-                     str(tmp_path / "out")]) == 2
+        gt, out = str(dataset / "gt_labels"), str(tmp_path / "out")
+        argv = {
+            "synth": ["--preset", "adjacent", "--out", out],
+            "generate": [str(dataset), "--out", out],
+            "refine": [str(dataset), "--preds", gt, "--out", out],
+            "score-labels": [str(dataset), "--labels", gt, "--out", out],
+            "evaluate": [str(dataset), "--labels", gt, "--gt", gt,
+                         "--report", out],
+            "mock-detect": [str(dataset), "--labels", gt, "--out", out],
+        }[command]
+        assert main([command, *argv]) == 2
         assert THREADS_ENV_VAR in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def _bad_prediction(second_line):
@@ -413,7 +426,9 @@ MALFORMED = {
     "noise-pos_sigma-negative": _bad_noise({"pos_sigma": -1},
                                            "pos_sigma: must be >= 0"),
     "noise-pos_sigma-text": _bad_noise({"pos_sigma": "a"},
-                                       "pos_sigma: expected a finite number"),
+                                       "pos_sigma: must be a finite number, got 'a'"),
+    "noise-drop_prob-true": _bad_noise({"drop_prob": True},
+                                       "drop_prob: must be a finite number, got True"),
     "noise-drop_prob-2": _bad_noise({"drop_prob": 2},
                                     "drop_prob: must be in [0, 1]"),
     **{f"non-utf8-{kind}": _bad_bytes(kind, b"1 2 3 1\n\xff\n", ": not UTF-8 text")

@@ -246,8 +246,10 @@ class TestPointIndex:
     @given(case=indexed_queries())
     def test_equals_points_in_box(self, case):
         box, xyz = case
-        got = PointIndex(xyz).inside(box)
+        index = PointIndex(make_cloud(xyz, np.arange(len(xyz)) % 3))
+        got = index.inside(box)
         np.testing.assert_array_equal(got, np.flatnonzero(points_in_box(xyz, box)))
+        np.testing.assert_array_equal(index.class_id[got], got % 3)
 
     def test_unpadded_slab_would_drop_a_corner(self):
         # Pins the premise of the @example above.
@@ -258,7 +260,7 @@ class TestPointIndex:
         assert points_in_box(np.array([[*corner, 0.0]]), _QUARTER_TURN)[0]
 
     def test_empty_cloud(self):
-        got = PointIndex(np.zeros((0, 3))).inside(_QUARTER_TURN)
+        got = PointIndex(make_cloud(np.zeros((0, 3)))).inside(_QUARTER_TURN)
         assert got.size == 0 and got.dtype == np.intp
 
 

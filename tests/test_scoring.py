@@ -7,10 +7,14 @@ from hypothesis import given, settings, strategies as st
 from sembox import config as config_module, scoring
 from sembox.clustering import BoxCandidate
 from sembox.config import PipelineConfig
-from sembox.geometry import Box3D, PointCloud, Pose, bev_iou, in_box_frame
+from sembox.geometry import (Box3D, PointCloud, PointIndex, Pose, bev_iou,
+                             in_box_frame)
+from sembox.pipeline import generate_labels
+from sembox.refine import NOISE_PROFILES, mock_detector, refine_round
 from sembox.scoring import (MetaShape, alignment_from_angles, combine_scores,
                             label_weight, meta_shape_score, msf_score,
                             nms_select)
+from sembox.synth import generate_sequence, preset_scene
 
 from conftest import random_box
 
@@ -189,7 +193,7 @@ class TestScoreBoxes:
         want = [msf_score(b, cloud.xyz[cloud.class_id == b.class_id],
                           config.meta_shape(b.class_id), config.lambdas,
                           config.occ_grid_r) for b in boxes]
-        assert config.score_boxes(boxes, cloud) == want
+        assert config.score_boxes(boxes, PointIndex(cloud)) == want
 
     def test_scores_each_distinct_box_once(self, monkeypatch, rng):
         calls = []
@@ -202,7 +206,7 @@ class TestScoreBoxes:
         boxes = [random_box(rng, span=5, class_id=c) for c in (1, 1, 2)]
         boxes = [boxes[i] for i in (0, 1, 0, 2, 1, 0)]
         cloud = PointCloud(rng.uniform(-6, 6, (200, 3)), rng.integers(0, 3, 200))
-        scores = PipelineConfig().score_boxes(boxes, cloud)
+        scores = PipelineConfig().score_boxes(boxes, PointIndex(cloud))
         assert calls == boxes[:2] + boxes[3:4]
         assert scores[0] == scores[2] == scores[5] and scores[1] == scores[4]
 
@@ -223,6 +227,35 @@ class TestScoreBoxes:
         monkeypatch.setattr(scoring, "in_box_frame", counting_in_box_frame)
         msf_score(random_box(rng, span=2), rng.uniform(-3, 3, (50, 3)), VEH_META)
         assert rotated == tested == [50]
+
+
+class TestIndexBuilds:
+    """Each point set is indexed once: a frame's foreground, each dense
+    cloud, and the static cloud of the static-object broadcast."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        sizes = []
+        init = PointIndex.__init__
+
+        def counting(index, cloud):
+            sizes.append(len(cloud))
+            init(index, cloud)
+
+        monkeypatch.setattr(PointIndex, "__init__", counting)
+        return sizes
+
+    def test_generate_indexes_each_dense_cloud_once(self, builds):
+        frames, _ = generate_sequence(preset_scene("mixed", 0))
+        generate_labels(frames, PipelineConfig())
+        assert len(builds) == len(frames)
+
+    def test_refine_indexes_each_foreground_and_the_static_cloud_once(
+            self, builds):
+        frames, gt = generate_sequence(preset_scene("mixed", 0))
+        preds = mock_detector(gt, NOISE_PROFILES["mild"], seed=0)
+        refine_round(frames, preds, PipelineConfig())
+        assert len(builds) == len(frames) + 1
 
 
 class TestLabelWeight:

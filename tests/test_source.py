@@ -1,4 +1,5 @@
-"""Static checks on the package source; no linter is a dependency."""
+"""Static checks on the package source and the scripts CI runs; no linter
+is a dependency."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import sembox
 
 MODULES = sorted(p for p in Path(sembox.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +38,7 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
