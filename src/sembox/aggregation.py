@@ -44,6 +44,12 @@ class Frame:
         and kept: the one index every box query on this frame goes through."""
         return PointIndex(self.foreground)
 
+    @cached_property
+    def global_foreground(self) -> PointCloud:
+        """The foreground points, in their order, moved by the pose to global
+        coordinates on first use and kept: refine's one registration."""
+        return self.foreground.transformed(self.pose)
+
 
 @dataclass
 class MotionGrid:

@@ -55,6 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import Frame
+from .config import _is_int, _is_number
 from .geometry import Box3D, PointCloud, Pose
 from .refine import Prediction
 from .scoring import SOURCE_INIT, PseudoLabel, ScoreBreakdown, label_weight
@@ -581,20 +582,18 @@ def read_manifest(root: str | Path) -> tuple[list[ManifestFrame], dict[int, str]
         for key in ("frame_id", "points", "pose"):
             if key not in entry:
                 raise FormatError(f"{where}: missing {key!r}")
-        try:
-            fid = int(entry["frame_id"])
-        except (TypeError, ValueError):
-            raise FormatError(f"{where}: frame_id {entry['frame_id']!r} is not an integer")
+        fid = entry["frame_id"]
+        if not _is_int(fid):
+            raise FormatError(f"{where}: frame_id {fid!r} is not an integer")
         if fid in entries:
             raise FormatError(f"{manifest_path}: duplicate frame_id {fid}")
-        try:
-            timestamp = float(entry.get("timestamp", 0.0))
-        except (TypeError, ValueError):
-            raise FormatError(f"{where}: timestamp {entry['timestamp']!r} is not a number")
+        timestamp = entry.get("timestamp", 0.0)
+        if not _is_number(timestamp):
+            raise FormatError(f"{where}: timestamp {timestamp!r} is not a finite number")
         for key in ("points", "pose"):
             if not isinstance(entry[key], str):
                 raise FormatError(f"{where}: {key} {entry[key]!r} is not a path string")
-        entries[fid] = ManifestFrame(fid, timestamp, root / entry["points"],
+        entries[fid] = ManifestFrame(fid, float(timestamp), root / entry["points"],
                                      root / entry["pose"])
         for path in (entries[fid].points, entries[fid].pose):
             if not path.is_file():

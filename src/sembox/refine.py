@@ -78,10 +78,11 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
 def sequence_motion_grid(frames: list[Frame], cell_size: float,
                          detection_range: float, epsilon: int) -> MotionGrid:
     """Motion grid over a whole sequence in global coordinates, built from
-    each frame's foreground points, the only ones it counts."""
+    each frame's Frame.global_foreground: the foreground points, the only
+    ones it counts, registered once per frame and shared with STCF."""
     if not frames:
         raise ValueError("empty sequence")
-    registered = [fr.foreground.transformed(fr.pose) for fr in frames]
+    registered = [fr.global_foreground for fr in frames]
     centers = np.array([fr.pose.translation[:2] for fr in frames])
     spec = BevGridSpec.covering(
         centers[:, 0].min() - detection_range, centers[:, 1].min() - detection_range,
@@ -105,26 +106,22 @@ class RefinedBox:
     source: str
 
 
-def _prediction_motion_state(pred: Prediction, frame: Frame,
+def _prediction_motion_state(box: Box3D, global_box: Box3D, frame: Frame,
                              grid: MotionGrid) -> int:
-    """Motion classification of a prediction, in global-grid cell labels.
-
-    The box's BEV center cell decides when it is occupied. Box interiors
-    are hollow for surface returns, so an empty center falls back to a
-    vote over the cells of the box's own interior foreground points:
-    static wins ties, no points at all means no motion evidence (empty).
-    The box is in the frame's sensor coordinates.
+    """Motion classification of a sensor-frame box, in global-grid cell
+    labels. The BEV center cell of global_box, the box in global
+    coordinates, decides when it is occupied. Box interiors are hollow for
+    surface returns, so an empty center falls back to a vote over the cells
+    of the box's own interior foreground points: static wins ties, no
+    points at all means no motion evidence (empty).
     """
-    center = frame.pose.apply(pred.box.center.reshape(1, 3))
-    label = int(grid.labels_at(center[:, :2])[0])
+    label = int(grid.labels_at(np.array([[global_box.cx, global_box.cy]]))[0])
     if label != CELL_EMPTY:
         return label
-    index = frame.foreground_index
-    inside = index.inside(pred.box)
+    inside = frame.foreground_index.inside(box)
     if len(inside) == 0:
         return CELL_EMPTY
-    pts = frame.pose.apply(index.xyz[inside])
-    states = grid.labels_at(pts[:, :2])
+    states = grid.labels_at(frame.global_foreground.xyz[inside, :2])
     n_static = int((states == CELL_STATIC).sum())
     n_moving = int((states == CELL_MOVING).sum())
     if n_static == 0 and n_moving == 0:
@@ -143,24 +140,25 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     points of their class, and the winner is written back into every frame
     holding at least one foreground point of the class inside it. All
     other predictions pass through unrefined. Every key of
-    preds_per_frame must be the id of one of the frames.
+    preds_per_frame must be the id of one of the frames. Each prediction is
+    moved to global coordinates once; the static points are the frames'
+    Frame.global_foreground, the registration sequence_motion_grid made.
     """
     frame_of = {fr.frame_id: fr for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
     static_by_class: dict[int, list[Box3D]] = {}  # global coordinates
     for fid in sorted(preds_per_frame):
         for pred in preds_per_frame[fid]:
-            state = _prediction_motion_state(pred, frame_of[fid], grid)
-            if state == CELL_STATIC:
-                box = transform_box(pred.box, frame_of[fid].pose)
+            box = transform_box(pred.box, frame_of[fid].pose)
+            if _prediction_motion_state(pred.box, box, frame_of[fid],
+                                        grid) == CELL_STATIC:
                 static_by_class.setdefault(box.class_id, []).append(box)
             else:
                 out[fid].append(RefinedBox(pred.box, SOURCE_INIT))
 
     if static_by_class:
         # Foreground points in static cells, global coordinates.
-        moved = PointCloud.concatenate(
-            [fr.foreground.transformed(fr.pose) for fr in frames])
+        moved = PointCloud.concatenate([fr.global_foreground for fr in frames])
         static = PointIndex(moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC))
         to_local = {fr.frame_id: fr.pose.inverse() for fr in frames}
         for cid in sorted(static_by_class):

@@ -281,6 +281,18 @@ class TestFrameForeground:
         with pytest.raises(FrozenInstanceError):
             fr.points = fr.foreground
 
+    @pytest.mark.parametrize("name", ["foreground", "foreground_index",
+                                      "global_foreground"])
+    def test_cached_on_first_read(self, name):
+        fr = generate_sequence(preset_scene("mixed", 0))[0][3]
+        assert getattr(fr, name) is getattr(fr, name)
+
+    def test_global_foreground_is_the_registered_foreground(self):
+        fr = generate_sequence(preset_scene("mixed", 0))[0][3]
+        want = fr.foreground.transformed(fr.pose)
+        assert fr.global_foreground.xyz.tobytes() == want.xyz.tobytes()
+        assert fr.global_foreground.class_id.tobytes() == want.class_id.tobytes()
+
 
 class TestWorkerPool:
     def test_at_most_one_worker_per_frame(self, monkeypatch):

@@ -415,6 +415,14 @@ MALFORMED = {
         lambda entries: entries.insert(3, 5), "expected an object"),
     "manifest-timestamp-abc": _bad_manifest_entry(
         lambda entries: entries[3].update(timestamp="abc"), "timestamp 'abc'"),
+    **{f"manifest-frame_id-{name}": _bad_manifest_entry(
+        lambda entries, value=value: entries[3].update(frame_id=value),
+        f"frame_id {value!r} is not an integer")
+       for name, value in (("0.9", 0.9), ("true", True), ("string", "3"))},
+    **{f"manifest-timestamp-{name}": _bad_manifest_entry(
+        lambda entries, value=value: entries[3].update(timestamp=value),
+        f"timestamp {value!r} is not a finite number")
+       for name, value in (("true", True), ("nan", float("nan")))},
     "manifest-class-id-x": _bad_manifest(
         lambda manifest: manifest["classes"].update(x="car"),
         "manifest.json: classes must map integer ids"),

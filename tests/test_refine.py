@@ -348,6 +348,27 @@ class TestRefineRound:
                                  for lab in labs)
                     assert inside
 
+    def test_one_registration_per_frame(self, monkeypatch):
+        """The motion grid and the static-object broadcast share each
+        frame's Frame.global_foreground; a second round on the same frames
+        registers nothing."""
+        frames, gt = generate_sequence(preset_scene("mixed", 0))
+        preds = mock_detector(gt, NOISE_PROFILES["mild"], seed=0)
+        calls = []
+        transformed = PointCloud.transformed
+
+        def counting(cloud, pose):
+            calls.append(len(cloud))
+            return transformed(cloud, pose)
+
+        monkeypatch.setattr(PointCloud, "transformed", counting)
+        first = refine_round(frames, preds, PipelineConfig())
+        assert len(calls) == len(frames) == 11
+        calls.clear()
+        second = refine_round(frames, preds, PipelineConfig())
+        assert calls == []
+        assert second.labels == first.labels
+
 
 class TestBackgroundInvariance:
     """Only foreground points decide SCF, the motion grids and a refine
