@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import dataio, evaluation, pipeline
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, read_json
 from .dataio import FormatError
 from .geometry import PointIndex
 from .refine import NOISE_PROFILES, NoiseModel, mock_detector, refine_round
@@ -107,22 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: Path | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    if not path.is_file():
-        raise ConfigError(f"config: file not found: {path}")
-    return PipelineConfig.from_json(path)
+    return PipelineConfig() if path is None else read_json(path, PipelineConfig)
 
 
 def _load_noise(spec: str) -> NoiseModel:
     if spec in NOISE_PROFILES:
         return NOISE_PROFILES[spec]
-    path = Path(spec)
-    if path.is_file():
-        try:
-            return NoiseModel(**json.loads(path.read_text()))
-        except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
-            raise ConfigError(f"noise: invalid profile file {path}: {e}") from e
+    if Path(spec).is_file():
+        return read_json(spec, NoiseModel)
     raise ConfigError(
         f"noise: unknown profile {spec!r} (expected one of "
         f"{sorted(NOISE_PROFILES)} or a JSON file path)")
@@ -154,7 +146,7 @@ def cmd_synth(args) -> int:
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
-    frames, _ = dataio.load_dataset(args.dataset)
+    frames = dataio.load_dataset(args.dataset)
     labels = pipeline.generate_labels(frames, config, threads=args.threads)
     out = Path(args.out)
     dataio.write_box_dir(out / "labels", labels, kind="labels")
@@ -166,7 +158,7 @@ def cmd_generate(args) -> int:
 
 def cmd_refine(args) -> int:
     config = _load_config(args.config)
-    frames, _ = dataio.load_dataset(args.dataset)
+    frames = dataio.load_dataset(args.dataset)
     preds = _read_frame_boxes(args.preds, [fr.frame_id for fr in frames],
                               "predictions")
     if not any(preds.values()):
@@ -183,7 +175,7 @@ def cmd_refine(args) -> int:
 
 def cmd_score_labels(args) -> int:
     config = _load_config(args.config)
-    frames, _ = dataio.load_dataset(args.dataset)
+    frames = dataio.load_dataset(args.dataset)
     index_of = {fr.frame_id: i for i, fr in enumerate(frames)}
     loaded = _read_frame_boxes(args.labels, index_of, "labels",
                                (config.theta_low, config.theta_high))

@@ -4,14 +4,20 @@ Defaults reproduce the published operating point where one exists (score
 grid resolution 7, equal score weights, weight thresholds 0.4/0.8); the
 remaining values (clustering radii, cell size, window size, shape priors,
 NMS threshold) are documented project defaults, not published ones.
+
+``read_json`` is the one reader of every JSON input (config, dataset
+manifest, noise profile); each becomes a frozen dataclass, type-checked.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+import re
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .clustering import ClusterParams
@@ -34,35 +40,6 @@ class ClassConfig:
     meta_shape: tuple[float, float, float]
 
 
-def _classes_from_dict(data: dict) -> dict[int, ClassConfig]:
-    """The classes table of a config document, keyed by integer class id."""
-    if not isinstance(data, dict):
-        raise ConfigError("classes: expected an object")
-    classes = {}
-    for key, raw in data.items():
-        try:
-            cid = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"classes: class id {key!r} is not an integer")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"classes[{cid}]: expected an object, got {raw!r}")
-        extra = set(raw) - set(ClassConfig.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"classes[{cid}]: unknown fields {sorted(extra)}")
-        try:
-            classes[cid] = ClassConfig(
-                name=raw["name"],
-                radii=_as_tuple(raw["radii"]),
-                min_cluster_size=raw["min_cluster_size"],
-                meta_shape=_as_tuple(raw["meta_shape"]),
-            )
-        except KeyError as e:
-            raise ConfigError(f"classes[{cid}]: missing field {e.args[0]!r}")
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"classes[{cid}]: {e}") from e
-    return classes
-
-
 def _is_int(value) -> bool:
     """True for integers; JSON true/false are not integers."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -72,12 +49,6 @@ def _is_number(value) -> bool:
     """True for finite real numbers; JSON true/false are not numbers."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
-
-
-def _as_tuple(value):
-    """A JSON list as a tuple; any other value unchanged, for validate to
-    reject by name."""
-    return tuple(value) if isinstance(value, list) else value
 
 
 def _is_numbers(values) -> bool:
@@ -96,17 +67,98 @@ _TYPE_CHECKS = {
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict[int, ClassConfig]": (lambda v: isinstance(v, dict), "an object"),
+    "dict[int, str]": (lambda v: isinstance(v, dict), "an object"),
+    "tuple[ManifestFrame, ...]": (lambda v: isinstance(v, tuple) and v != (),
+                                  "a non-empty list"),
 }
+_type_hints = functools.cache(typing.get_type_hints)  # a class's field types
 
 
-def _check_types(obj, prefix: str = "") -> None:
-    """Raise a ConfigError naming the first field of the dataclass obj
-    whose value does not have the field's declared type."""
+def _check_types(obj, where: str = "") -> None:
+    """Raise a ConfigError naming the first field of the dataclass obj, at
+    where in its document, whose value does not have the declared type."""
     for f in fields(obj):
         is_valid, what = _TYPE_CHECKS[f.type]
         value = getattr(obj, f.name)
         if not is_valid(value):
-            raise ConfigError(f"{prefix}{f.name}: must be {what}, got {value!r}")
+            raise ConfigError(f"{_join(where, f.name)}: must be {what}, got {value!r}")
+
+
+def _join(where: str, name: str) -> str:
+    """The place of field name of the object at where ("" for a document)."""
+    return f"{where}.{name}" if where else name
+
+
+def read_json(path: str | Path, cls, error: type[ValueError] = ConfigError):
+    """The dataclass cls built from the JSON document in the file at path:
+    the config, a dataset manifest or a noise profile. The file must be
+    UTF-8 and no object in it may repeat a key; every fault is raised as
+    error, naming the file."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+        return build(cls, json.loads(text, object_pairs_hook=_unique_keys))
+    except OSError as e:
+        raise error(f"{path}: cannot read: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e}") from e
+    except (ValueError, RecursionError) as e:  # bad or deep JSON, any check
+        raise error(f"{path}: {e}") from e
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads's object hook: a repeated key is an error, not a lost value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for n, (k, _) in enumerate(pairs) if k in dict(pairs[:n]))
+        raise ValueError(f"key {key!r} is repeated in one object")
+    return obj
+
+
+def build(cls, data, where: str = ""):
+    """An instance of the dataclass cls from the JSON object data at where
+    in its document: each key a field, each field without a default given,
+    each value converted by _from_json, then checked by cls itself."""
+    if not isinstance(data, dict):
+        at = f"{where}: " if where else ""
+        raise ConfigError(f"{at}must be an object, got {data!r}")
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"{_join(where, key)}: unknown field")
+    types = _type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            kwargs[f.name] = _from_json(types[f.name], data[f.name],
+                                        _join(where, f.name))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{_join(where, f.name)}: missing required field")
+    return cls(**kwargs)
+
+
+def _from_json(kind, value, where: str):
+    """A JSON value as type kind where shapes agree: an object as a
+    dataclass, a list as a tuple of kind's one element type, an object as
+    a class table keyed by id; other values stay, for the type check."""
+    if is_dataclass(kind):
+        return build(kind, value, where)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple and isinstance(value, list):
+        return tuple(_from_json(args[0], v, f"{where}[{n}]")
+                     for n, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {_class_id(k, where): _from_json(args[1], v, f"{where}[{k}]")
+                for k, v in value.items()}
+    return value
+
+
+def _class_id(key: str, where: str) -> int:
+    """A class table key as its id. Only an integer's canonical decimal
+    form (str(int(key)) == key) is a key, so no two keys name one id."""
+    if re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        return int(key)
+    raise ConfigError(f"{where}: keys must be integers in canonical decimal "
+                      f"form, got {key!r}")
 
 
 def _default_classes() -> dict[int, ClassConfig]:
@@ -192,7 +244,7 @@ class PipelineConfig:
         for cid, cc in self.classes.items():
             if cid < 1:
                 raise ConfigError(f"classes[{cid}]: class ids must be >= 1")
-            _check_types(cc, f"classes[{cid}].")
+            _check_types(cc, f"classes[{cid}]")
             try:
                 ClusterParams(tuple(cc.radii), self.min_pts, cc.min_cluster_size)
             except ValueError as e:
@@ -246,39 +298,3 @@ class PipelineConfig:
 
     def class_names(self) -> dict[int, str]:
         return {cid: cc.name for cid, cc in self.classes.items()}
-
-    # Serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["classes"] = {str(cid): asdict(cc) for cid, cc in self.classes.items()}
-        return d
-
-    @staticmethod
-    def from_dict(data: dict) -> "PipelineConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be an object")
-        known = set(PipelineConfig.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"config: unknown fields {sorted(unknown)}")
-        kwargs = dict(data)
-        try:
-            if "classes" in kwargs:
-                kwargs["classes"] = _classes_from_dict(kwargs["classes"])
-            for name in ("lambdas", "range_bin_edges", "eval_iou_thresholds"):
-                if name in kwargs:
-                    kwargs[name] = _as_tuple(kwargs[name])
-            return PipelineConfig(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as e:  # a value of the wrong type
-            raise ConfigError(f"config: {e}") from e
-
-    @staticmethod
-    def from_json(path: str | Path) -> "PipelineConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ConfigError(f"config: invalid JSON in {path}: {e}") from e
-        return PipelineConfig.from_dict(data)

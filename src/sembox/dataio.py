@@ -16,11 +16,12 @@ predictions      one box per line:
                  ``frame_id class_id cx cy cz l w h yaw confidence``
                  (the boxes of frame N live in ``frame_<N>.txt``, N as
                  decimal digits, and every line's frame_id is N)
-manifest.json    frame order, timestamps, file names, class-name table
+manifest.json    a ``Manifest``: frame entries, class table, sequence name
 
 A dataset directory holds one sequence: ``manifest.json``, ``points/``,
 ``poses/`` and (for synthetic data) ``gt_labels/``. ``read_manifest`` reads
-and checks ``manifest.json``; ``load_dataset`` adds every points and pose file.
+``manifest.json`` with ``config.read_json``, the reader of every JSON
+input; ``load_dataset`` adds every points and pose file.
 
 Every line format goes through one row reader, ``_rows``: one decode, one
 ``str.splitlines``, blank lines skipped, physical lines numbered from 1, the
@@ -55,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import Frame
-from .config import _is_int, _is_number
+from .config import _check_types, read_json
 from .geometry import Box3D, PointCloud, Pose
 from .refine import Prediction
 from .scoring import SOURCE_INIT, PseudoLabel, ScoreBreakdown, label_weight
@@ -543,72 +544,61 @@ def write_dataset(root: str | Path, frames: list[Frame],
 
 @dataclass(frozen=True)
 class ManifestFrame:
-    """One manifest entry: a frame id and the files of its points and pose."""
+    """One manifest entry; file names are relative to the sequence directory."""
 
     frame_id: int
-    timestamp: float
-    points: Path
-    pose: Path
+    points: str
+    pose: str
+    timestamp: float = 0.0
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A sequence's ``manifest.json``: frames, class table, sequence name."""
+
+    frames: tuple[ManifestFrame, ...]
+    classes: dict[int, str]
+    sequence: str = ""
+
+    def __post_init__(self) -> None:
+        _check_types(self)
+        first: dict[int, int] = {}  # frame id -> index of its first entry
+        for n, entry in enumerate(self.frames):
+            _check_types(entry, f"frames[{n}]")
+            if (m := first.setdefault(entry.frame_id, n)) != n:
+                raise FormatError(f"frames[{n}].frame_id: must be unique, got "
+                                  f"{entry.frame_id}, the id of frames[{m}]")
+        for cid, name in self.classes.items():
+            if cid < 0:
+                raise FormatError(f"classes: keys must be class ids >= 0, got '{cid}'")
+            if not isinstance(name, str):
+                raise FormatError(f"classes[{cid}]: must be a string, got {name!r}")
 
 
 def read_manifest(root: str | Path) -> tuple[list[ManifestFrame], dict[int, str]]:
     """Read a sequence directory's manifest: its frames, sorted by id, each
     with existing points and pose files, and its class table."""
     root = Path(root)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise FormatError(f"{root}: not a sequence directory (manifest.json missing)")
-    try:
-        manifest = json.loads(_decode(manifest_path, manifest_path.read_bytes()))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{manifest_path}: invalid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: expected a JSON object")
-    for key in ("frames", "classes"):
-        if key not in manifest:
-            raise FormatError(f"{manifest_path}: missing {key!r}")
-    try:
-        classes = {int(k): str(v) for k, v in manifest["classes"].items()}
-    except (AttributeError, ValueError):
-        raise FormatError(f"{manifest_path}: classes must map integer ids to names")
-
-    if not isinstance(manifest["frames"], list) or not manifest["frames"]:
-        raise FormatError(f"{manifest_path}: frames must be a non-empty list")
-    entries: dict[int, ManifestFrame] = {}
-    for n, entry in enumerate(manifest["frames"]):
-        where = f"{manifest_path}: frames[{n}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: expected an object")
-        for key in ("frame_id", "points", "pose"):
-            if key not in entry:
-                raise FormatError(f"{where}: missing {key!r}")
-        fid = entry["frame_id"]
-        if not _is_int(fid):
-            raise FormatError(f"{where}: frame_id {fid!r} is not an integer")
-        if fid in entries:
-            raise FormatError(f"{manifest_path}: duplicate frame_id {fid}")
-        timestamp = entry.get("timestamp", 0.0)
-        if not _is_number(timestamp):
-            raise FormatError(f"{where}: timestamp {timestamp!r} is not a finite number")
-        for key in ("points", "pose"):
-            if not isinstance(entry[key], str):
-                raise FormatError(f"{where}: {key} {entry[key]!r} is not a path string")
-        entries[fid] = ManifestFrame(fid, float(timestamp), root / entry["points"],
-                                     root / entry["pose"])
-        for path in (entries[fid].points, entries[fid].pose):
-            if not path.is_file():
-                raise FormatError(f"{manifest_path}: frame {fid}: missing {path}")
-    return [entries[fid] for fid in sorted(entries)], classes
+    path = root / "manifest.json"
+    manifest = read_json(path, Manifest, FormatError)
+    for entry in manifest.frames:
+        for name in (entry.points, entry.pose):
+            if not (root / name).is_file():
+                raise FormatError(f"{path}: frame {entry.frame_id}: missing {root / name}")
+    return sorted(manifest.frames, key=lambda e: e.frame_id), manifest.classes
 
 
-def load_dataset(root: str | Path) -> tuple[list[Frame], dict[int, str]]:
-    """Load a sequence directory; returns frames (sorted) and class table."""
+def load_dataset(root: str | Path) -> list[Frame]:
+    """A sequence directory's frames, sorted by id; point class ids must lie
+    in [0, the manifest's largest class id]."""
+    root = Path(root)
     entries, classes = read_manifest(root)
     num_classes = max(classes) if classes else 0
     frames: list[Frame] = []
     for entry in entries:
-        cloud = read_points(entry.points)
-        _parse(entry.points, cloud.validate, num_classes)
-        frames.append(Frame(entry.frame_id, entry.timestamp,
-                            read_pose(entry.pose), cloud))
-    return frames, classes
+        points = root / entry.points
+        cloud = read_points(points)
+        _parse(points, cloud.validate, num_classes)
+        frames.append(Frame(entry.frame_id, float(entry.timestamp),
+                            read_pose(root / entry.pose), cloud))
+    return frames

@@ -277,13 +277,14 @@ def _bad_manifest(edit, where, command="generate"):
         manifest = json.loads((copy / "manifest.json").read_text())
         edit(manifest)
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        return _dataset_command(command, copy, tmp), where
+        return (_dataset_command(command, copy, tmp),
+                f"{copy / 'manifest.json'}: {where}")
     return build
 
 
 def _bad_manifest_entry(edit, where):
     return _bad_manifest(lambda manifest: edit(manifest["frames"]),
-                         f"frames[3]: {where}")
+                         f"frames[3]{where}")
 
 
 def _deleted_pose(command):
@@ -331,9 +332,11 @@ def _frame_99(command):
 
 
 def _bad_noise(profile, where):
+    """profile is a JSON value, or the file's bytes."""
     def build(dataset, tmp):
         path = tmp / "noise.json"
-        path.write_text(json.dumps(profile))
+        path.write_bytes(profile if isinstance(profile, bytes)
+                         else json.dumps(profile).encode())
         return (["mock-detect", str(dataset), "--labels",
                  str(dataset / "gt_labels"), "--noise", str(path),
                  "--out", str(tmp / "out")], f"{path}: {where}")
@@ -346,7 +349,8 @@ def _bad_config(config, where, command="generate"):
         path = tmp / "cfg.json"
         path.write_bytes(config if isinstance(config, bytes)
                          else json.dumps(config).encode())
-        return _dataset_command(command, dataset, tmp) + ["--config", str(path)], where
+        return (_dataset_command(command, dataset, tmp) + ["--config", str(path)],
+                f"{path}: {where}")
     return build
 
 
@@ -390,8 +394,11 @@ def _bad_bytes(kind, content, where):
 
 def _manifest_without(key):
     return _bad_manifest_entry(lambda entries: entries[3].pop(key),
-                               f"missing {key!r}")
+                               f".{key}: missing required field")
 
+
+_VEHICLE = {"name": "vehicle", "radii": [0.4], "min_cluster_size": 10,
+            "meta_shape": [4.6, 1.8, 1.6]}
 
 MALFORMED = {
     "confidence-1.5": _bad_prediction("0 1 20 0 0.8 4 1.8 1.6 0 1.5"),
@@ -410,22 +417,24 @@ MALFORMED = {
     "manifest-no-points": _manifest_without("points"),
     "manifest-no-pose": _manifest_without("pose"),
     "manifest-frame_id-abc": _bad_manifest_entry(
-        lambda entries: entries[3].update(frame_id="abc"), "frame_id 'abc'"),
+        lambda entries: entries[3].update(frame_id="abc"),
+        ".frame_id: must be an integer, got 'abc'"),
     "manifest-entry-not-object": _bad_manifest_entry(
-        lambda entries: entries.insert(3, 5), "expected an object"),
+        lambda entries: entries.insert(3, 5), ": must be an object, got 5"),
     "manifest-timestamp-abc": _bad_manifest_entry(
-        lambda entries: entries[3].update(timestamp="abc"), "timestamp 'abc'"),
+        lambda entries: entries[3].update(timestamp="abc"),
+        ".timestamp: must be a finite number, got 'abc'"),
     **{f"manifest-frame_id-{name}": _bad_manifest_entry(
         lambda entries, value=value: entries[3].update(frame_id=value),
-        f"frame_id {value!r} is not an integer")
+        f".frame_id: must be an integer, got {value!r}")
        for name, value in (("0.9", 0.9), ("true", True), ("string", "3"))},
     **{f"manifest-timestamp-{name}": _bad_manifest_entry(
         lambda entries, value=value: entries[3].update(timestamp=value),
-        f"timestamp {value!r} is not a finite number")
+        f".timestamp: must be a finite number, got {value!r}")
        for name, value in (("true", True), ("nan", float("nan")))},
     "manifest-class-id-x": _bad_manifest(
         lambda manifest: manifest["classes"].update(x="car"),
-        "manifest.json: classes must map integer ids"),
+        "classes: keys must be integers in canonical decimal form, got 'x'"),
     "pose-deleted-generate": _deleted_pose("generate"),
     "pose-deleted-mock-detect": _deleted_pose("mock-detect"),
     **{f"frame-99-{command}": _frame_99(command)
@@ -441,9 +450,8 @@ MALFORMED = {
                                     "drop_prob: must be in [0, 1]"),
     **{f"non-utf8-{kind}": _bad_bytes(kind, b"1 2 3 1\n\xff\n", ": not UTF-8 text")
        for kind in ("points", "pose", "labels", "predictions", "manifest")},
-    "non-utf8-config": _bad_config(b'{"cell_size": \xff}',
-                                   "cfg.json: 'utf-8' codec can't decode"),
-    "manifest-not-object": _bad_bytes("manifest", b"5", ": expected a JSON object"),
+    "non-utf8-config": _bad_config(b'{"cell_size": \xff}', "not UTF-8 text"),
+    "manifest-not-object": _bad_bytes("manifest", b"5", ": must be an object, got 5"),
     "pose-row-after-blank-line": _bad_bytes(
         "pose", b"\n1 0 0 0\n0 1 0 x\n0 0 1 0\n", ":3: could not convert"),
     "points-class-id-99999999999": _bad_bytes(
@@ -470,7 +478,7 @@ MALFORMED = {
             ":1: expected 10 fields, got 11"))},
     **{f"manifest-no-frames-{command}": _bad_manifest(
         lambda manifest: manifest.update(frames=[]),
-        "manifest.json: frames must be a non-empty list", command)
+        "frames: must be a non-empty list", command)
        for command in ("generate", "refine", "mock-detect", "evaluate")},
     "config-cell_size-text": _bad_config(
         {"cell_size": "a"}, "cell_size: must be a finite number, got 'a'"),
@@ -498,10 +506,10 @@ MALFORMED = {
         {"class_agnostic_eval": 1},
         "class_agnostic_eval: must be true or false, got 1"),
     "config-class-not-object": _bad_config({"classes": {"1": 5}},
-                                           "classes[1]: expected an object"),
+                                           "classes[1]: must be an object, got 5"),
     **{f"manifest-{key}-5": _bad_manifest_entry(
         lambda entries, key=key: entries[3].update({key: 5}),
-        f"{key} 5 is not a path string") for key in ("points", "pose")},
+        f".{key}: must be a string, got 5") for key in ("points", "pose")},
     **{f"config-{name}-{value}": _bad_config(
         {name: value}, f"{name}: must be an integer, got {value!r}")
        for name, value in (("window_half_size", 2.5), ("epsilon", 2.5),
@@ -512,6 +520,36 @@ MALFORMED = {
                            "min_cluster_size": 2.5,
                            "meta_shape": [4.6, 1.8, 1.6]}}},
         "classes[1].min_cluster_size: must be an integer, got 2.5"),
+    **{f"config-class-id-{name}": _bad_config(
+        {"classes": {"1": _VEHICLE, key: _VEHICLE}},
+        f"classes: keys must be integers in canonical decimal form, got {key!r}")
+       for name, key in (("01", "01"), ("space-2", " 2"), ("plus-3", "+3"),
+                         ("1_0", "1_0"))},
+    **{f"manifest-class-id-{key}": _bad_manifest(
+        lambda manifest, key=key: manifest["classes"].update({key: 7}),
+        f"classes: keys must be integers in canonical decimal form, got {key!r}")
+       for key in ("01", "1_0")},
+    "manifest-class-id--5": _bad_manifest(
+        lambda manifest: manifest["classes"].update({"-5": "car"}),
+        "classes: keys must be class ids >= 0, got '-5'"),
+    **{f"manifest-class-name-{value}": _bad_manifest(
+        lambda manifest, value=value: manifest["classes"].update({"1": value}),
+        f"classes[1]: must be a string, got {value!r}")
+       for value in (7, None)},
+    "config-repeated-key": _bad_config(b'{"seed": 1, "seed": 2}',
+                                       "key 'seed' is repeated in one object"),
+    # json.dumps writes the int key 1 as "1", beside the manifest's own "1".
+    "manifest-repeated-key": _bad_manifest(
+        lambda manifest: manifest["classes"].update({1: "car"}),
+        "key '1' is repeated in one object"),
+    "noise-repeated-key": _bad_noise(b'{"pos_sigma": 0.1, "pos_sigma": 5}',
+                                     "key 'pos_sigma' is repeated in one object"),
+    "manifest-unknown-field": _bad_manifest_entry(
+        lambda entries: entries[3].update(timestmap=5.0), ".timestmap: unknown field"),
+    "noise-not-object": _bad_noise([0.1], "must be an object, got [0.1]"),
+    "non-utf8-noise": _bad_noise(b'{"pos_sigma": \xff}', "not UTF-8 text"),
+    "config-nested-too-deep": _bad_config(b"[" * 100000,
+                                          "maximum recursion depth exceeded"),
 }
 
 

@@ -2,14 +2,15 @@ import json
 import logging
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sembox import dataio
-from sembox.config import ClassConfig, ConfigError, PipelineConfig
+from sembox.config import (ClassConfig, ConfigError, PipelineConfig, build,
+                           read_json)
 from sembox.dataio import FormatError
 from sembox.geometry import Box3D, PointCloud, Pose
 from sembox.refine import Prediction
@@ -515,9 +516,9 @@ class TestDataset:
         root = tmp_path / "seq"
         dataio.write_dataset(root, frames, {1: "vehicle", 2: "pedestrian",
                                             3: "cyclist"}, gt=gt)
-        back, classes = dataio.load_dataset(root)
-        assert classes[0] == "background"
-        assert classes[1] == "vehicle"
+        back = dataio.load_dataset(root)
+        assert dataio.read_manifest(root)[1] == {0: "background", 1: "vehicle",
+                                                 2: "pedestrian", 3: "cyclist"}
         assert len(back) == len(frames)
         np.testing.assert_allclose(back[0].points.xyz, frames[0].points.xyz,
                                    atol=1e-6)
@@ -532,7 +533,7 @@ class TestDataset:
         root = tmp_path / "seq"
         dataio.write_dataset(root, frames, {1: "vehicle"}, gt=gt,
                              points_format="binary")
-        back, _ = dataio.load_dataset(root)
+        back = dataio.load_dataset(root)
         assert back[0].points.xyz.tobytes() == frames[0].points.xyz.tobytes()
 
     def test_manifest_entries_sorted_by_frame_id(self, tmp_path):
@@ -545,8 +546,8 @@ class TestDataset:
         entries, _ = dataio.read_manifest(root)
         ids = [fr.frame_id for fr in frames]
         assert [e.frame_id for e in entries] == ids
-        assert entries[2].pose == root / "poses" / "frame_000002.txt"
-        assert [fr.frame_id for fr in dataio.load_dataset(root)[0]] == ids
+        assert entries[2].pose == "poses/frame_000002.txt"
+        assert [fr.frame_id for fr in dataio.load_dataset(root)] == ids
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest.json"):
@@ -570,8 +571,8 @@ class TestConfig:
         cfg = PipelineConfig(window_half_size=3, cell_size=0.5,
                              nms_iou_threshold=0.25)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
-        back = PipelineConfig.from_json(path)
+        path.write_text(json.dumps(asdict(cfg)))
+        back = read_json(path, PipelineConfig)
         assert back == cfg
 
     def test_validation_names_fields(self):
@@ -587,7 +588,7 @@ class TestConfig:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            PipelineConfig.from_dict({"not_a_field": 1})
+            build(PipelineConfig, {"not_a_field": 1})
 
     def test_epsilon_derivation(self):
         cfg = PipelineConfig()

@@ -48,3 +48,25 @@ def test_unused_import_is_found():
               "import json\nimport numpy as np\nfrom math import pi, tau\n"
               "x: 'np.ndarray' = tau\n")
     assert unused_imports(source) == ["line 2: json", "line 4: pi"]
+
+
+def json_reads(source: str) -> list[int]:
+    """Line numbers of the calls to json.load or json.loads in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "loads")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
+
+
+def test_one_json_reader():
+    """Every JSON document goes through config.read_json, so json is parsed
+    in exactly one place in the package."""
+    package = sorted(Path(sembox.__file__).parent.glob("*.py"))
+    sites = [f"{p.name}:{line}" for p in package
+             for line in json_reads(p.read_text(encoding="utf-8"))]
+    assert len(sites) == 1 and sites[0].startswith("config.py:"), sites
+
+
+def test_json_read_is_found():
+    assert json_reads("import json\nx = json.loads(s)\ny = json.dumps(x)\n"
+                      "z = json.load(f)\n") == [2, 4]
