@@ -21,7 +21,10 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataio, evaluation, pipeline
+from .aggregation import Frame
 from .config import ConfigError, PipelineConfig, read_json
 from .dataio import FormatError
 from .geometry import PointIndex
@@ -130,6 +133,25 @@ def _read_frame_boxes(dir_path: Path, frame_ids, kind: str,
     return boxes
 
 
+def _load_frames(dataset: Path, config: PipelineConfig) -> list[Frame]:
+    """load_dataset, warning once per foreground class id that the config
+    has no entry for: its points are never clustered, nor counted in any
+    box's score."""
+    frames = dataio.load_dataset(dataset)
+    unconfigured = []
+    for fr in frames:
+        class_id = fr.points.class_id
+        keep = class_id > 0
+        for cid in config.classes:
+            keep &= class_id != cid
+        unconfigured.append(class_id[keep])
+    ids, counts = np.unique(np.concatenate(unconfigured), return_counts=True)
+    for cid, n in zip(ids.tolist(), counts.tolist()):
+        logger.warning("class id %d: %d foreground points, but the config has "
+                       "no entry for it, so none is clustered or scored", cid, n)
+    return frames
+
+
 def _write_summary(out_dir: Path, summary: dict) -> None:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
@@ -146,7 +168,7 @@ def cmd_synth(args) -> int:
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
-    frames = dataio.load_dataset(args.dataset)
+    frames = _load_frames(args.dataset, config)
     labels = pipeline.generate_labels(frames, config, threads=args.threads)
     out = Path(args.out)
     dataio.write_box_dir(out / "labels", labels, kind="labels")
@@ -158,7 +180,7 @@ def cmd_generate(args) -> int:
 
 def cmd_refine(args) -> int:
     config = _load_config(args.config)
-    frames = dataio.load_dataset(args.dataset)
+    frames = _load_frames(args.dataset, config)
     preds = _read_frame_boxes(args.preds, [fr.frame_id for fr in frames],
                               "predictions")
     if not any(preds.values()):
@@ -175,7 +197,7 @@ def cmd_refine(args) -> int:
 
 def cmd_score_labels(args) -> int:
     config = _load_config(args.config)
-    frames = dataio.load_dataset(args.dataset)
+    frames = _load_frames(args.dataset, config)
     index_of = {fr.frame_id: i for i, fr in enumerate(frames)}
     loaded = _read_frame_boxes(args.labels, index_of, "labels",
                                (config.theta_low, config.theta_high))

@@ -299,9 +299,45 @@ def _yaw_angles(yaw_step_deg: float) -> np.ndarray:
     return np.deg2rad(np.arange(0.0, 90.0, yaw_step_deg))
 
 
-# Points projected at once by _yaw_extents: bounds its (yaws x points)
-# arrays, and keeps each block's rows in cache for the reductions.
-_EXTENT_BLOCK = 1024
+# Points projected at once by _yaw_extents: its two (yaws x points)
+# buffers, allocated once per call, stay in cache for the reductions.
+_EXTENT_BLOCK = 256
+
+
+def _staircases(x: np.ndarray, y: np.ndarray,
+                group: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Positions of the points that can set each BEV extent of their group,
+    for points sorted by (group, x, y): the lower-left, upper-right,
+    lower-right and upper-left staircases, which hold the min u, max u,
+    min v and max v at every yaw in [0, 90) degrees.
+
+    A run is the points of one group with one x; only its lowest point can
+    set a min and only its highest a max. A run's point is kept when it
+    lies strictly beyond every run before it (min u: lower; max v: higher)
+    or after it (max u: higher; min v: lower) in its group. Every dropped
+    point has a kept point of its group that is at least as far left or
+    right and at least as low or high, so its projections never beat that
+    point's (see _yaw_extents). The scans run over integer keys, a group
+    rank above a y rank, so no group's values reach the next.
+    """
+    opens = np.r_[True, (group[1:] != group[:-1]) | (x[1:] != x[:-1])]
+    first = np.flatnonzero(opens)
+    last = np.r_[first[1:], len(x)] - 1
+    g = group[first]
+    m = len(first)
+    up, down = g * m, (g[-1] - g) * m  # a later group ranks higher / lower
+    low = np.unique(y[first], return_inverse=True)[1]
+    high = np.unique(y[last], return_inverse=True)[1]
+
+    def record(key: np.ndarray, beats) -> np.ndarray:
+        """Whether each key beats every key before it."""
+        best = (np.minimum if beats is np.less else np.maximum).accumulate(key)
+        return np.r_[True, beats(key[1:], best[:-1])]
+
+    return (first[record(down + low, np.less)],
+            last[record((down + high)[::-1], np.greater)[::-1]],
+            first[record((up + low)[::-1], np.less)[::-1]],
+            last[record(up + high, np.greater)])
 
 
 def _yaw_extents(xyz: np.ndarray, group: np.ndarray, n_groups: int,
@@ -310,26 +346,52 @@ def _yaw_extents(xyz: np.ndarray, group: np.ndarray, n_groups: int,
     candidate frame: (lo, hi), each (n_groups, 2A + 1) holding u at each
     of the A yaws, then v at each yaw, then z.
 
-    Points must be grouped by ascending group id. Each point is projected
-    once, in blocks of _EXTENT_BLOCK points, by the same element-wise
-    expressions at every call, and min/max do not round: the extents of a
-    union of groups are exactly the element-wise min/max of theirs.
+    Points must be finite, at least one, and grouped by ascending group
+    id. Each extent is reduced over its staircase alone (_staircases),
+    projected in blocks of _EXTENT_BLOCK points by the same element-wise
+    expressions at every call, u = x c + y s and v = -x s + y c. Every yaw
+    lies in [0, 90) degrees, so c > 0 and s >= 0: a product by a
+    non-negative constant and a rounded sum are monotone, so u never falls
+    as x or y grows, and v never falls as y grows nor rises as x grows. A
+    dropped point thus never beats the point that dominates it, and every
+    extent is exactly the min/max over all points. Zero extents read +0.0,
+    whatever the points' signs of zero or their order. min/max do not
+    round: the extents of a union of groups are exactly the element-wise
+    min/max of theirs.
     """
     a = len(angles)
     c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
     lo = np.full((2 * a + 1, n_groups), np.inf)
     hi = np.full((2 * a + 1, n_groups), -np.inf)
-    for at in range(0, len(xyz), _EXTENT_BLOCK):
-        block, g = xyz[at:at + _EXTENT_BLOCK], group[at:at + _EXTENT_BLOCK]
-        x, y = block[:, 0], block[:, 1]
-        coords = np.empty((2 * a + 1, len(block)))
-        coords[:a] = x * c + y * s
-        coords[a:2 * a] = -x * s + y * c
-        coords[2 * a] = block[:, 2]
-        start = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-        ids = g[start]
-        lo[:, ids] = np.minimum(lo[:, ids], np.minimum.reduceat(coords, start, axis=1))
-        hi[:, ids] = np.maximum(hi[:, ids], np.maximum.reduceat(coords, start, axis=1))
+    start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    lo[2 * a, group[start]] = np.minimum.reduceat(xyz[:, 2], start)
+    hi[2 * a, group[start]] = np.maximum.reduceat(xyz[:, 2], start)
+
+    order = np.lexsort((xyz[:, 1], xyz[:, 0], group))
+    x, y, g = xyz[order, 0], xyz[order, 1], group[order]
+    min_u, max_u, min_v, max_v = _staircases(x, y, g)
+    neg_x = -x
+    proj = np.empty((a, _EXTENT_BLOCK))
+    term = np.empty((a, _EXTENT_BLOCK))
+    # Per staircase: its points, the factors p, q and constants cp, cq of
+    # p cp + q cq (u = x c + y s, v = (-x) s + y c), its reduction, its rows.
+    for at, p, q, cp, cq, reduce, rows in (
+            (min_u, x, y, c, s, np.minimum, lo[:a]),
+            (max_u, x, y, c, s, np.maximum, hi[:a]),
+            (min_v, neg_x, y, s, c, np.minimum, lo[a:2 * a]),
+            (max_v, neg_x, y, s, c, np.maximum, hi[a:2 * a])):
+        for b in range(0, len(at), _EXTENT_BLOCK):
+            sel = at[b:b + _EXTENT_BLOCK]
+            u, t = proj[:, :len(sel)], term[:, :len(sel)]
+            np.multiply(p[sel], cp, out=u)
+            np.multiply(q[sel], cq, out=t)
+            np.add(u, t, out=u)
+            gb = g[sel]
+            seg = np.flatnonzero(np.r_[True, gb[1:] != gb[:-1]])
+            ids = gb[seg]
+            rows[:, ids] = reduce(rows[:, ids], reduce.reduceat(u, seg, axis=1))
+    lo += 0.0
+    hi += 0.0
     return lo.T, hi.T
 
 
@@ -376,6 +438,8 @@ def fit_box(xyz: np.ndarray, class_id: int, yaw_step_deg: float = 1.0,
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     if len(xyz) == 0:
         raise ValueError("cannot fit a box to an empty cluster")
+    if not np.isfinite(xyz).all():
+        raise ValueError("points must be finite")
     angles = _yaw_angles(yaw_step_deg)
     if criterion not in ("area", "closeness"):
         raise ValueError(f"unknown fit criterion {criterion!r}")
@@ -416,7 +480,7 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
     atom's yaw extents are computed once. Per radius, one reduceat over the
     atoms' extents gives every cluster's extents, exactly the min/max over
     its points, and one argmin its smallest-area yaw: fit_box's box, with
-    every point projected once per class rather than once per radius.
+    each class's points reduced once rather than once per radius.
     "closeness" sums over every point, so it fits each distinct member set
     with fit_box.
     """

@@ -23,7 +23,7 @@ from pathlib import Path
 from .clustering import ClusterParams
 from .geometry import Box3D, PointIndex
 from .scoring import (MetaShape, PseudoLabel, ScoreBreakdown, label_weight,
-                      msf_score, validate_lambdas)
+                      msf_score_in_frame, validate_lambdas)
 
 
 class ConfigError(ValueError):
@@ -274,15 +274,15 @@ class PipelineConfig:
         """Score breakdown of each box against the points of its class in
         the caller's indexed cloud, under this config's shape prior, score
         weights and occupancy grid. Each box is scored on its in-box points
-        of its class, which is all msf_score reads; equal boxes are scored once."""
+        of its class, which is all msf_score reads, in the box frame the
+        index query rotated them into; equal boxes are scored once."""
         scores: dict[Box3D, ScoreBreakdown] = {}
         for b in boxes:
             if b not in scores:
-                hits = index.inside(b)
-                hits = hits[index.class_id[hits] == b.class_id]
-                scores[b] = msf_score(b, index.xyz[hits],
-                                      self.meta_shape(b.class_id),
-                                      self.lambdas, self.occ_grid_r)
+                hits, p = index.inside_frame(b)
+                scores[b] = msf_score_in_frame(
+                    b, p[index.class_id[hits] == b.class_id],
+                    self.meta_shape(b.class_id), self.lambdas, self.occ_grid_r)
         return [scores[b] for b in boxes]
 
     def label(self, box: Box3D, scores: ScoreBreakdown,

@@ -67,10 +67,12 @@ POINTS_MAGIC = b"S2BPTS01"
 _POINT_RECORD = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "<u2")])
 _TEXT_POINT = np.dtype([("xyz", "<f8", 3), ("c", "<i4")])
 # The ASCII bytes at which str.splitlines breaks a line and a file read
-# does not; the ASCII bytes that str.strip() strips; and the file name
-# suffixes that np.loadtxt opens through a decompressor.
+# does not; a search for any byte but the ASCII ones that str.strip()
+# strips; and the file name suffixes that np.loadtxt opens through a
+# decompressor.
 _SPLITLINES_ONLY_ASCII = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+_NOT_ASCII_SPACE = re.compile(
+    b"[^%s]" % re.escape(bytes(c for c in range(128) if chr(c).isspace())))
 _NUMPY_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 _POINT_FIELDS = ("x", "y", "z", "class_id")
@@ -307,7 +309,7 @@ def read_points(path: str | Path) -> PointCloud:
     # and never under a name that numpy would open with a decompressor.
     if (raw.isascii() and not any(b in raw for b in _SPLITLINES_ONLY_ASCII)
             and path.suffix not in _NUMPY_DECOMPRESSED
-            and raw.strip(_ASCII_SPACE)):  # loadtxt warns about empty input
+            and _NOT_ASCII_SPACE.search(raw)):  # loadtxt warns about empty input
         try:
             with warnings.catch_warnings():
                 # Older numpy loads an int column's "1.0" with only this warning.

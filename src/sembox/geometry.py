@@ -232,8 +232,8 @@ class PointIndex:
     BEV footprint, widened by _DISJOINT_MARGIN times the box's coordinates'
     magnitude, as bev_candidate_pairs widens. An accepted point may lie
     outside the unpadded slab only by the rounding of to_frame, which is
-    far below the pad, so the slab loses no point and points_in_box alone
-    decides every result.
+    far below the pad, so the slab loses no point and the containment test
+    alone decides every result.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -244,12 +244,19 @@ class PointIndex:
 
     def inside(self, box: Box3D) -> np.ndarray:
         """Ascending indices of the points inside box."""
+        return self.inside_frame(box)[0]
+
+    def inside_frame(self, box: Box3D) -> tuple[np.ndarray, np.ndarray]:
+        """inside(box), and those points in the box frame: the rows of
+        box.to_frame(xyz[inside(box)]), since to_frame works row by row."""
         half = (abs(math.cos(box.yaw)) * box.l + abs(math.sin(box.yaw)) * box.w) / 2.0
         reach = half + _DISJOINT_MARGIN * (abs(box.cx) + abs(box.cy) + box.l + box.w)
         lo = np.searchsorted(self.x, box.cx - reach, side="left")
         hi = np.searchsorted(self.x, box.cx + reach, side="right")
         slab = np.sort(self.order[lo:hi])
-        return slab[points_in_box(self.xyz[slab], box)]
+        p = box.to_frame(self.xyz[slab])
+        keep = in_box_frame(p, box)
+        return slab[keep], p[keep]
 
 
 def transform_box(box: Box3D, pose: Pose) -> Box3D:

@@ -68,16 +68,14 @@ def label_sort_key(lab: PseudoLabel):
             lab.box.cz, lab.box.yaw)
 
 
-def _box_grid_counts(box: Box3D, xyz: np.ndarray, r: int):
-    """Bin in-box points into an r x r BEV grid in the box frame.
+def _box_grid_counts(box: Box3D, p: np.ndarray, r: int):
+    """Bin in-box points, given in the box frame, into an r x r BEV grid.
 
-    Returns (counts, cell_i, cell_j, frame_coords) for the in-box subset.
-    Boundary points land in the outermost cells.
+    Returns (counts, cell_i, cell_j, p). Boundary points land in the
+    outermost cells.
     """
     if r < 1:
         raise ValueError("grid resolution must be >= 1")
-    p = box.to_frame(xyz)
-    p = p[in_box_frame(p, box)]
     ci = np.floor((p[:, 0] + box.l / 2.0) / (box.l / r)).astype(np.int64)
     cj = np.floor((p[:, 1] + box.w / 2.0) / (box.w / r)).astype(np.int64)
     np.clip(ci, 0, r - 1, out=ci)
@@ -174,9 +172,18 @@ def combine_scores(occ: float, alg: float, ms: float,
 def msf_score(box: Box3D, class_xyz: np.ndarray, meta: MetaShape,
               lambdas: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
               occ_r: int = 7) -> ScoreBreakdown:
-    """Full score breakdown of a box against its class's points; the
-    footprint grid is built once for occupancy and alignment."""
-    grid = _box_grid_counts(box, class_xyz, occ_r)
+    """Full score breakdown of a box against its class's points."""
+    p = box.to_frame(class_xyz)
+    return msf_score_in_frame(box, p[in_box_frame(p, box)], meta, lambdas, occ_r)
+
+
+def msf_score_in_frame(box: Box3D, p: np.ndarray, meta: MetaShape,
+                       lambdas: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
+                       occ_r: int = 7) -> ScoreBreakdown:
+    """msf_score from the in-box points of the box's class, already in the
+    box frame; the footprint grid is built once for occupancy and
+    alignment."""
+    grid = _box_grid_counts(box, p, occ_r)
     return combine_scores(_occupancy(grid), _alignment(grid),
                           meta_shape_score(box, meta), lambdas)
 

@@ -1,8 +1,11 @@
 import json
+import logging
 
+import numpy as np
 import pytest
 
 from sembox.cli import main
+from sembox.geometry import PointCloud
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,42 @@ class TestExitCodes:
         assert "Not a directory" in capsys.readouterr().err
 
 
+class TestUnconfiguredClass:
+    def test_warns_once_per_class_with_its_count(self, dataset, tmp_path, caplog):
+        # A copy whose foreground is all class 4, which the manifest names
+        # and the default config lacks: nothing is clustered, and each
+        # command that reads points says so once.
+        import shutil
+        from sembox import dataio
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["classes"]["4"] = "truck"
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        fg = 0
+        for path in sorted((copy / "points").glob("*.txt")):
+            cloud = dataio.read_points(path)
+            class_id = np.where(cloud.class_id > 0, 4, 0)
+            fg += int(np.count_nonzero(class_id))
+            dataio.write_points_text(path, PointCloud(cloud.xyz, class_id))
+        preds, gen = tmp_path / "preds", tmp_path / "gen"
+        assert main(["mock-detect", str(copy), "--labels", str(copy / "gt_labels"),
+                     "--out", str(preds)]) == 0
+        for argv in (["generate", str(copy), "--threads", "1", "--out", str(gen)],
+                     ["score-labels", str(copy), "--labels", str(copy / "gt_labels")],
+                     ["refine", str(copy), "--preds", str(preds),
+                      "--out", str(tmp_path / "refined")]):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="sembox"):
+                assert main(argv) == 0
+            assert [r.getMessage() for r in caplog.records] == [
+                f"class id 4: {fg} foreground points, but the config has no "
+                "entry for it, so none is clustered or scored"]
+        labels = sorted((gen / "labels").glob("*.txt"))
+        assert fg > 0 and len(labels) == 11
+        assert all(p.read_bytes() == b"" for p in labels)
+
+
 class TestManifestOnlyCommands:
     def test_no_points_read(self, dataset, tmp_path, monkeypatch, capsys):
         # mock-detect and evaluate use only frame ids: a corrupt points
@@ -145,7 +184,6 @@ class TestRefineCli:
         assert len(list((out / "retained").glob("*.txt"))) == 11
 
     def test_refine_empty_predictions(self, dataset, tmp_path, caplog):
-        import logging
         preds = tmp_path / "empty_preds"
         preds.mkdir()
         out = tmp_path / "refined"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sembox import clustering
 from sembox.clustering import ClusterParams, dbscan, fit_box, multi_scale_cluster
@@ -43,6 +43,26 @@ def brute_force_dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarr
         if best is not None:
             labels[j] = best[1]
     return labels
+
+
+def dense_yaw_extents(xyz: np.ndarray, group: np.ndarray, n_groups: int,
+                      angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for clustering._yaw_extents: every point projected at
+    every yaw by the same element-wise expressions, each group reduced
+    over all of its points."""
+    a = len(angles)
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    x, y = xyz[:, 0], xyz[:, 1]
+    coords = np.empty((2 * a + 1, len(xyz)))
+    coords[:a] = x * c + y * s
+    coords[a:2 * a] = -x * s + y * c
+    coords[2 * a] = xyz[:, 2]
+    lo = np.full((2 * a + 1, n_groups), np.inf)
+    hi = np.full((2 * a + 1, n_groups), -np.inf)
+    start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    lo[:, group[start]] = np.minimum.reduceat(coords, start, axis=1)
+    hi[:, group[start]] = np.maximum.reduceat(coords, start, axis=1)
+    return lo.T, hi.T
 
 
 def canonical_partition(labels: np.ndarray):
@@ -464,3 +484,90 @@ class TestAtomFitOracle:
             got = multi_scale_cluster(cloud, params)
             monkeypatch.undo()
             assert want and [c.box for c in got] == [c.box for c in want]
+
+
+# Coordinates that tie under rounding: signed zeros, repeats and the
+# binary fractions that axis-parallel and collinear rows share.
+_TIED = np.array([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 3.0, 1e-300, -1e-300])
+
+
+def adversarial_group(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points of one shape: tied grid values, a collinear row, an
+    axis-parallel row or a normal blob, in half the cases moved near 1e6."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        xy = rng.choice(_TIED, (n, 2))
+    elif kind == 1:
+        xy = np.outer(rng.choice(_TIED, n), rng.normal(size=2))
+    elif kind == 2:
+        xy = rng.choice(_TIED, (n, 2))
+        xy[:, int(rng.integers(2))] = rng.choice(_TIED)
+    else:
+        xy = rng.normal(size=(n, 2))
+    if rng.integers(2):
+        xy = 1e6 + xy * 1e-9 * rng.integers(0, 2)
+    return np.column_stack([xy, rng.choice(_TIED, n)])
+
+
+class TestYawExtentsOracle:
+    """_yaw_extents reduces each extent over a staircase only; its extents
+    are bitwise those of every point projected, with zeros read as +0.0."""
+
+    @staticmethod
+    def case(seed: int):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 30, int(rng.integers(1, 7)))
+        xyz = np.concatenate([adversarial_group(rng, int(n)) for n in sizes])
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        return rng, xyz, group
+
+    @pytest.mark.parametrize("block", [5, 256])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), step=st.sampled_from([1.0, 7.0, 90.0]))
+    def test_bitwise_equal_dense_and_permutation_free(self, seed, step, block,
+                                                      monkeypatch):
+        monkeypatch.setattr(clustering, "_EXTENT_BLOCK", block)
+        rng, xyz, group = self.case(seed)
+        angles = clustering._yaw_angles(step)
+        n_groups = int(group[-1]) + 1
+        lo, hi = clustering._yaw_extents(xyz, group, n_groups, angles)
+        want_lo, want_hi = dense_yaw_extents(xyz, group, n_groups, angles)
+        assert lo.tobytes() == (want_lo + 0.0).tobytes()
+        assert hi.tobytes() == (want_hi + 0.0).tobytes()
+        # Shuffled within each group, the points stay grouped.
+        perm = np.lexsort((rng.random(len(xyz)), group))
+        got = clustering._yaw_extents(xyz[perm], group, n_groups, angles)
+        assert got[0].tobytes() == lo.tobytes() and got[1].tobytes() == hi.tobytes()
+
+    def test_signed_zero_extents_read_positive(self):
+        xyz = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])
+        angles = clustering._yaw_angles(90.0)
+        for rows in (xyz, xyz[::-1]):
+            lo, hi = clustering._yaw_extents(rows, np.zeros(2, dtype=np.int64), 1,
+                                             angles)
+            assert not np.signbit(lo).any() and not np.signbit(hi).any()
+
+    def test_outline_projects_fewer_point_yaws(self, monkeypatch):
+        xyz = rectangle_outline(4, 2, math.radians(30))
+        kept = []
+
+        def counting(*args):
+            out = staircases(*args)
+            kept.append(sum(len(at) for at in out))
+            return out
+
+        staircases = clustering._staircases
+        monkeypatch.setattr(clustering, "_staircases", counting)
+        fit_box(xyz, class_id=1)
+        a = len(clustering._yaw_angles(1.0))
+        assert len(kept) == 1 and kept[0] * a < len(xyz) * 2 * a
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("criterion", ["area", "closeness"])
+    def test_fit_box_rejects_non_finite(self, bad, column, criterion):
+        xyz = rectangle_outline(4, 2, 0.0)
+        xyz[7, column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_box(xyz, class_id=1, criterion=criterion)

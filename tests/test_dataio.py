@@ -262,6 +262,34 @@ class TestBulkMatchesLines:
         # Only a path ever goes to loadtxt; other text goes to the row reader.
         assert sources == ([path] if route == "path" else [])
 
+    @pytest.mark.parametrize("text, route", [
+        (b"", "lines"),
+        (b"\n \r\n\t\n", "lines"),
+        (b" \x1f", "lines"),
+        (b" \x1f  \x1f\x1f ", "lines"),
+        (b" \x1f\n1 2 3 1\n", "path"),
+        (b"\x1f", "magic"),  # bytes.isspace() is false for \x1f
+        (b"\x1f\x1f\x1f", "magic"),
+    ])
+    def test_whitespace_only_goes_to_row_reader(self, tmp_path, monkeypatch,
+                                                text, route):
+        # str.strip() strips \x1f, so spaces and \x1f alone hold no rows.
+        sources = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda src, **kw: sources.append(src) or loadtxt(src, **kw))
+        path = tmp_path / "p.txt"
+        path.write_bytes(text)
+        if route == "magic":
+            with pytest.raises(FormatError, match="unrecognized points file magic"):
+                dataio.read_points(path)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                back = dataio.read_points(path)
+            assert len(back) == (route == "path")
+        assert sources == ([path] if route == "path" else [])
+
     @pytest.mark.parametrize("xyz, cls", [
         (np.zeros((0, 3)), []),
         ([[-0.0, 1e-300, 1e300]], [2**31 - 1]),

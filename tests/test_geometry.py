@@ -250,6 +250,9 @@ class TestPointIndex:
         got = index.inside(box)
         np.testing.assert_array_equal(got, np.flatnonzero(points_in_box(xyz, box)))
         np.testing.assert_array_equal(index.class_id[got], got % 3)
+        hits, p = index.inside_frame(box)
+        np.testing.assert_array_equal(hits, got)
+        assert p.tobytes() == box.to_frame(xyz[got]).tobytes()
 
     def test_unpadded_slab_would_drop_a_corner(self):
         # Pins the premise of the @example above.

@@ -13,7 +13,7 @@ from sembox.pipeline import generate_labels
 from sembox.refine import NOISE_PROFILES, mock_detector, refine_round
 from sembox.scoring import (MetaShape, alignment_from_angles, combine_scores,
                             label_weight, meta_shape_score, msf_score,
-                            nms_select)
+                            msf_score_in_frame, nms_select)
 from sembox.synth import generate_sequence, preset_scene
 
 from conftest import random_box
@@ -200,15 +200,31 @@ class TestScoreBoxes:
 
         def counting(box, *args):
             calls.append(box)
-            return msf_score(box, *args)
+            return msf_score_in_frame(box, *args)
 
-        monkeypatch.setattr(config_module, "msf_score", counting)
+        monkeypatch.setattr(config_module, "msf_score_in_frame", counting)
         boxes = [random_box(rng, span=5, class_id=c) for c in (1, 1, 2)]
         boxes = [boxes[i] for i in (0, 1, 0, 2, 1, 0)]
         cloud = PointCloud(rng.uniform(-6, 6, (200, 3)), rng.integers(0, 3, 200))
         scores = PipelineConfig().score_boxes(boxes, PointIndex(cloud))
         assert calls == boxes[:2] + boxes[3:4]
         assert scores[0] == scores[2] == scores[5] and scores[1] == scores[4]
+
+    def test_rotates_each_scored_point_once(self, monkeypatch, rng):
+        # The index query's box-frame rows are the ones scored.
+        rotated = []
+        to_frame = Box3D.to_frame
+
+        def counting_to_frame(box, xyz):
+            rotated.append(box)
+            return to_frame(box, xyz)
+
+        boxes = [random_box(rng, span=5, class_id=c) for c in (1, 2, 2)]
+        cloud = PointCloud(rng.uniform(-6, 6, (300, 3)), rng.integers(0, 3, 300))
+        index = PointIndex(cloud)
+        monkeypatch.setattr(Box3D, "to_frame", counting_to_frame)
+        PipelineConfig().score_boxes(boxes + boxes[:1], index)
+        assert rotated == boxes
 
     def test_msf_tests_containment_once(self, monkeypatch, rng):
         # One rotation into the box frame, and one containment test there.
