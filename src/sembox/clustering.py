@@ -360,7 +360,7 @@ def _yaw_extents(xyz: np.ndarray, group: np.ndarray, n_groups: int,
     min/max of theirs.
     """
     a = len(angles)
-    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    c, s = (np.array([f(t) for t in angles])[:, None] for f in (math.cos, math.sin))
     lo = np.full((2 * a + 1, n_groups), np.inf)
     hi = np.full((2 * a + 1, n_groups), -np.inf)
     start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
@@ -447,7 +447,7 @@ def fit_box(xyz: np.ndarray, class_id: int, yaw_step_deg: float = 1.0,
         lo, hi = _yaw_extents(xyz, np.zeros(len(xyz), dtype=np.int64), 1, angles)
         return _box_from_extents(lo[0], hi[0], angles, class_id)
 
-    c, s = np.cos(angles), np.sin(angles)
+    c, s = (np.array([f(t) for t in angles]) for f in (math.cos, math.sin))
     x, y = xyz[:, 0:1], xyz[:, 1:2]
     # Coordinates of every point in every candidate frame, shape (N, A).
     u = x * c + y * s

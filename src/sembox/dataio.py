@@ -301,7 +301,7 @@ def read_points(path: str | Path) -> PointCloud:
         xyz = np.column_stack([rec["x"], rec["y"], rec["z"]])
         return PointCloud(xyz, rec["c"].astype(np.int32))
     first = raw[:1]
-    if first and not (first.isdigit() or first.isspace() or first in b"-+."):
+    if first and not (first.isdigit() or first in b"-+.") and _NOT_ASCII_SPACE.match(first):
         raise FormatError(f"{path}: unrecognized points file magic")
     # Read as a file, loadtxt breaks lines only at \n, \r and \r\n; the row
     # reader's splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and

@@ -44,9 +44,17 @@ def orientation_distance(a: float, b: float) -> float:
     return min(d, math.pi - d)
 
 
+def rotate(xyz: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """xyz @ r.T for points (3,) or (N, 3): column i is x r[i, 0] + y r[i, 1] +
+    z r[i, 2], element-wise, so each row's bytes depend on it alone, on any CPU."""
+    x, y, z = xyz.reshape(-1, 3).T
+    return (x * r[:, :1] + y * r[:, 1:2] + z * r[:, 2:]).T.reshape(xyz.shape)
+
+
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform mapping sensor coordinates to a shared global frame."""
+    """Rigid transform mapping sensor coordinates to a shared global frame.
+    Its rotation acts through rotate, so apply works row by row on any CPU."""
 
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
@@ -58,7 +66,7 @@ class Pose:
         object.__setattr__(self, "translation", t)
         if not np.all(np.isfinite(r)) or not np.all(np.isfinite(t)):
             raise ValueError("pose contains non-finite values")
-        err = np.abs(r @ r.T - np.eye(3)).max()
+        err = np.abs(rotate(r, r) - np.eye(3)).max()
         if err > 1e-6:
             raise ValueError(f"pose rotation not orthonormal (max error {err:.2e})")
         det = np.linalg.det(r)
@@ -77,16 +85,16 @@ class Pose:
         return math.atan2(self.rotation[1, 0], self.rotation[0, 0])
 
     def apply(self, xyz: np.ndarray) -> np.ndarray:
-        return np.asarray(xyz, dtype=np.float64) @ self.rotation.T + self.translation
+        return rotate(np.asarray(xyz, dtype=np.float64), self.rotation) + self.translation
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T
-        return Pose(rt, -(rt @ self.translation))
+        return Pose(rt, -rotate(self.translation, rt))
 
     def compose(self, other: "Pose") -> "Pose":
         """Returns the pose equivalent to applying `other` first, then `self`."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
+        # rotate(o.T, s) is o.T @ s.T, the transpose of s @ o.
+        return Pose(rotate(other.rotation.T, self.rotation).T, self.apply(other.translation))
 
 
 @dataclass
@@ -191,12 +199,11 @@ class Box3D:
         return self.l * self.w * self.h
 
     def corners_bev(self) -> np.ndarray:
-        """BEV footprint corners, counter-clockwise, shape (4, 2)."""
+        """BEV footprint corners, counter-clockwise, (4, 2), in Python float arithmetic."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         dx, dy = self.l / 2.0, self.w / 2.0
-        local = np.array([[-dx, -dy], [dx, -dy], [dx, dy], [-dx, dy]])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.cx, self.cy])
+        return np.array([(self.cx + (c * x - s * y), self.cy + (s * x + c * y))
+                         for x, y in ((-dx, -dy), (dx, -dy), (dx, dy), (-dx, dy))])
 
     def to_frame(self, xyz: np.ndarray) -> np.ndarray:
         """Express points in the box frame (translate to center, rotate by -yaw)."""
@@ -266,7 +273,7 @@ def transform_box(box: Box3D, pose: Pose) -> Box3D:
     pose's rotation. Poses with significant roll or pitch would tilt the
     box, which this representation cannot express.
     """
-    c = pose.apply(box.center.reshape(1, 3))[0]
+    c = pose.apply(box.center)
     return Box3D(c[0], c[1], c[2], box.l, box.w, box.h,
                  box.yaw + pose.yaw, box.class_id)
 

@@ -111,13 +111,12 @@ def _alignment(grid) -> float:
     """Alignment of the densest in-box region with the box heading.
 
     The densest cell of the r x r footprint grid plus its 8-neighborhood is
-    selected; the principal direction of those points (leading eigenvector
-    of their xy covariance) is compared with the heading. Fewer than two
-    points, or zero spatial variance, is uninformative and scores 0.
+    selected; the leading direction of its xy covariance, in closed form
+    theta = atan2(2 sxy, sxx - syy) / 2, is compared with the heading.
+    Fewer than two points, or zero spatial variance, scores 0. An isotropic
+    region (sxx == syy, sxy == 0) has none: theta is 0 and it scores 1.0.
     """
     counts, ci, cj, p = grid
-    if len(p) < 2 or counts.max() == 0:
-        return 0.0
     r = counts.shape[0]
     flat = int(np.argmax(counts))  # ties: first cell in row-major order
     bi, bj = flat // r, flat % r
@@ -125,13 +124,11 @@ def _alignment(grid) -> float:
     pts = p[region, :2]
     if len(pts) < 2:
         return 0.0
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / len(pts)
-    if float(np.trace(cov)) < 1e-18:
+    dx, dy = (pts - pts.mean(axis=0)).T
+    sxx, syy, sxy = float(np.sum(dx * dx)), float(np.sum(dy * dy)), float(np.sum(dx * dy))
+    if (sxx + syy) / len(pts) < 1e-18:
         return 0.0
-    _, vecs = np.linalg.eigh(cov)
-    v = vecs[:, -1]  # leading eigenvector
-    theta = math.atan2(v[1], v[0])
+    theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
     # p is already in the box frame, so the heading is at angle 0.
     return alignment_from_angles(0.0, theta)
 
@@ -144,13 +141,12 @@ def meta_shape_score(box: Box3D, meta: MetaShape) -> float:
     and their KL divergence D is mapped to 1 - min(cap, D) / cap, so a
     perfect proportion match scores 1.
     """
-    b = np.array([box.l, box.w, box.h])
-    m = np.array([meta.l, meta.w, meta.h])
-    if np.any(b <= 0.5 * m) or np.any(b >= 2.0 * m):
+    b, m = (box.l, box.w, box.h), (meta.l, meta.w, meta.h)
+    if any(bi <= 0.5 * mi or bi >= 2.0 * mi for bi, mi in zip(b, m)):
         return 0.0
-    bp = b / b.sum()
-    mp = m / m.sum()
-    d = float(np.sum(mp * np.log(mp / bp)))
+    sb, sm = b[0] + b[1] + b[2], m[0] + m[1] + m[2]
+    kl = [mi / sm * math.log((mi / sm) / (bi / sb)) for bi, mi in zip(b, m)]
+    d = kl[0] + kl[1] + kl[2]  # not sum(): Python 3.12's sum() compensates
     return 1.0 - min(_SHAPE_DIVERGENCE_CAP, d) / _SHAPE_DIVERGENCE_CAP
 
 

@@ -85,19 +85,16 @@ def _sample_object_points(rng: np.random.Generator, spec: SceneSpec,
                           ego: np.ndarray) -> np.ndarray:
     """Sample world-frame surface points of one object for one frame."""
     half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    center = np.array([box.cx, box.cy, box.cz])
+    pose = Pose.from_xyz_yaw(box.cx, box.cy, box.cz, box.yaw)  # box frame -> world
 
     chunks = []
     for axis, sign in _FACES:
-        normal = rot[:, axis] * sign
-        face_center = center + normal * half[axis]
-        to_ego = ego - face_center
-        dist = float(np.linalg.norm(to_ego))
+        normal = pose.rotation[:, axis] * sign
+        tx, ty, tz = ego - (pose.translation + normal * half[axis])
+        dist = math.sqrt(tx * tx + ty * ty + tz * tz)
         if dist <= 1e-9:
             continue
-        cos_inc = float(normal @ to_ego) / dist
+        cos_inc = (normal[0] * tx + normal[1] * ty + normal[2] * tz) / dist
         if cos_inc <= 0.0:
             continue  # face turned away from the sensor
         u_axis, v_axis = [a for a in range(3) if a != axis]
@@ -114,10 +111,10 @@ def _sample_object_points(rng: np.random.Generator, spec: SceneSpec,
                                         half[u_axis] - _FACE_EDGE_INSET, count)
         coords[:, v_axis] = rng.uniform(-(half[v_axis] - _FACE_EDGE_INSET),
                                         half[v_axis] - _FACE_EDGE_INSET, count)
-        chunks.append(coords @ rot.T + center)
+        chunks.append(coords)
     if not chunks:
         return np.zeros((0, 3))
-    pts = np.concatenate(chunks)
+    pts = pose.apply(np.concatenate(chunks))
 
     if obj.center_gap > 0.0:
         center_az = math.atan2(box.cy - ego[1], box.cx - ego[0])
@@ -180,7 +177,7 @@ def generate_sequence(spec: SceneSpec) -> tuple[list[Frame], dict[int, list[Box3
             pts = _sample_object_points(rng, spec, obj, box, ego)
             if len(pts) == 0:
                 continue
-            dist = np.linalg.norm(pts - ego, axis=1)
+            dist = np.sqrt(np.square(pts - ego).sum(axis=1))
             pts = pts[dist <= spec.sensor_range]
             if len(pts) == 0:
                 continue

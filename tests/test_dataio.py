@@ -268,12 +268,15 @@ class TestBulkMatchesLines:
         (b" \x1f", "lines"),
         (b" \x1f  \x1f\x1f ", "lines"),
         (b" \x1f\n1 2 3 1\n", "path"),
-        (b"\x1f", "magic"),  # bytes.isspace() is false for \x1f
-        (b"\x1f\x1f\x1f", "magic"),
+        (b"\x1f", "lines"),
+        (b"\x1f\x1f\x1f", "lines"),
+        (b"\x1f\n1 2 3 1\n", "path"),
+        (b"\x1b", "magic"),
     ])
     def test_whitespace_only_goes_to_row_reader(self, tmp_path, monkeypatch,
                                                 text, route):
-        # str.strip() strips \x1f, so spaces and \x1f alone hold no rows.
+        # str.strip() strips \x1c-\x1f, so spaces and \x1f alone hold no
+        # rows, and a file may start with any of them; \x1b is no space.
         sources = []
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt",

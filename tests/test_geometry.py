@@ -54,6 +54,21 @@ class TestTransform:
         np.testing.assert_array_equal(out.class_id, [0, 1, 2])
         assert len(out) == 3
 
+    @settings(max_examples=100, deadline=None)
+    @given(pose=pose_strategy(), roll=angles, seed=st.integers(0, 2**32 - 1))
+    def test_apply_works_row_by_row(self, pose, roll, seed):
+        # Any subset of rows, one row included, gets the bulk call's bytes.
+        c, s = math.cos(roll), math.sin(roll)
+        pose = pose.compose(Pose(np.array([[1, 0, 0], [0, c, -s], [0, s, c]]),
+                                 np.zeros(3)))
+        rng = np.random.default_rng(seed)
+        xyz = rng.uniform(-100, 100, (300, 3))
+        bulk = pose.apply(xyz)
+        for idx in ([rng.integers(300)], rng.integers(0, 300, 2),
+                    rng.integers(0, 300, 17), rng.permutation(300)):
+            assert pose.apply(xyz[idx]).tobytes() == bulk[idx].tobytes()
+        assert pose.apply(xyz[5]).tobytes() == bulk[5].tobytes()
+
     def test_bad_rotation_rejected(self):
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 2.0, np.zeros(3))
@@ -235,13 +250,16 @@ def indexed_queries(draw):
     return box, xyz
 
 
-_QUARTER_TURN = Box3D(0.0, 0.0, 0.0, 1.0, 0.7, 1.0, math.pi / 4)
+_SIXTH_TURN = Box3D(0.0, 0.0, 0.0, 4.0, 1.5, 1.0, math.pi / 6)
+# One ulp beyond its corner of greatest x, corners_bev()[1].
+_NEAR_CORNER = np.array([[2.1070508075688776, 0.35048094716167066, 0.0]])
 
 
 class TestPointIndex:
-    # A corner of this box lies above cx + |cos yaw| l/2 + |sin yaw| w/2
-    # in float, yet points_in_box accepts it: only the pad keeps it.
-    @example(case=(_QUARTER_TURN, np.c_[_QUARTER_TURN.corners_bev(), np.zeros(4)]))
+    # This point lies above cx + |cos yaw| l/2 + |sin yaw| w/2 in float,
+    # yet points_in_box accepts it: only the pad keeps it.
+    @example(case=(_SIXTH_TURN, np.r_[_NEAR_CORNER, np.c_[_SIXTH_TURN.corners_bev(),
+                                                          np.zeros(4)]]))
     @settings(max_examples=500, deadline=None)
     @given(case=indexed_queries())
     def test_equals_points_in_box(self, case):
@@ -256,14 +274,16 @@ class TestPointIndex:
 
     def test_unpadded_slab_would_drop_a_corner(self):
         # Pins the premise of the @example above.
-        corner = _QUARTER_TURN.corners_bev()[1]
-        half = (abs(math.cos(_QUARTER_TURN.yaw)) * _QUARTER_TURN.l
-                + abs(math.sin(_QUARTER_TURN.yaw)) * _QUARTER_TURN.w) / 2.0
-        assert corner[0] > _QUARTER_TURN.cx + half
-        assert points_in_box(np.array([[*corner, 0.0]]), _QUARTER_TURN)[0]
+        corner = _SIXTH_TURN.corners_bev()[1]
+        assert _NEAR_CORNER[0, 0] == np.nextafter(corner[0], np.inf)
+        assert _NEAR_CORNER[0, 1] == corner[1]
+        half = (abs(math.cos(_SIXTH_TURN.yaw)) * _SIXTH_TURN.l
+                + abs(math.sin(_SIXTH_TURN.yaw)) * _SIXTH_TURN.w) / 2.0
+        assert _NEAR_CORNER[0, 0] > _SIXTH_TURN.cx + half
+        assert points_in_box(_NEAR_CORNER, _SIXTH_TURN)[0]
 
     def test_empty_cloud(self):
-        got = PointIndex(make_cloud(np.zeros((0, 3)))).inside(_QUARTER_TURN)
+        got = PointIndex(make_cloud(np.zeros((0, 3)))).inside(_SIXTH_TURN)
         assert got.size == 0 and got.dtype == np.intp
 
 

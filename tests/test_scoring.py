@@ -115,6 +115,75 @@ class TestAlignment:
         assert 0.0 <= alignment_from_angles(alpha, theta) <= 1.0
 
 
+_ALIGN_BOX = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+angles = st.floats(-math.pi, math.pi)
+
+
+def eigh_alignment(grid) -> float:
+    """scoring._alignment as it was before the closed form: the covariance
+    by a matrix product and its leading eigenvector by LAPACK's eigh."""
+    counts, ci, cj, p = grid
+    if len(p) < 2 or counts.max() == 0:
+        return 0.0
+    r = counts.shape[0]
+    flat = int(np.argmax(counts))
+    bi, bj = flat // r, flat % r
+    region = (np.abs(ci - bi) <= 1) & (np.abs(cj - bj) <= 1)
+    pts = p[region, :2]
+    if len(pts) < 2:
+        return 0.0
+    centered = pts - pts.mean(axis=0)
+    cov = centered.T @ centered / len(pts)
+    if float(np.trace(cov)) < 1e-18:
+        return 0.0
+    _, vecs = np.linalg.eigh(cov)
+    v = vecs[:, -1]
+    return alignment_from_angles(0.0, math.atan2(v[1], v[0]))
+
+
+@st.composite
+def alignment_regions(draw):
+    """xy points of one region: collinear, two points, or a cross whose
+    arms differ in length by 0.1% to 50%, turned and moved, possibly to
+    near 1e6."""
+    kind = draw(st.sampled_from(["collinear", "two", "cross"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    turn = draw(angles)
+    if kind == "collinear":
+        t = rng.uniform(-3, 3, draw(st.integers(2, 40)))
+        uv = np.c_[t, np.zeros_like(t)]
+    elif kind == "two":
+        uv = rng.uniform(-3, 3, (2, 2))
+    else:
+        a = draw(st.floats(0.01, 3))
+        b = a * (1 + draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-3, 0.5)))
+        uv = np.array([[a, 0], [-a, 0], [0, b], [0, -b]])
+    c, s = math.cos(turn), math.sin(turn)
+    xy = np.c_[uv[:, 0] * c - uv[:, 1] * s, uv[:, 0] * s + uv[:, 1] * c]
+    return xy + draw(st.sampled_from([0.0, 1e6, -1e6 + 0.3])) * rng.uniform(0.9, 1.1, 2)
+
+
+def one_cell_grid(xy: np.ndarray):
+    """The footprint grid of xy at resolution 1, so the whole set is the
+    region _alignment fits."""
+    return scoring._box_grid_counts(_ALIGN_BOX, np.c_[xy, np.zeros(len(xy))], 1)
+
+
+class TestAlignmentOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(xy=alignment_regions())
+    def test_closed_form_matches_eigh(self, xy):
+        grid = one_cell_grid(xy)
+        assert abs(scoring._alignment(grid) - eigh_alignment(grid)) <= 1e-12
+
+    @pytest.mark.parametrize("arm, at", [(1.0, 0.0), (0.25, 3.5), (3.0, -1024.0)])
+    def test_isotropic_cross_scores_one(self, arm, at):
+        # sxx == syy and sxy == 0: no leading direction; theta is 0.
+        xy = np.array([[arm, 0], [-arm, 0], [0, arm], [0, -arm]]) + at
+        grid = one_cell_grid(xy)
+        assert scoring._alignment(grid) == eigh_alignment(grid) == 1.0
+
+
 class TestMetaShape:
     def test_exact_match(self):
         box = Box3D(0, 0, 0, 4.6, 1.8, 1.6, 0)

@@ -70,3 +70,61 @@ def test_one_json_reader():
 def test_json_read_is_found():
     assert json_reads("import json\nx = json.loads(s)\ny = json.dumps(x)\n"
                       "z = json.load(f)\n") == [2, 4]
+
+
+_PRODUCTS = {"np.dot", "np.matmul", "np.einsum", "np.inner"}
+_TRANSCENDENTALS = {"np.log", "np.exp", "np.cos", "np.sin"}
+
+
+def float_kernels(source: str) -> list[str]:
+    """'scope: what' for each float operation in a module whose kernel the
+    CPU selects at run time: a matrix product (@), an np.linalg call, a
+    BLAS-backed product (_PRODUCTS or a .dot method) or a SIMD-dispatched
+    transcendental (_TRANSCENDENTALS). scope names the enclosing classes
+    and functions, dotted."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if (isinstance(child, (ast.BinOp, ast.AugAssign))
+                    and isinstance(child.op, ast.MatMult)):
+                found.append(f"{inner}: @")
+            elif isinstance(child, ast.Call):
+                name = ast.unparse(child.func)
+                if (name.startswith("np.linalg.") or name.endswith(".dot")
+                        or name in _PRODUCTS | _TRANSCENDENTALS):
+                    found.append(f"{inner}: {name}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_no_cpu_selected_float_kernel():
+    """Label bytes do not depend on the CPU: the only matrix products left
+    are _CellGrid's exact integer key products, the only np.linalg call is
+    Pose's determinant check, and only synth's per-point angles use numpy's
+    transcendentals."""
+    package = sorted(Path(sembox.__file__).parent.glob("*.py"))
+    sites = [f"{p.name}:{site}" for p in package
+             for site in float_kernels(p.read_text(encoding="utf-8"))
+             if not (p.name == "synth.py" and site.split(": ")[1] in _TRANSCENDENTALS)]
+    assert sites == ["clustering.py:_CellGrid.__init__: @",
+                     "clustering.py:_CellGrid.neighbor_pairs: @",
+                     "geometry.py:Pose.__post_init__: np.linalg.det"]
+
+
+def test_float_kernels_are_found():
+    source = ("import numpy as np\n"
+              "class A:\n"
+              "    def f(self, a, b, c):\n"
+              "        a @= b\n"
+              "        return a @ b + np.linalg.eigh(c)[0] + a.dot(b)\n"
+              "def g(x):\n"
+              "    return np.log(x) + np.einsum('i,i', x, x) + np.log10(x)\n")
+    assert float_kernels(source) == [
+        "A.f: @", "A.f: @", "A.f: np.linalg.eigh", "A.f: a.dot", "g: np.log",
+        "g: np.einsum"]
