@@ -15,7 +15,9 @@ agree; each command's exit code, standard output and standard error are
 kept as a file too. Every file of one tree is then
 compared with the same file of the other. The files that differ, the
 files that only one tree wrote and the commands that failed are listed,
-and the exit status is 1 if there are any. --quick limits the datasets to
+and the exit status is 1 if there are any. A differing labels file is
+listed with its row count in A and in B and the number of rows that
+differ once each side's rows are sorted. --quick limits the datasets to
 the presets, in text and binary, and perf_scene at the first seed in
 binary only: its ~100k-point frames are where clustering spends its time.
 """
@@ -23,6 +25,7 @@ binary only: its ~100k-point frames are where clustering spends its time.
 from __future__ import annotations
 
 import argparse
+import collections
 import filecmp
 import json
 import os
@@ -34,6 +37,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SEEDS = (0, 7)
+
+# Directories that hold labels files: generate's and refine's labels/, the
+# rescored/ output of score-labels below and each dataset's gt_labels/.
+LABEL_DIRS = ("labels", "rescored", "gt_labels")
 
 # Configs generate also runs with, by name: the area fit at a coarse yaw
 # step, and the closeness fit, which fits each member set on its own.
@@ -120,14 +127,26 @@ def _files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
+def _row_counts(a: Path, b: Path) -> str:
+    """' (rows: A n, B m; k differ after sorting)' for two versions of a labels
+    file: k counts the rows of the longer side left unmatched when each
+    row of A is paired with an equal row of B."""
+    rows_a, rows_b = (collections.Counter(p.read_text().splitlines()) for p in (a, b))
+    n_a, n_b = sum(rows_a.values()), sum(rows_b.values())
+    differ = max((rows_a - rows_b).total(), (rows_b - rows_a).total())
+    return f" (rows: A {n_a}, B {n_b}; {differ} differ after sorting)"
+
+
 def compare(a: Path, b: Path) -> tuple[int, list[str]]:
     """(files compared, one line per file that differs or is one-sided,
     and per command that failed on either side)."""
     fa, fb = _files(a), _files(b)
     lines = [f"only in A: {p}" for p in sorted(fa - fb)]
     lines += [f"only in B: {p}" for p in sorted(fb - fa)]
-    lines += [f"differs: {p}" for p in sorted(fa & fb)
-              if not filecmp.cmp(a / p, b / p, shallow=False)]
+    for p in sorted(fa & fb):
+        if not filecmp.cmp(a / p, b / p, shallow=False):
+            rows = _row_counts(a / p, b / p) if p.parent.name in LABEL_DIRS else ""
+            lines.append(f"differs: {p}{rows}")
     for side, root, files in (("A", a, fa), ("B", b, fb)):
         lines += [f"failed in {side}: {p}" for p in sorted(files)
                   if p.suffix == ".log"

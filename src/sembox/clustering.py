@@ -38,15 +38,15 @@ class ClusterParams:
 
     def __post_init__(self) -> None:
         if not self.radii:
-            raise ValueError("radii must be non-empty")
+            raise ValueError("radii: must be non-empty")
         if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be > 0")
+            raise ValueError("radii: must be > 0")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly ascending without duplicates")
+            raise ValueError("radii: must be strictly ascending without duplicates")
         if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
+            raise ValueError("min_pts: must be >= 1")
         if self.min_cluster_size < 1:
-            raise ValueError("min_cluster_size must be >= 1")
+            raise ValueError("min_cluster_size: must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -227,8 +227,9 @@ class PipelineConfig:
             raise ConfigError("scf_min_fraction: must be in [0, 1]")
         if not (0.0 <= self.confidence_floor <= 1.0):
             raise ConfigError("confidence_floor: must be in [0, 1]")
-        if len(self.range_bin_edges) < 1 or any(
-                b <= a for a, b in zip(self.range_bin_edges, self.range_bin_edges[1:])):
+        if not self.range_bin_edges:
+            raise ConfigError("range_bin_edges: must be non-empty")
+        if any(b <= a for a, b in zip(self.range_bin_edges, self.range_bin_edges[1:])):
             raise ConfigError("range_bin_edges: must be strictly ascending")
         if self.range_bin_edges[0] < 0:
             raise ConfigError("range_bin_edges: must start at >= 0")
@@ -248,8 +249,10 @@ class PipelineConfig:
             try:
                 ClusterParams(tuple(cc.radii), self.min_pts, cc.min_cluster_size)
             except ValueError as e:
-                raise ConfigError(f"classes[{cid}].radii: {e}") from e
-            if len(cc.meta_shape) != 3 or any(v <= 0 for v in cc.meta_shape):
+                raise ConfigError(f"classes[{cid}].{e}") from e
+            if len(cc.meta_shape) != 3:
+                raise ConfigError(f"classes[{cid}].meta_shape: must have 3 components")
+            if any(v <= 0 for v in cc.meta_shape):
                 raise ConfigError(f"classes[{cid}].meta_shape: components must be > 0")
 
     # Derived accessors -------------------------------------------------

@@ -20,7 +20,7 @@ from .aggregation import (DenseCloud, Frame, build_dense_cloud,
 from .clustering import multi_scale_cluster
 from .config import ConfigError, PipelineConfig
 from .geometry import BevGridSpec, PointIndex
-from .scoring import SOURCE_INIT, PseudoLabel, label_sort_key, nms_select
+from .scoring import SOURCE_INIT, PseudoLabel, nms_select
 
 THREADS_ENV_VAR = "SEMBOX_THREADS"
 
@@ -59,16 +59,14 @@ def aggregate_window(frames: list[Frame], index: int,
 
 def process_frame(frames: list[Frame], index: int,
                   config: PipelineConfig) -> list[PseudoLabel]:
-    """Generate pseudo-labels for frames[index] from its aggregation window."""
+    """Pseudo-labels for frames[index] from its aggregation window, in label_order."""
     dense = aggregate_window(frames, index, config)
     candidates = multi_scale_cluster(dense.points, config.cluster_params(),
                                      config.yaw_step_deg, config.fit_criterion)
     boxes = [c.box for c in candidates]
     scores = config.score_boxes(boxes, PointIndex(dense.points))
-    labels = [config.label(boxes[i], scores[i], SOURCE_INIT)
-              for i in nms_select(boxes, scores, config.nms_iou_threshold)]
-    labels.sort(key=label_sort_key)
-    return labels
+    return [config.label(boxes[i], scores[i], SOURCE_INIT)
+            for i in nms_select(boxes, scores, config.nms_iou_threshold)]
 
 
 # Each worker holds the active job in module state, set once by the pool

@@ -22,8 +22,7 @@ from .clustering import connected_components
 from .config import PipelineConfig, _check_types
 from .geometry import (BevGridSpec, Box3D, PointCloud, PointIndex,
                        bev_candidate_pairs, bev_iou, transform_box)
-from .scoring import (SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_sort_key,
-                      selection_order)
+from .scoring import SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_order
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,13 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     Predictions centered in static cells are pooled in global coordinates,
     grouped by any-overlap connected components per class (one group per
     physical object), scored against the aggregated static foreground
-    points of their class, and the winner is written back into every frame
-    holding at least one foreground point of the class inside it. All
-    other predictions pass through unrefined. Every key of
-    preds_per_frame must be the id of one of the frames. Each prediction is
-    moved to global coordinates once; the static points are the frames'
-    Frame.global_foreground, the registration sequence_motion_grid made.
+    points of their class, and the winner, first in label_order, is written
+    back into every frame holding at least one foreground point of the
+    class inside it. All other predictions pass through unrefined. Every
+    key of preds_per_frame must be the id of one of the frames. Each
+    prediction is moved to global coordinates once; the static points are
+    the frames' Frame.global_foreground, the registration
+    sequence_motion_grid made.
     """
     frame_of = {fr.frame_id: fr for fr in frames}
     out: dict[int, list[RefinedBox]] = {fr.frame_id: [] for fr in frames}
@@ -165,8 +165,8 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
             global_boxes = static_by_class[cid]
             scores = config.score_boxes(global_boxes, static)
             for group in _connected_groups(global_boxes):
-                best_local = selection_order([scores[g] for g in group])[0]
-                winner = global_boxes[group[best_local]]
+                winner = global_boxes[min(group, key=lambda g: label_order(
+                    global_boxes[g], scores[g]))]
                 for fr in frames:
                     local = transform_box(winner, to_local[fr.frame_id])
                     index = fr.foreground_index
@@ -222,7 +222,7 @@ def refine_round(frames: list[Frame],
         scores = config.score_boxes([rb.box for rb in boxes], fr.foreground_index)
         frame_labels = [config.label(rb.box, sc, rb.source)
                         for rb, sc in zip(boxes, scores)]
-        frame_labels.sort(key=label_sort_key)
+        frame_labels.sort(key=lambda lab: label_order(lab.box, lab.scores))
         labels[fr.frame_id] = frame_labels
         retained[fr.frame_id] = box_absent_foreground_filter(fr, frame_labels)
     return RefinedLabelSet(labels, retained)

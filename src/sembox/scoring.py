@@ -13,8 +13,8 @@ A candidate box is scored by three complementary signals, each in [0, 1]:
   shape, gated to zero when any dimension is off by 2x or more.
 
 The combined score is a convex combination of the three. Selection keeps,
-per class, greedily by combined score, every candidate that overlaps no
-already-kept box at or above the IoU threshold.
+per class, greedily in label_order (best combined score first), every
+candidate that overlaps no already-kept box at or above the IoU threshold.
 """
 
 from __future__ import annotations
@@ -62,10 +62,12 @@ class PseudoLabel:
     source: str
 
 
-def label_sort_key(lab: PseudoLabel):
-    """Output order of a frame's labels: class, best score first, then box."""
-    return (lab.box.class_id, -lab.scores.msf, lab.box.cx, lab.box.cy,
-            lab.box.cz, lab.box.yaw)
+def label_order(box: Box3D, scores: ScoreBreakdown) -> tuple:
+    """The one order of scored boxes, for NMS, STCF's pick and labels files:
+    class, best msf, best occ, then geometry, so distinct boxes never tie
+    and the order does not depend on where a box stands in its list."""
+    return (box.class_id, -scores.msf, -scores.occ, box.cx, box.cy, box.cz,
+            box.yaw, box.l, box.w, box.h)
 
 
 def _box_grid_counts(box: Box3D, p: np.ndarray, r: int):
@@ -197,24 +199,21 @@ def label_weight(s_msf: float, theta_low: float = 0.4,
     return (s_msf - theta_low) / (theta_high - theta_low)
 
 
-def selection_order(scores: list[ScoreBreakdown]) -> list[int]:
-    """Candidate indices by descending msf, ties by descending occ then index."""
-    return sorted(range(len(scores)),
-                  key=lambda i: (-scores[i].msf, -scores[i].occ, i))
-
-
 def nms_select(boxes: list[Box3D], scores: list[ScoreBreakdown],
                iou_threshold: float) -> list[int]:
-    """Greedy per-class NMS: indices of the kept boxes, in selection order.
+    """Greedy per-class NMS: indices of the kept boxes, in label_order.
 
-    A box is kept iff its BEV IoU with every already-kept box of the same
-    class is below the threshold.
+    The boxes are visited in label_order; a box is kept iff its BEV IoU
+    with every already-kept box of the same class is below the threshold.
+    So the kept boxes, and their order, depend only on the set of
+    (box, scores) pairs, not on the order of the lists.
     """
     if len(boxes) != len(scores):
         raise ValueError("boxes and scores must align")
     kept: list[int] = []
     kept_boxes: dict[int, list[Box3D]] = {}
-    for i in selection_order(scores):
+    for i in sorted(range(len(boxes)),
+                    key=lambda i: label_order(boxes[i], scores[i])):
         same_class = kept_boxes.setdefault(boxes[i].class_id, [])
         if any(bev_iou(boxes[i], kb) >= iou_threshold for kb in same_class):
             continue

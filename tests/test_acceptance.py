@@ -516,3 +516,63 @@ class TestC10Performance:
             f"{line}; the >=3x bar requires hardware with >=~4 physical "
             "cores, this host cannot reach it")
         verdict(10, line + " >= 3x: PASS")
+
+
+# --------------------------------------------------------------------------
+# 11. SGIM-ST mining: refinement labels instances generate missed
+
+
+def _found(labels, gts):
+    """Ground-truth index -> the label evaluation's matcher pairs with it at
+    3D IoU >= 0.3, class-aware."""
+    m = match_labels([lab.box for lab in labels],
+                     [lab.scores.msf for lab in labels], gts, 0.3)
+    return {j: labels[i] for i, j, _ in m.pairs}
+
+
+class TestC11SelfTrainingMining:
+    def test_refinement_labels_missed_instances(self):
+        """Instances (a ground-truth box in a frame) that generate's labels
+        miss are found by refining mild mock detections, with weight, and
+        stay found when the second round detects from the first round's
+        labels (the loop of scripts/run_selftrain_loop.py).
+
+        Bounds, fixed from the counts at the commit that added this test
+        (sparse-far and mixed, seeds 0 and 7, pooled): 37 instances missed;
+        round 1 found 33 of them (0.89), 30 with weight > 0 (0.81); round 2
+        still labelled 29 of the 33 (0.88). Each run must find at least half
+        of its missed instances in round 1; it found 9 of 11 on sparse-far
+        and all of them on mixed.
+        """
+        cfg = PipelineConfig()
+        missed_n = mined_n = weighted_n = kept_n = 0
+        for preset in ("sparse-far", "mixed"):
+            for seed in (0, 7):
+                frames, gt = generate_sequence(preset_scene(preset, seed))
+                labels = generate_labels(frames, cfg)
+                missed = {(fid, j) for fid, gts in gt.items()
+                          for j in range(len(gts))
+                          if j not in _found(labels[fid], gts)}
+                source, mined = gt, []
+                for rnd in range(2):
+                    preds = mock_detector(source, NOISE_PROFILES["mild"],
+                                          seed * 1000 + rnd)
+                    labels = refine_round(frames, preds, cfg).labels
+                    hits = {(fid, j): lab for fid, gts in gt.items()
+                            for j, lab in _found(labels[fid], gts).items()}
+                    mined.append({k: hits[k] for k in missed if k in hits})
+                    source = {fid: [lab.box for lab in labs]
+                              for fid, labs in labels.items()}
+                assert 2 * len(mined[0]) >= len(missed), (preset, seed)
+                missed_n += len(missed)
+                mined_n += len(mined[0])
+                weighted_n += sum(lab.weight > 0 for lab in mined[0].values())
+                kept_n += len(mined[0].keys() & mined[1].keys())
+        # The claim needs instances that generate misses to be tested on.
+        assert missed_n >= 20, f"generate missed only {missed_n} instances"
+        assert mined_n >= 0.75 * missed_n, f"found {mined_n}/{missed_n}"
+        assert weighted_n >= 0.6 * missed_n, f"weighted {weighted_n}/{missed_n}"
+        assert kept_n >= 0.75 * mined_n, f"round 2 kept {kept_n}/{mined_n}"
+        verdict(11, f"refinement mined {mined_n}/{missed_n} instances generate "
+                    f"missed ({weighted_n} with weight > 0); round 2 still "
+                    f"labels {kept_n}/{mined_n}: PASS")

@@ -558,6 +558,16 @@ MALFORMED = {
                            "min_cluster_size": 2.5,
                            "meta_shape": [4.6, 1.8, 1.6]}}},
         "classes[1].min_cluster_size: must be an integer, got 2.5"),
+    # Each class field's fault names that field, with its own reason.
+    **{f"config-{key}-{name}": _bad_config(
+        {"classes": {"1": {**_VEHICLE, key: value}}}, f"classes[1].{key}: {why}")
+       for key, name, value, why in (
+           ("min_cluster_size", "0", 0, "must be >= 1"),
+           ("meta_shape", "2-components", [4.6, 1.8], "must have 3 components"),
+           ("meta_shape", "zero", [4.6, 0.0, 1.6], "components must be > 0"),
+           ("radii", "descending", [0.7, 0.4], "must be strictly ascending"))},
+    "config-range_bin_edges-empty": _bad_config(
+        {"range_bin_edges": []}, "range_bin_edges: must be non-empty", "evaluate"),
     **{f"config-class-id-{name}": _bad_config(
         {"classes": {"1": _VEHICLE, key: _VEHICLE}},
         f"classes: keys must be integers in canonical decimal form, got {key!r}")

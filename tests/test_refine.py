@@ -1,10 +1,13 @@
+import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sembox import refine
+from sembox import dataio, refine
 from sembox.aggregation import Frame
 from sembox.clustering import connected_components
 from sembox.config import PipelineConfig
@@ -281,6 +284,22 @@ class TestSpatialTemporal:
         assert got == visible
 
 
+@functools.cache
+def mixed_round():
+    """Frames of mixed (seed 0), mild mock-detector predictions and the
+    round refined from them, built once for every example that reads them."""
+    frames, gt = generate_sequence(preset_scene("mixed", 0))
+    preds = mock_detector(gt, NOISE_PROFILES["mild"], seed=3)
+    return frames, preds, refine_round(frames, preds, PipelineConfig())
+
+
+def label_bytes(labels: dict) -> dict[str, bytes]:
+    """The bytes of each labels file the writer makes of labels."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataio.write_box_dir(tmp, labels)
+        return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+
+
 class TestRefineRound:
     def test_empty_predictions(self):
         frames, _ = generate_sequence(static_scene())
@@ -347,6 +366,20 @@ class TestRefineRound:
                     inside = any(points_in_box(fr.points.xyz[[i]], lab.box)[0]
                                  for lab in labs)
                     assert inside
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_prediction_order_does_not_matter(self, seed):
+        """Each frame's predictions shuffled give byte-equal labels and the
+        same retained points."""
+        frames, preds, result = mixed_round()
+        rng = np.random.default_rng(seed)
+        shuffled = {fid: [ps[i] for i in rng.permutation(len(ps))]
+                    for fid, ps in preds.items()}
+        again = refine_round(frames, shuffled, PipelineConfig())
+        assert label_bytes(again.labels) == label_bytes(result.labels)
+        for fid, kept in result.retained_indices.items():
+            assert np.array_equal(again.retained_indices[fid], kept)
 
     def test_one_registration_per_frame(self, monkeypatch):
         """The motion grid and the static-object broadcast share each

@@ -12,8 +12,8 @@ from sembox.geometry import (Box3D, PointCloud, PointIndex, Pose, bev_iou,
 from sembox.pipeline import generate_labels
 from sembox.refine import NOISE_PROFILES, mock_detector, refine_round
 from sembox.scoring import (MetaShape, alignment_from_angles, combine_scores,
-                            label_weight, meta_shape_score, msf_score,
-                            msf_score_in_frame, nms_select)
+                            label_order, label_weight, meta_shape_score,
+                            msf_score, msf_score_in_frame, nms_select)
 from sembox.synth import generate_sequence, preset_scene
 
 from conftest import random_box
@@ -395,7 +395,9 @@ class TestNms:
 
     def test_adjacency_scenario(self):
         # Two tight boxes and one merged box overlapping both: the merged
-        # candidate scores lower (shape gate) and is suppressed.
+        # candidate scores lower (shape gate) and is suppressed. The tight
+        # boxes tie exactly on msf and occ, so the one at smaller cy comes
+        # first.
         a = Box3D(0, 1.15, 0, 4.6, 1.8, 1.6, 0, class_id=1)
         b = Box3D(0, -1.15, 0, 4.6, 1.8, 1.6, 0, class_id=1)
         merged = Box3D(0, 0, 0, 4.6, 4.1, 1.6, 0, class_id=1)
@@ -403,17 +405,40 @@ class TestNms:
         scores = [combine_scores(0.5, 0.9, 0.0, lam),
                   combine_scores(0.5, 0.9, 1.0, lam),
                   combine_scores(0.5, 0.9, 1.0, lam)]
-        assert nms_select([merged, a, b], scores, 0.2) == [1, 2]
+        assert nms_select([merged, a, b], scores, 0.2) == [2, 1]
 
     def test_classes_do_not_suppress_each_other(self):
         a = Box3D(0, 0, 0, 1.8, 0.6, 1.7, 0, class_id=3)
         b = Box3D(0, 0, 0, 1.8, 0.8, 1.7, 0, class_id=2)
-        assert nms_select([b, a], scored(0.5, 0.9), 0.2) == [1, 0]
+        # Class first: class 2 comes before class 3's better score.
+        assert nms_select([b, a], scored(0.5, 0.9), 0.2) == [0, 1]
 
     def test_misaligned_inputs_rejected(self):
         box = Box3D(0, 0, 0, 4, 2, 1.5, 0, class_id=1)
         with pytest.raises(ValueError):
             nms_select([box, box], scored(0.5), 0.2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_candidate_order_does_not_matter(self, seed, data):
+        """Shuffled candidates give the same kept boxes in the same order,
+        also where overlapping distinct boxes tie exactly on msf and occ."""
+        rng = np.random.default_rng(seed)
+        lam = (1 / 3, 1 / 3, 1 / 3)
+        boxes, scores = [], []
+        for _ in range(6):
+            box = random_box(rng, span=6, class_id=int(rng.integers(1, 3)))
+            twin = Box3D(box.cx, box.cy + rng.uniform(-0.2, 0.2), box.cz,
+                         box.l * rng.uniform(0.95, 1.05), box.w, box.h,
+                         box.yaw, box.class_id)
+            tied = combine_scores(*rng.uniform(0, 1, 3), lam)
+            boxes += [box, twin]
+            scores += [tied, tied]
+        perm = data.draw(st.permutations(range(len(boxes))))
+        kept = nms_select(boxes, scores, 0.2)
+        shuffled = nms_select([boxes[i] for i in perm],
+                              [scores[i] for i in perm], 0.2)
+        assert [boxes[perm[i]] for i in shuffled] == [boxes[i] for i in kept]
 
     @pytest.mark.parametrize("iou_threshold", [0.0, 0.3, 1.0])
     @settings(max_examples=40, deadline=None)
@@ -427,9 +452,9 @@ class TestNms:
         scores = [combine_scores(*rng.uniform(0, 1, 3), lam) for _ in boxes]
         kept = nms_select(boxes, scores, iou_threshold)
         assert len(set(kept)) == len(kept)
-        # Selection order: best score first.
-        assert [scores[i].msf for i in kept] == sorted(
-            (scores[i].msf for i in kept), reverse=True)
+        # Kept in label_order: class, then best score first.
+        keys = [label_order(boxes[i], scores[i]) for i in kept]
+        assert keys == sorted(keys)
         for n, i in enumerate(kept):
             for j in kept[n + 1:]:
                 if boxes[i].class_id == boxes[j].class_id:

@@ -128,3 +128,29 @@ def test_float_kernels_are_found():
     assert float_kernels(source) == [
         "A.f: @", "A.f: @", "A.f: np.linalg.eigh", "A.f: a.dot", "g: np.log",
         "g: np.einsum"]
+
+
+def ordering_keys(source: str) -> list[str]:
+    """The key= argument, as source, of each call in a module that passes
+    one (sorted, list.sort, min, max)."""
+    return [ast.unparse(kw.value) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) for kw in node.keywords if kw.arg == "key"]
+
+
+def test_one_box_order():
+    """NMS, STCF's pick and refine's labels files order boxes by
+    scoring.label_order and by no other key; generate's labels keep the
+    order NMS returns."""
+    package = Path(sembox.__file__).parent
+    sites = {name: ordering_keys((package / name).read_text(encoding="utf-8"))
+             for name in ("scoring.py", "pipeline.py", "refine.py")}
+    assert {name: len(keys) for name, keys in sites.items()} == {
+        "scoring.py": 1, "pipeline.py": 0, "refine.py": 2}, sites
+    assert all(k.startswith("lambda") and "label_order(" in k
+               for keys in sites.values() for k in keys), sites
+
+
+def test_ordering_keys_are_found():
+    source = ("a = sorted(x, key=lambda i: (-s[i], i))\n"
+              "b.sort(key=f)\nc = min(g, key=len)\nd = sorted(x)\n")
+    assert ordering_keys(source) == ["lambda i: (-s[i], i)", "f", "len"]
