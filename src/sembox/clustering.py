@@ -9,6 +9,7 @@ selection downstream keeps the best per instance.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,29 +62,42 @@ class BoxCandidate:
 
 
 class _CellGrid:
-    """Points sorted into square cells of side eps / sqrt(d).
+    """Points sorted into square cells of side eps_g / sqrt(d), eps_g the
+    radius of the point's own group g.
 
     The side is chosen so that any two points sharing a cell are within eps
     of each other (the cell diagonal is exactly eps), and any two points
     within eps sit in cells no more than `reach` apart per axis. One
-    lexsort of the floored coordinates orders the points by cell, and by
-    index within a cell: cell k holds pts[start[k]:start[k] + length[k]],
-    with bounds lo[k] and hi[k] per axis. Along each axis, a step longer
-    than reach + 1 between consecutive occupied cell coordinates shrinks
-    to reach + 1: no neighbourhood changes, and the packed cell keys
-    cannot overflow however far apart the points lie.
+    lexsort of the group and the floored coordinates orders the points by
+    cell, and by index within a cell: cell k, of group group[k], holds
+    pts[start[k]:start[k] + length[k]], with bounds lo[k] and hi[k] per
+    axis. Along each axis, a step longer than reach + 1 between consecutive
+    occupied cell coordinates shrinks to reach + 1: no neighbourhood
+    changes, and the keys do not grow with the distance between points.
+
+    A cell's int64 key packs its compressed coordinates (x least
+    significant) and its group (most significant). Each coordinate digit
+    lies in [reach, max + reach], so an offset of at most reach per axis
+    never carries into the next digit, and a neighbour is always a cell of
+    the same group. With m distinct cell coordinates on an axis, its digit
+    is below (reach + 1) * m + reach, and a key below G times the product
+    of those bounds for G groups: under 2**63 for any 2D input of under
+    ~1e9 / sqrt(G) distinct coordinates per axis.
     """
 
-    def __init__(self, points: np.ndarray, eps: float):
+    def __init__(self, points: np.ndarray, eps: np.ndarray, group: np.ndarray):
         n, d = points.shape
         self.reach = r = math.ceil(math.sqrt(d))
-        floor = np.floor(points.T / (eps / math.sqrt(d)))  # (d, n)
-        self.order = np.lexsort(floor)
+        floor = np.floor(points.T / (eps / math.sqrt(d))[group])  # (d, n)
+        self.order = np.lexsort((*floor, group))
         floor = np.take(floor, self.order, axis=1)
+        group = group[self.order]
         self.pts = np.take(points, self.order, axis=0)
-        opens = np.r_[True, (floor[:, 1:] != floor[:, :-1]).any(axis=0)]
+        opens = np.r_[True, (floor[:, 1:] != floor[:, :-1]).any(axis=0)
+                      | (group[1:] != group[:-1])]
         self.start = np.flatnonzero(opens)
         self.length = np.diff(np.r_[self.start, n])
+        self.group = group[self.start]
         self.cell_of = np.cumsum(opens) - 1
         self.lo = np.minimum.reduceat(self.pts, self.start)
         self.hi = np.maximum.reduceat(self.pts, self.start)
@@ -92,8 +106,10 @@ class _CellGrid:
             rows, at = np.unique(floor[axis, self.start], return_inverse=True)
             steps = np.minimum(np.diff(rows), r + 1).astype(np.int64)
             ij[:, axis] = np.r_[r, r + np.cumsum(steps)][at.reshape(-1)]
-        self.strides = np.cumprod([1, *(ij.max(axis=0) + r + 1)][:d])
-        self.keys = ij @ self.strides  # ascending: the lexsort's cell order
+        strides = np.cumprod([1, *(ij.max(axis=0) + r + 1)])
+        self.strides = strides[:d]
+        # Ascending: the lexsort's cell order.
+        self.keys = ij @ self.strides + self.group * strides[d]
 
     def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cell, neighbour, offset) for every ordered pair of cells no more
@@ -127,11 +143,14 @@ def _pair_chunks(grid: _CellGrid, ca: np.ndarray, cb: np.ndarray):
     bounds = np.r_[0, np.flatnonzero(np.diff(chunk)) + 1, len(size)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         piece = np.repeat(np.arange(lo, hi), size[lo:hi])
-        r = np.arange(len(piece)) - np.repeat(np.cumsum(size[lo:hi]) - size[lo:hi],
-                                             size[lo:hi])
-        width = b_len[k[piece]]
-        yield (k[piece], a_at[piece] + r // width,
-               grid.start[cb[k[piece]]] + r % width)
+        r = np.arange(len(piece))
+        r -= np.repeat(np.cumsum(size[lo:hi]) - size[lo:hi], size[lo:hi])
+        k_at = k[piece]
+        i, j = np.divmod(r, b_len[k_at])
+        i += a_at[piece]
+        j += grid.start[cb[k_at]]
+        del piece, r  # only the yielded arrays stay alive while the caller works
+        yield k_at, i, j
 
 
 def _facing_cores(grid: _CellGrid, core: np.ndarray, ca: np.ndarray,
@@ -169,7 +188,9 @@ def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         root = hooked
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+def dbscan(points: np.ndarray, eps: float | Sequence[float],
+           min_pts: int | Sequence[int], group: np.ndarray | None = None
+           ) -> np.ndarray:
     """DBSCAN cluster labels per point; -1 marks noise.
 
     Semantics: a point is core when its eps-neighborhood (inclusive,
@@ -178,6 +199,14 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     its nearest core within eps (exact ties to the smaller cluster id), a
     distance-based rule that keeps the partition invariant under input
     permutation. Cluster ids follow each component's smallest point index.
+
+    Groups: with group, an int per point in [0, G), and eps and min_pts as
+    sequences of G values, the call clusters G independent point sets at
+    once, group g with eps[g] and min_pts[g]; no point is ever a neighbour
+    of another group's point, even at equal coordinates. Clusters are
+    numbered per group, from 0, by smallest point index, so the labels of
+    group g equal those of a lone call on points[group == g]. Scalar eps
+    and min_pts with no group are the case G = 1.
 
     Exact grid implementation (Gunawan 2013; Gan & Tao, SIGMOD 2015),
     vectorised over all cells at once on one copy of the points sorted by
@@ -192,11 +221,16 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     cheapest first: each cell's first core, then each cell's core furthest
     along the pair's offset, then every core pair. A later tier sees only
     pairs still in different components; the components, and so the
-    labels, are the same whichever tier finds a link.
+    labels, are the same whichever tier finds a link. Each group's cells,
+    and so its tests, are those a lone call builds.
     """
-    if eps <= 0:
+    eps = np.atleast_1d(np.asarray(eps, dtype=np.float64))
+    min_pts = np.atleast_1d(np.asarray(min_pts))
+    if eps.ndim != 1 or eps.shape != min_pts.shape:
+        raise ValueError("eps and min_pts must hold one value per group")
+    if not (eps > 0).all():
         raise ValueError("eps must be > 0")
-    if min_pts < 1:
+    if not (min_pts >= 1).all():
         raise ValueError("min_pts must be >= 1")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -204,31 +238,45 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     n = len(pts)
+    if group is None:
+        group = np.zeros(n, dtype=np.int64)
+    group = np.asarray(group)
+    if group.shape != (n,) or group.dtype.kind not in "iu":
+        raise ValueError(f"group must hold one integer id per point: "
+                         f"{group.dtype} {group.shape} for {n} points")
+    if n and not (group.min() >= 0 and group.max() < len(eps)):
+        raise ValueError(f"group ids must lie in [0, {len(eps)})")
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return labels
 
-    grid = _CellGrid(pts, eps)
+    grid = _CellGrid(pts, eps, group)
     cell, nbr, off = grid.neighbor_pairs()
-    p, eps2 = grid.pts, eps * eps
+    p = grid.pts
+    # Each cell's, and each sorted point's, group parameters.
+    cell_eps2, cell_min_pts = (eps * eps)[grid.group], min_pts[grid.group]
+    eps2 = cell_eps2[grid.cell_of]
 
     def d2(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return ((np.take(p, i, axis=0) - np.take(p, j, axis=0)) ** 2).sum(-1)
+        diff = np.take(p, i, axis=0)
+        diff -= np.take(p, j, axis=0)
+        diff *= diff
+        return diff.sum(-1)
 
     # Exact reject: the gap between two cells' bounds never exceeds the
     # distance of any pair of their points, rounding included.
     gap = np.maximum(np.maximum(grid.lo[nbr] - grid.hi[cell],
                                 grid.lo[cell] - grid.hi[nbr]), 0.0)
-    near = (gap ** 2).sum(-1) <= eps2
+    near = (gap ** 2).sum(-1) <= cell_eps2[cell]
 
     # Core points: every point of a cell holding min_pts points; a point of
     # a sparse cell counts its eps-neighbours in the neighbouring cells.
-    core = np.repeat(grid.length >= min_pts, grid.length)
-    sel = (grid.length[cell] < min_pts) & near
+    core = np.repeat(grid.length >= cell_min_pts, grid.length)
+    sel = (grid.length[cell] < cell_min_pts[cell]) & near
     count = np.zeros(n, dtype=np.int64)
     for _, i, j in _pair_chunks(grid, cell[sel], nbr[sel]):
-        count += np.bincount(i[d2(i, j) <= eps2], minlength=n)
-    core |= count >= min_pts
+        count += np.bincount(i[d2(i, j) <= eps2[i]], minlength=n)
+    core |= count >= cell_min_pts[grid.cell_of]
     if not core.any():
         return labels
     at = np.flatnonzero(core)
@@ -244,28 +292,31 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     # connected, so the components are those of all core pairs within eps.
     sel = (nbr > cell) & (first[cell] >= 0) & (first[nbr] >= 0) & near
     ca, cb, off = cell[sel], nbr[sel], off[sel]
-    linked = d2(first[ca], first[cb]) <= eps2
+    linked = d2(first[ca], first[cb]) <= cell_eps2[ca]
     root = connected_components(len(first), ca[linked], cb[linked])
     todo = np.flatnonzero(root[ca] != root[cb])
     if len(todo):
         linked[todo] = d2(*_facing_cores(grid, core, ca[todo], cb[todo],
-                                         off[todo])) <= eps2
+                                         off[todo])) <= cell_eps2[ca[todo]]
         root = connected_components(len(first), ca[linked], cb[linked])
         todo = todo[root[ca[todo]] != root[cb[todo]]]
         if len(todo):
             for k, i, j in _pair_chunks(grid, ca[todo], cb[todo]):
-                linked[todo[k[core[i] & core[j] & (d2(i, j) <= eps2)]]] = True
+                linked[todo[k[core[i] & core[j] & (d2(i, j) <= eps2[i])]]] = True
             root = connected_components(len(first), ca[linked], cb[linked])
 
-    # Components numbered by their smallest core point index, the order in
-    # which ascending-seed expansion would discover them: within a cell the
-    # points keep ascending index, so the first core is the cell's least.
+    # Components numbered per group by their smallest core point index, the
+    # order in which ascending-seed expansion would discover them: within a
+    # cell the points keep ascending index, so the first core is the cell's
+    # least. A component's root is one of its cells, so holds its group.
     full = np.flatnonzero(first >= 0)
     least = np.full(len(first), n)
     np.minimum.at(least, root[full], grid.order[first[full]])
     found = np.flatnonzero(least < n)
+    found = found[np.lexsort((least[found], grid.group[found]))]
+    g = grid.group[found]
     cluster = np.empty(len(first), dtype=np.int64)
-    cluster[found[np.argsort(least[found])]] = np.arange(len(found))
+    cluster[found] = np.arange(len(found)) - np.searchsorted(g, g)
     sorted_labels = np.where(core, cluster[root[grid.cell_of]], -1)
 
     # Border points: non-core, adopted by the cluster of their nearest
@@ -275,7 +326,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     sel = ~np.logical_and.reduceat(core, grid.start)[cell] & (first[nbr] >= 0) & near
     hit_i, hit_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for _, i, j in _pair_chunks(grid, cell[sel], nbr[sel]):
-        keep = ~core[i] & core[j] & (d2(i, j) <= eps2)
+        keep = ~core[i] & core[j] & (d2(i, j) <= eps2[i])
         hit_i.append(i[keep])
         hit_j.append(j[keep])
     i, j = np.concatenate(hit_i), np.concatenate(hit_j)
@@ -474,42 +525,65 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
     Per radius, one stable argsort of the labels gives every cluster's
     members.
 
+    One clustering pass per call: every configured class's BEV points are
+    stacked once per radius, and one grouped dbscan call clusters every
+    (class, radius) run as its own group, with that radius and the class's
+    min_pts, so each run's labels are those of a lone call on its points.
+
     Under the "area" criterion one lexsort of the label columns splits
     each class's points into atoms, the points that share a cluster at
     every radius (clusters below min_cluster_size counting as noise). Each
-    atom's yaw extents are computed once. Per radius, one reduceat over the
-    atoms' extents gives every cluster's extents, exactly the min/max over
-    its points, and one argmin its smallest-area yaw: fit_box's box, with
-    each class's points reduced once rather than once per radius.
-    "closeness" sums over every point, so it fits each distinct member set
-    with fit_box.
+    atom's yaw extents are computed once, in one _yaw_extents call over
+    the atoms of every class, numbered class after class. Per radius, one
+    reduceat over the atoms' extents gives every cluster's extents, exactly
+    the min/max over its points, and one argmin its smallest-area yaw:
+    fit_box's box, with every clustered point reduced once rather than once
+    per radius. "closeness" sums over every point, so it fits each distinct
+    member set with fit_box.
     """
     angles = _yaw_angles(yaw_step_deg)
     a = len(angles)
-    candidates: list[BoxCandidate] = []
+    present = []  # (class_id, params, dense-cloud indices) of classes with points
     for class_id in sorted(params):
-        p = params[class_id]
         sel = np.flatnonzero(dense.class_id == class_id)
-        if len(sel) == 0:
-            continue
-        xy = dense.xyz[sel, :2]
+        if len(sel):
+            present.append((class_id, params[class_id], sel))
+    if not present:
+        return []
+    # Group k of the one dbscan call is the k-th (class, radius) run.
+    sizes = [len(sel) for _, p, sel in present for _ in p.radii]
+    flat = dbscan(
+        dense.xyz[np.concatenate([np.tile(sel, len(p.radii)) for _, p, sel in present]),
+                  :2],
+        [radius for _, p, _ in present for radius in p.radii],
+        [p.min_pts for _, p, _ in present for _ in p.radii],
+        np.repeat(np.arange(len(sizes)), sizes))
+    classes = []  # (class_id, params, indices, labels) of classes with clusters
+    for class_id, p, sel in present:
         # Per radius, each point's cluster; -1 for noise and small clusters.
-        labels = np.empty((len(p.radii), len(sel)), dtype=np.int64)
-        for r, radius in enumerate(p.radii):
-            lab = dbscan(xy, eps=radius, min_pts=p.min_pts)
-            big = np.bincount(lab + 1)[lab + 1] >= p.min_cluster_size
-            labels[r] = np.where((lab >= 0) & big, lab, -1)
-        clustered = np.flatnonzero((labels >= 0).any(axis=0))
-        if len(clustered) == 0:
-            continue
-        if fit_criterion == "area":
-            # Atoms: the runs of equal label columns after one lexsort.
+        labels, flat = np.split(flat, [len(p.radii) * len(sel)])
+        labels = labels.reshape(len(p.radii), len(sel))
+        for lab in labels:
+            lab[np.bincount(lab + 1)[lab + 1] < p.min_cluster_size] = -1
+        if (labels >= 0).any():
+            classes.append((class_id, p, sel, labels))
+    if fit_criterion == "area" and classes:
+        # Atoms: per class, the runs of equal label columns after one
+        # lexsort of its clustered points; ids ascend over the classes.
+        members, atom, atom_labels = [], [], []
+        atom_at = [0]  # class c's atom ids: atom_at[c] to atom_at[c + 1] - 1
+        for _, _, sel, labels in classes:
+            clustered = np.flatnonzero((labels >= 0).any(axis=0))
             order = clustered[np.lexsort(labels[:, clustered])]
             opens = np.r_[True, (np.diff(labels[:, order]) != 0).any(axis=0)]
-            atom = np.cumsum(opens) - 1
-            lo, hi = _yaw_extents(dense.xyz[sel[order]], atom, int(atom[-1]) + 1,
-                                  angles)
-            atom_labels = labels[:, order[opens]]
+            members.append(sel[order])
+            atom.append(atom_at[-1] + np.cumsum(opens) - 1)
+            atom_labels.append(labels[:, order[opens]])
+            atom_at.append(atom_at[-1] + int(opens.sum()))
+        lo, hi = _yaw_extents(dense.xyz[np.concatenate(members)],
+                              np.concatenate(atom), atom_at[-1], angles)
+    candidates: list[BoxCandidate] = []
+    for c, (class_id, p, sel, labels) in enumerate(classes):
         fitted: dict[bytes, Box3D] = {}  # member indices -> box
         for r, radius in enumerate(p.radii):
             # Cluster k's members: by_label[bounds[k]:bounds[k + 1]].
@@ -517,9 +591,10 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
             bounds = np.cumsum(np.bincount(labels[r] + 1))
             ids = np.flatnonzero(np.diff(bounds))
             if fit_criterion == "area" and len(ids):
-                by_atom = np.argsort(atom_labels[r], kind="stable")
-                by_atom = by_atom[atom_labels[r, by_atom] >= 0]
-                at = np.flatnonzero(np.diff(atom_labels[r, by_atom], prepend=-1))
+                by_atom = np.argsort(atom_labels[c][r], kind="stable")
+                by_atom = by_atom[atom_labels[c][r, by_atom] >= 0]
+                at = np.flatnonzero(np.diff(atom_labels[c][r, by_atom], prepend=-1))
+                by_atom += atom_at[c]
                 c_lo = np.minimum.reduceat(lo[by_atom], at)
                 c_hi = np.maximum.reduceat(hi[by_atom], at)
                 span = c_hi - c_lo

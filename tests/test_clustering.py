@@ -245,6 +245,87 @@ class TestDbscan:
             dbscan(pts, eps=0.15, min_pts=2)
 
 
+class TestGroupedDbscan:
+    """One dbscan call over G groups labels each group as a lone call on
+    its points does, and as the brute-force reference does."""
+
+    @staticmethod
+    def groups(rng: np.random.Generator, n_groups: int, dim: int):
+        """Point sets with their own eps and min_pts: rounded blobs that
+        overlap in space and hold duplicates, one point (at times
+        repeated), and repeats of the group before, as one class clustered
+        at several radii gives."""
+        parts, eps, min_pts = [], [], []
+        for _ in range(n_groups):
+            kind = int(rng.integers(3))
+            if kind == 0 and parts:
+                xy = parts[-1]
+            elif kind == 1:
+                xy = np.repeat(np.round(rng.uniform(-1, 1, (1, dim)), 1),
+                               int(rng.integers(1, 4)), axis=0)
+            else:
+                n = int(rng.integers(2, 60))
+                xy = np.round(rng.normal(rng.uniform(-1, 1, dim),
+                                         rng.uniform(0.2, 1.2), (n, dim)), 1)
+            parts.append(xy)
+            eps.append(float(rng.choice([0.2, 0.3, 0.5, 1.0])))
+            min_pts.append(int(rng.integers(1, 6)))
+        group = np.repeat(np.arange(n_groups), [len(xy) for xy in parts])
+        return np.concatenate(parts), group, eps, min_pts
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_groups=st.integers(1, 5),
+           dim=st.sampled_from([2, 3]), shuffle=st.booleans())
+    def test_groups_equal_lone_calls(self, seed, n_groups, dim, shuffle):
+        rng = np.random.default_rng(seed)
+        pts, group, eps, min_pts = self.groups(rng, n_groups, dim)
+        if shuffle:
+            perm = rng.permutation(len(pts))
+            pts, group = pts[perm], group[perm]
+        got = dbscan(pts, eps, min_pts, group)
+        for g in range(n_groups):
+            mine = group == g
+            lone = dbscan(pts[mine], eps[g], min_pts[g])
+            np.testing.assert_array_equal(got[mine], lone)
+            np.testing.assert_array_equal(
+                lone, brute_force_dbscan(pts[mine], eps[g], min_pts[g]))
+
+    def test_equal_points_in_two_groups_stay_apart(self):
+        # Two groups at the same coordinates: neither sees the other's
+        # points, so neither reaches min_pts 3 with two points.
+        pts = np.array([[0.0, 0.0], [0.1, 0.0]] * 2)
+        got = dbscan(pts, [0.5, 0.5], [3, 3], np.array([0, 0, 1, 1]))
+        assert got.tolist() == [-1] * 4
+        assert dbscan(pts, 0.5, 3).tolist() == [0] * 4
+
+    @pytest.mark.parametrize("group", [np.zeros(2, dtype=np.int64),
+                                       np.zeros((3, 1), dtype=np.int64),
+                                       np.zeros(3)],
+                             ids=["short", "2d", "float"])
+    def test_group_must_hold_one_integer_per_point(self, group):
+        with pytest.raises(ValueError, match="group must hold one integer id"):
+            dbscan(np.zeros((3, 2)), [1.0], [2], group)
+
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["negative", "too-large"])
+    def test_group_ids_must_be_in_range(self, bad):
+        with pytest.raises(ValueError, match=r"group ids must lie in \[0, 2\)"):
+            dbscan(np.zeros((3, 2)), [1.0, 2.0], [2, 2], np.array([0, 1, bad]))
+
+    @pytest.mark.parametrize("eps", [[1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0]])
+    def test_every_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            dbscan(np.zeros((3, 2)), eps, [2, 2], np.array([0, 1, 1]))
+
+    @pytest.mark.parametrize("min_pts", [[2, 0], [-1, 2]])
+    def test_every_min_pts_must_be_at_least_one(self, min_pts):
+        with pytest.raises(ValueError, match="min_pts must be >= 1"):
+            dbscan(np.zeros((3, 2)), [1.0, 1.0], min_pts, np.array([0, 1, 1]))
+
+    def test_eps_and_min_pts_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="eps and min_pts"):
+            dbscan(np.zeros((3, 2)), [1.0, 2.0], [2], np.zeros(3, dtype=np.int64))
+
+
 def rectangle_outline(l, w, yaw, n_per_side=50, z=(0.0, 1.5)):
     t = np.linspace(-0.5, 0.5, n_per_side)
     side = np.concatenate([
@@ -421,7 +502,31 @@ class TestMultiScale:
             [c.cluster_point_indices for c in cands if c.box.class_id == cid])))
             for cid in (1, 2)]
         assert len(cands) > len({c.cluster_point_indices.tobytes() for c in cands})
-        assert projected == clustered
+        # One call takes every class's clustered points, each once.
+        assert projected == [sum(clustered)]
+
+    def test_one_dbscan_call_clusters_every_class_and_radius(self, rng,
+                                                                monkeypatch):
+        cloud = oracle_cloud(rng)
+        params = {c: ClusterParams((0.4, 0.9, 1.5), min_pts=2, min_cluster_size=3)
+                  for c in (1, 2, 3)}
+        clustered = []
+
+        def counting(points, *args):
+            clustered.append(len(points))
+            return lone(points, *args)
+
+        lone = clustering.dbscan
+        monkeypatch.setattr(clustering, "dbscan", counting)
+        assert multi_scale_cluster(cloud, params)
+        assert clustered == [3 * len(cloud)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        cloud = two_blob_cloud(0.5)
+        cloud.xyz[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            multi_scale_cluster(cloud, {1: ClusterParams((0.3, 1.0))})
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
