@@ -110,10 +110,9 @@ def build_motion_grid(registered: list[PointCloud], spec: BevGridSpec,
         ij = grid_indices(cloud.xyz[:, :2], spec)
         ij = ij[ij[:, 0] >= 0]
         occupied.append(ij[:, 0] * spec.ny + ij[:, 1])
-    cells = np.unique(np.concatenate(occupied))
+    cells, at = np.unique(np.concatenate(occupied), return_inverse=True)
     occ = np.zeros((len(occupied), len(cells)), dtype=bool)  # frames x cells
-    for f, keys in enumerate(occupied):
-        occ[f, np.searchsorted(cells, keys)] = True
+    occ[np.repeat(np.arange(len(occupied)), [len(k) for k in occupied]), at] = True
     longest = np.zeros(len(cells), dtype=np.int64)
     run = np.zeros(len(cells), dtype=np.int64)
     for row in occ:

@@ -61,19 +61,60 @@ class BoxCandidate:
     cluster_point_indices: np.ndarray
 
 
+def _packed_order(floor: np.ndarray, group: np.ndarray,
+                  n_groups: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The permutation lexsort((*floor, group)) gives, by one np.sort, and
+    each sorted point's key without its index; None when the key would not
+    fit in an int64.
+
+    A point's key holds, from most to least significant, its group, the
+    offset of each floor from its axis' least floor (the last axis most
+    significant) and its index in the low bits: unique, and ascending as
+    the lexsort's keys are. It fits when every floor lies within +-2**53,
+    where float to int64 is exact, and G times the product of the axes'
+    offset spans, shifted by the index bits, is below 2**63.
+    """
+    n = floor.shape[1]
+    lo, hi = floor.min(axis=1), floor.max(axis=1)
+    if max(-lo.min(), hi.max()) > 2.0 ** 53:
+        return None
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    bits = (n - 1).bit_length()
+    if n_groups * math.prod(spans) << bits >= 1 << 63:
+        return None
+    off = floor.astype(np.int64)
+    off -= lo.astype(np.int64)[:, None]
+    key = group.astype(np.int64)
+    for axis in reversed(range(len(spans))):
+        key *= spans[axis]
+        key += off[axis]
+    key <<= bits
+    key |= np.arange(n)
+    key.sort()
+    return key & ((1 << bits) - 1), key >> bits
+
+
 class _CellGrid:
     """Points sorted into square cells of side eps_g / sqrt(d), eps_g the
     radius of the point's own group g.
 
     The side is chosen so that any two points sharing a cell are within eps
     of each other (the cell diagonal is exactly eps), and any two points
-    within eps sit in cells no more than `reach` apart per axis. One
-    lexsort of the group and the floored coordinates orders the points by
-    cell, and by index within a cell: cell k, of group group[k], holds
+    within eps sit in cells no more than `reach` apart per axis. The points
+    are ordered by group, then by floored coordinate (the last axis most
+    significant), and by index within a cell, as lexsort((*floor, group))
+    orders them: cell k, of group group[k], holds
     pts[start[k]:start[k] + length[k]], with bounds lo[k] and hi[k] per
     axis. Along each axis, a step longer than reach + 1 between consecutive
     occupied cell coordinates shrinks to reach + 1: no neighbourhood
     changes, and the keys do not grow with the distance between points.
+
+    The order comes from one np.sort of a packed int64 per point
+    (_packed_order). Where that key does not fit, as for points 1e18
+    apart, each point is keyed by its group and the dense rank of its
+    floor on each axis, and a stable argsort keeps index order within a
+    cell. With m distinct floors on an axis, that key is below G times the
+    product of the m for G groups, so it fits wherever the cell keys fit.
 
     A cell's int64 key packs its compressed coordinates (x least
     significant) and its group (most significant). Each coordinate digit
@@ -88,27 +129,36 @@ class _CellGrid:
     def __init__(self, points: np.ndarray, eps: np.ndarray, group: np.ndarray):
         n, d = points.shape
         self.reach = r = math.ceil(math.sqrt(d))
-        floor = np.floor(points.T / (eps / math.sqrt(d))[group])  # (d, n)
-        self.order = np.lexsort((*floor, group))
-        floor = np.take(floor, self.order, axis=1)
-        group = group[self.order]
+        floor = np.divide(points.T, (eps / math.sqrt(d))[group], order="C")
+        np.floor(floor, out=floor)  # (d, n), each axis contiguous
+        packed = _packed_order(floor, group, len(eps))
+        if packed is None:
+            key = group.astype(np.int64)
+            for axis in reversed(range(d)):
+                rows, rank = np.unique(floor[axis], return_inverse=True)
+                key *= len(rows)
+                key += rank
+            self.order = np.argsort(key, kind="stable")
+            cell = key[self.order]
+        else:
+            self.order, cell = packed
         self.pts = np.take(points, self.order, axis=0)
-        opens = np.r_[True, (floor[:, 1:] != floor[:, :-1]).any(axis=0)
-                      | (group[1:] != group[:-1])]
+        opens = np.r_[True, cell[1:] != cell[:-1]]
         self.start = np.flatnonzero(opens)
         self.length = np.diff(np.r_[self.start, n])
-        self.group = group[self.start]
+        first = self.order[self.start]
+        self.group = group[first]
         self.cell_of = np.cumsum(opens) - 1
         self.lo = np.minimum.reduceat(self.pts, self.start)
         self.hi = np.maximum.reduceat(self.pts, self.start)
         ij = np.empty((len(self.start), d), dtype=np.int64)
         for axis in range(d):
-            rows, at = np.unique(floor[axis, self.start], return_inverse=True)
+            rows, at = np.unique(floor[axis, first], return_inverse=True)
             steps = np.minimum(np.diff(rows), r + 1).astype(np.int64)
             ij[:, axis] = np.r_[r, r + np.cumsum(steps)][at.reshape(-1)]
         strides = np.cumprod([1, *(ij.max(axis=0) + r + 1)])
         self.strides = strides[:d]
-        # Ascending: the lexsort's cell order.
+        # Ascending: the cells' sort order.
         self.keys = ij @ self.strides + self.group * strides[d]
 
     def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

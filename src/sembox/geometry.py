@@ -241,12 +241,16 @@ class PointIndex:
     outside the unpadded slab only by the rounding of to_frame, which is
     far below the pad, so the slab loses no point and the containment test
     alone decides every result.
+
+    order may rank points of equal x in any order: a slab is a range of x
+    values, so it holds the same points whatever their order, and
+    inside_frame sorts them by index.
     """
 
     def __init__(self, cloud: PointCloud):
         self.xyz = cloud.xyz
         self.class_id = cloud.class_id
-        self.order = np.argsort(self.xyz[:, 0], kind="stable")
+        self.order = np.argsort(self.xyz[:, 0])
         self.x = self.xyz[self.order, 0]
 
     def inside(self, box: Box3D) -> np.ndarray:

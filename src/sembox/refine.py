@@ -96,7 +96,9 @@ def _connected_groups(boxes: list[Box3D]) -> list[list[int]]:
     i, j = bev_candidate_pairs(boxes)
     hit = [k for k in range(len(i)) if bev_iou(boxes[i[k]], boxes[j[k]]) > 0.0]
     root = connected_components(len(boxes), i[hit], j[hit])
-    return [np.flatnonzero(root == r).tolist() for r in np.unique(root)]
+    # A component's root is its smallest box, the one that is its own root.
+    return [np.flatnonzero(root == r).tolist()
+            for r in np.flatnonzero(root == np.arange(len(boxes)))]
 
 
 @dataclass(frozen=True)

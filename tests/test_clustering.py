@@ -326,6 +326,56 @@ class TestGroupedDbscan:
             dbscan(np.zeros((3, 2)), [1.0, 2.0], [2], np.zeros(3, dtype=np.int64))
 
 
+# Coordinates near 0 that tie and cross cell borders, signed zeros included.
+_NEAR = np.array([0.0, -0.0, 0.1, -0.1, 0.25, -0.7, 1.0, -3.0, 12.5])
+
+
+class TestCellOrder:
+    """_CellGrid orders points as lexsort((*floor, group)) does: packed
+    into one int64 key where it fits, ranked per axis where it does not."""
+
+    @pytest.mark.parametrize("far", [False, True], ids=["packed", "ranked"])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           n_groups=st.integers(1, 5))
+    def test_order_equals_lexsort(self, seed, dim, n_groups, far, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        pts = np.where(rng.integers(2, size=(n, dim)), rng.choice(_NEAR, (n, dim)),
+                       np.round(rng.normal(0, 5, (n, dim)), 1))
+        pts = pts[rng.integers(0, n, n)]  # duplicate points
+        if far:  # points at up to +-1e18 beside the points near 0
+            at = rng.integers(0, n, int(rng.integers(1, n + 1)))
+            pts[at, rng.integers(0, dim, len(at))] = rng.choice(
+                [1e18, -1e18, 3e17, -5.5e17], len(at))
+        group = rng.integers(0, n_groups, n)
+        eps = rng.choice([0.2, 0.3, 0.5, 1.0], n_groups)
+        packed = []
+
+        def spy(*args):
+            out = packed_order(*args)
+            packed.append(out is not None)
+            return out
+
+        packed_order = clustering._packed_order
+        monkeypatch.setattr(clustering, "_packed_order", spy)
+        grid = clustering._CellGrid(pts, eps, group)
+        want = np.lexsort((*np.floor(pts.T / (eps / math.sqrt(dim))[group]), group))
+        assert grid.order.tobytes() == want.tobytes()
+        assert (np.diff(grid.keys) > 0).all()
+        assert packed == [not far]
+
+    def test_floors_enter_the_key_as_offsets(self):
+        # Side 1. As raw digits, the floors 2**52 - 1 and 2**52 of y would
+        # put the second point's key past 2**63, where it wraps below the
+        # first's; as offsets from the least floor they are 0 and 1.
+        pts = np.array([[0.0, 2.0**52], [1023.0, 2.0**52 - 1]])
+        grid = clustering._CellGrid(pts, np.array([math.sqrt(2)]), np.zeros(2, int))
+        assert clustering._packed_order(np.floor(pts.T), np.zeros(2, int), 1) is not None
+        assert grid.order.tolist() == [1, 0]
+
+
 def rectangle_outline(l, w, yaw, n_per_side=50, z=(0.0, 1.5)):
     t = np.linspace(-0.5, 0.5, n_per_side)
     side = np.concatenate([

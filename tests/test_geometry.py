@@ -254,12 +254,20 @@ _SIXTH_TURN = Box3D(0.0, 0.0, 0.0, 4.0, 1.5, 1.0, math.pi / 6)
 # One ulp beyond its corner of greatest x, corners_bev()[1].
 _NEAR_CORNER = np.array([[2.1070508075688776, 0.35048094716167066, 0.0]])
 
+# Points of equal x, each twice: a vertical stack through the box's top and
+# bottom, and a row along y into and out of it at the corner's x.
+_TIED_X = np.tile(np.r_[np.c_[np.full(9, 0.5), np.zeros(9), np.linspace(-2, 2, 9)],
+                        np.c_[np.full(9, _SIXTH_TURN.corners_bev()[1][0]),
+                              np.linspace(-1, 1.5, 9), np.zeros(9)]], (2, 1))
+
 
 class TestPointIndex:
     # This point lies above cx + |cos yaw| l/2 + |sin yaw| w/2 in float,
     # yet points_in_box accepts it: only the pad keeps it.
     @example(case=(_SIXTH_TURN, np.r_[_NEAR_CORNER, np.c_[_SIXTH_TURN.corners_bev(),
                                                           np.zeros(4)]]))
+    # Ties in x: the slab holds them in any order, the result ascends.
+    @example(case=(_SIXTH_TURN, _TIED_X))
     @settings(max_examples=500, deadline=None)
     @given(case=indexed_queries())
     def test_equals_points_in_box(self, case):

@@ -154,3 +154,36 @@ def test_ordering_keys_are_found():
     source = ("a = sorted(x, key=lambda i: (-s[i], i))\n"
               "b.sort(key=f)\nc = min(g, key=len)\nd = sorted(x)\n")
     assert ordering_keys(source) == ["lambda i: (-s[i], i)", "f", "len"]
+
+
+_UNIQUE_FLAGS = {"return_index", "return_inverse", "return_counts"}
+
+
+def bare_uniques(source: str) -> list[int]:
+    """Line numbers of the np.unique calls in a module that pass no
+    return flag (return_index, return_inverse or return_counts) other than
+    a literal False."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.unique"
+            and not _UNIQUE_FLAGS & {kw.arg for kw in node.keywords
+                                     if not (isinstance(kw.value, ast.Constant)
+                                             and kw.value.value is False)}]
+
+
+def test_no_bare_unique():
+    """numpy 2 imports numpy.ma, ~15 ms, on the first np.unique call that
+    asks for no return flag; every call in the package asks for one, so
+    no command pays that import."""
+    package = sorted(Path(sembox.__file__).parent.glob("*.py"))
+    sites = [f"{p.name}:{line}" for p in package
+             for line in bare_uniques(p.read_text(encoding="utf-8"))]
+    assert sites == []
+
+
+def test_bare_unique_is_found():
+    source = ("import numpy as np\n"
+              "a = np.unique(x)\n"
+              "b, c = np.unique(x, return_counts=True)\n"
+              "d = np.unique(x, axis=0)\n"
+              "e = np.unique(x, return_inverse=False)\n")
+    assert bare_uniques(source) == [2, 4, 5]
