@@ -20,6 +20,11 @@ listed with its row count in A and in B and the number of rows that
 differ once each side's rows are sorted. --quick limits the datasets to
 the presets, in text and binary, and perf_scene at the first seed in
 binary only: its ~100k-point frames are where clustering spends its time.
+
+Both modes also write `far`, in text and binary: preset mixed at the
+first seed, with a 64-point class-1 blob at x ~ 3e15 added to its middle
+frame. Its cell floors lie beyond 2**53, so every DBSCAN grid of that
+frame's windows takes the ranked keys no other dataset reaches.
 """
 
 from __future__ import annotations
@@ -49,11 +54,14 @@ CONFIGS = {"yaw2": {"yaw_step_deg": 2.0},
 
 # Run with a tree's src/ first on the path; refuses any other sembox.
 _WRITE_DATASETS = """
+import dataclasses
 import sys
 from pathlib import Path
+import numpy as np
 import sembox
 from sembox import dataio, synth
 from sembox.config import PipelineConfig
+from sembox.geometry import PointCloud
 src, root, quick = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3] == "1"
 if Path(sembox.__file__).resolve().parent != (src / "sembox").resolve():
     sys.exit(f"imported sembox from {sembox.__file__}, not from {src}")
@@ -68,6 +76,15 @@ for seed in seeds:
         for fmt in ("binary",) if quick and name == "perf" else ("text", "binary"):
             dataio.write_dataset(root / f"{name}-{fmt}-{seed}", frames, names,
                                  gt=gt, points_format=fmt)
+frames, gt = synth.generate_sequence(synth.preset_scene("mixed", seeds[0]))
+mid = frames[len(frames) // 2]
+x, y = np.meshgrid(3e15 + 0.3 * np.arange(8), 0.3 * np.arange(8))
+blob = np.column_stack([x.ravel(), y.ravel(), np.full(64, -1.0)])
+frames[len(frames) // 2] = dataclasses.replace(mid, points=PointCloud(
+    np.vstack([mid.points.xyz, blob]), np.r_[mid.points.class_id, np.ones(64, int)]))
+for fmt in ("text", "binary"):
+    dataio.write_dataset(root / f"far-{fmt}-{seeds[0]}", frames, names,
+                         gt=gt, points_format=fmt)
 """
 
 

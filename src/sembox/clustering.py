@@ -61,37 +61,36 @@ class BoxCandidate:
     cluster_point_indices: np.ndarray
 
 
-def _packed_order(floor: np.ndarray, group: np.ndarray,
-                  n_groups: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The permutation lexsort((*floor, group)) gives, by one np.sort, and
-    each sorted point's key without its index; None when the key would not
-    fit in an int64.
-
-    A point's key holds, from most to least significant, its group, the
-    offset of each floor from its axis' least floor (the last axis most
-    significant) and its index in the low bits: unique, and ascending as
-    the lexsort's keys are. It fits when every floor lies within +-2**53,
-    where float to int64 is exact, and G times the product of the axes'
-    offset spans, shifted by the index bits, is below 2**63.
-    """
-    n = floor.shape[1]
+def _offset_digits(floor: np.ndarray, reach: int, n_groups: int,
+                   bits: int) -> tuple[np.ndarray, list[int]] | None:
+    """Per axis, each floor's offset from the axis' least floor, plus
+    reach, and the radix, the axis' span plus 2 * reach; None when a key of
+    these digits would not fit in an int64: when a floor lies beyond
+    +-2**53, past which floats no longer hold every integer, or when G
+    times the radices' product, shifted by the `bits` index bits, reaches
+    2**63."""
     lo, hi = floor.min(axis=1), floor.max(axis=1)
     if max(-lo.min(), hi.max()) > 2.0 ** 53:
         return None
-    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    bits = (n - 1).bit_length()
-    if n_groups * math.prod(spans) << bits >= 1 << 63:
+    radices = [int(b) - int(a) + 1 + 2 * reach for a, b in zip(lo, hi)]
+    if n_groups * math.prod(radices) << bits >= 1 << 63:
         return None
-    off = floor.astype(np.int64)
-    off -= lo.astype(np.int64)[:, None]
-    key = group.astype(np.int64)
-    for axis in reversed(range(len(spans))):
-        key *= spans[axis]
-        key += off[axis]
-    key <<= bits
-    key |= np.arange(n)
-    key.sort()
-    return key & ((1 << bits) - 1), key >> bits
+    return floor.astype(np.int64) - (lo.astype(np.int64) - reach)[:, None], radices
+
+
+def _ranked_digits(floor: np.ndarray, reach: int) -> tuple[list, list[int]]:
+    """Per axis, each floor's digit and the radix, from the axis' distinct
+    floors in order: the least is digit reach, and each next one steps up
+    by its distance from the last, capped at reach + 1. Floors within
+    reach of each other keep their distance; others stay beyond reach."""
+    digits, radices = [], []
+    for row in floor:
+        rows, at = np.unique(row, return_inverse=True)
+        steps = np.minimum(np.diff(rows), reach + 1).astype(np.int64)
+        ranks = np.r_[reach, reach + np.cumsum(steps)]
+        digits.append(ranks[at])
+        radices.append(int(ranks[-1]) + reach + 1)
+    return digits, radices
 
 
 class _CellGrid:
@@ -105,25 +104,28 @@ class _CellGrid:
     significant), and by index within a cell, as lexsort((*floor, group))
     orders them: cell k, of group group[k], holds
     pts[start[k]:start[k] + length[k]], with bounds lo[k] and hi[k] per
-    axis. Along each axis, a step longer than reach + 1 between consecutive
-    occupied cell coordinates shrinks to reach + 1: no neighbourhood
-    changes, and the keys do not grow with the distance between points.
+    axis.
 
-    The order comes from one np.sort of a packed int64 per point
-    (_packed_order). Where that key does not fit, as for points 1e18
-    apart, each point is keyed by its group and the dense rank of its
-    floor on each axis, and a stable argsort keeps index order within a
-    cell. With m distinct floors on an axis, that key is below G times the
-    product of the m for G groups, so it fits wherever the cell keys fit.
+    One int64 key per point both orders the points and finds neighbour
+    cells. From most to least significant it holds the group, one digit
+    per axis (the last axis most significant) and, where it fits, the
+    point's index in the low bits. An axis' digits lie in
+    [reach, radix - reach), so an offset of at most reach per axis never
+    carries into the next digit, and a neighbour is always a cell of the
+    same group. Cell k's key without the index is keys[k], and strides
+    holds the products of the lower radices.
 
-    A cell's int64 key packs its compressed coordinates (x least
-    significant) and its group (most significant). Each coordinate digit
-    lies in [reach, max + reach], so an offset of at most reach per axis
-    never carries into the next digit, and a neighbour is always a cell of
-    the same group. With m distinct cell coordinates on an axis, its digit
-    is below (reach + 1) * m + reach, and a key below G times the product
-    of those bounds for G groups: under 2**63 for any 2D input of under
-    ~1e9 / sqrt(G) distinct coordinates per axis.
+    A digit is the floor's offset from its axis' least floor, plus reach,
+    in a radix of the axis' span plus 2 * reach, and one np.sort of the
+    keys gives the order. That key fits when every floor lies within
+    +-2**53 and G times the radices' product, shifted by the index bits,
+    is below 2**63 (_offset_digits). Otherwise, as for points 1e18 apart,
+    each digit is a rank of the axis' distinct floors, with steps capped
+    at reach + 1 (_ranked_digits), and a stable argsort of the key
+    without index bits keeps index order within a cell. With m distinct
+    floors on an axis that radix is below (reach + 1) * (m + 1): the key
+    fits for any 2D input of under ~1e9 / sqrt(G) distinct floors per
+    axis.
     """
 
     def __init__(self, points: np.ndarray, eps: np.ndarray, group: np.ndarray):
@@ -131,35 +133,28 @@ class _CellGrid:
         self.reach = r = math.ceil(math.sqrt(d))
         floor = np.divide(points.T, (eps / math.sqrt(d))[group], order="C")
         np.floor(floor, out=floor)  # (d, n), each axis contiguous
-        packed = _packed_order(floor, group, len(eps))
-        if packed is None:
-            key = group.astype(np.int64)
-            for axis in reversed(range(d)):
-                rows, rank = np.unique(floor[axis], return_inverse=True)
-                key *= len(rows)
-                key += rank
-            self.order = np.argsort(key, kind="stable")
-            cell = key[self.order]
+        bits = (n - 1).bit_length()
+        packed = _offset_digits(floor, r, len(eps), bits)
+        digits, radices = packed or _ranked_digits(floor, r)
+        key = group.astype(np.int64)
+        for axis in reversed(range(d)):
+            key = key * radices[axis] + digits[axis]
+        if packed:
+            key = np.sort((key << bits) | np.arange(n))
+            self.order, key = key & ((1 << bits) - 1), key >> bits
         else:
-            self.order, cell = packed
+            self.order = np.argsort(key, kind="stable")
+            key = key[self.order]
+        self.strides = np.cumprod([1, *radices[:-1]])
         self.pts = np.take(points, self.order, axis=0)
-        opens = np.r_[True, cell[1:] != cell[:-1]]
+        opens = np.r_[True, key[1:] != key[:-1]]
         self.start = np.flatnonzero(opens)
+        self.keys = key[self.start]  # ascending: the cells' sort order
         self.length = np.diff(np.r_[self.start, n])
-        first = self.order[self.start]
-        self.group = group[first]
+        self.group = group[self.order[self.start]]
         self.cell_of = np.cumsum(opens) - 1
         self.lo = np.minimum.reduceat(self.pts, self.start)
         self.hi = np.maximum.reduceat(self.pts, self.start)
-        ij = np.empty((len(self.start), d), dtype=np.int64)
-        for axis in range(d):
-            rows, at = np.unique(floor[axis, first], return_inverse=True)
-            steps = np.minimum(np.diff(rows), r + 1).astype(np.int64)
-            ij[:, axis] = np.r_[r, r + np.cumsum(steps)][at.reshape(-1)]
-        strides = np.cumprod([1, *(ij.max(axis=0) + r + 1)])
-        self.strides = strides[:d]
-        # Ascending: the cells' sort order.
-        self.keys = ij @ self.strides + self.group * strides[d]
 
     def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cell, neighbour, offset) for every ordered pair of cells no more
@@ -168,7 +163,7 @@ class _CellGrid:
         span = np.arange(-self.reach, self.reach + 1)
         offsets = np.stack(np.meshgrid(*[span] * d, indexing="ij"),
                            -1).reshape(-1, d)
-        target = self.keys[:, None] + offsets @ self.strides
+        target = self.keys[:, None] + (offsets * self.strides).sum(1)
         pos = np.minimum(np.searchsorted(self.keys, target), len(self.keys) - 1)
         cell, k = np.nonzero(self.keys[pos] == target)
         return cell, pos[cell, k], offsets[k]

@@ -352,11 +352,47 @@ def read_pose(path: str | Path) -> Pose:
 # Labels and predictions --------------------------------------------------
 
 
-def _read_boxes(path: str | Path, frame_id: int, fields: tuple[str, ...],
-                make) -> list:
-    """(line number, value) of each line of a labels or predictions file: a
-    line states the file's frame_id, a class_id >= 1 and a box, and
-    make(box, rest) builds its value from the box and the fields after it."""
+def _label(box: Box3D, rest: list[str]) -> PseudoLabel:
+    nums = [float(v) for v in rest[:5]]
+    for name, v in zip(LABEL_FIELDS[9:14], nums):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} {v!r} is not finite")
+    return PseudoLabel(box, ScoreBreakdown(*nums[:4]), nums[4], rest[5])
+
+
+# kind -> (a line's fields, its row template, an item's values after the
+# box, the item built from a box and the fields after it)
+_BOX_KINDS = {
+    "labels": (LABEL_FIELDS, _LABEL_ROW,
+               lambda lab: (lab.scores.occ, lab.scores.alg, lab.scores.ms,
+                            lab.scores.msf, lab.weight, lab.source),
+               _label),
+    "predictions": (PREDICTION_FIELDS, _PREDICTION_ROW, lambda p: (p.confidence,),
+                    lambda box, rest: Prediction(box, float(rest[0]))),
+}
+
+
+def write_boxes(path: str | Path, frame_id: int, items: list, kind: str) -> None:
+    """Write frame frame_id's labels or predictions file, one row per item."""
+    _, row, after_box, _ = _BOX_KINDS[kind]
+    values = []
+    for item in items:
+        b = item.box
+        values += (frame_id, b.class_id, b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw,
+                   *after_box(item))
+    Path(path).write_text((row * len(items)) % tuple(values))
+
+
+def read_boxes(path: str | Path, frame_id: int, kind: str,
+               weight_thresholds: tuple[float, float] | None = None) -> list:
+    """Read frame frame_id's labels or predictions file: each line states
+    the file's frame_id, a class_id >= 1 and a box, then the kind's fields.
+
+    When thresholds are given, a label's stored weight inconsistent with
+    its stored combined score raises a warning in the log but loads
+    anyway; predictions hold no weight to check.
+    """
+    fields, _, _, make = _BOX_KINDS[kind]
     path = Path(path)
 
     def convert(parts: list[str]):
@@ -368,69 +404,15 @@ def _read_boxes(path: str | Path, frame_id: int, fields: tuple[str, ...],
             raise ValueError(f"class_id {class_id} is not a foreground class (>= 1)")
         return make(Box3D(*map(float, parts[2:9]), class_id=class_id), parts[9:])
 
-    return _rows(path, path.read_bytes(), fields, convert)
-
-
-def _label(box: Box3D, rest: list[str]) -> PseudoLabel:
-    nums = [float(v) for v in rest[:5]]
-    for name, v in zip(LABEL_FIELDS[9:14], nums):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} {v!r} is not finite")
-    return PseudoLabel(box, ScoreBreakdown(*nums[:4]), nums[4], rest[5])
-
-
-def write_labels(path: str | Path, frame_id: int,
-                 labels: list[PseudoLabel]) -> None:
-    values = []
-    for lab in labels:
-        b, s = lab.box, lab.scores
-        values += (frame_id, b.class_id, b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw,
-                   s.occ, s.alg, s.ms, s.msf, lab.weight, lab.source)
-    Path(path).write_text((_LABEL_ROW * len(labels)) % tuple(values))
-
-
-def read_labels(path: str | Path, frame_id: int,
-                weight_thresholds: tuple[float, float] | None = None
-                ) -> list[PseudoLabel]:
-    """Read frame frame_id's labels file; optionally cross-check weights
-    against scores.
-
-    When thresholds are given, a stored weight inconsistent with the
-    stored combined score raises a warning in the log but loads anyway.
-    """
-    rows = _read_boxes(path, frame_id, LABEL_FIELDS, _label)
-    if weight_thresholds is not None:
+    rows = _rows(path, path.read_bytes(), fields, convert)
+    if weight_thresholds is not None and kind == "labels":
         for lineno, lab in rows:
             expect = label_weight(lab.scores.msf, *weight_thresholds)
             if not math.isclose(lab.weight, expect, abs_tol=1e-9):
                 logger.warning("%s:%d: stored weight %.9g inconsistent with "
                                "msf %.9g (expected %.9g)", path, lineno,
                                lab.weight, lab.scores.msf, expect)
-    return [lab for _, lab in rows]
-
-
-def write_predictions(path: str | Path, frame_id: int,
-                      preds: list[Prediction]) -> None:
-    values = []
-    for p in preds:
-        b = p.box
-        values += (frame_id, b.class_id, b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw,
-                   p.confidence)
-    Path(path).write_text((_PREDICTION_ROW * len(preds)) % tuple(values))
-
-
-def read_predictions(path: str | Path, frame_id: int) -> list[Prediction]:
-    return [p for _, p in _read_boxes(
-        path, frame_id, PREDICTION_FIELDS,
-        lambda box, rest: Prediction(box, float(rest[0])))]
-
-
-# kind -> (reader(path, frame_id, weight_thresholds), writer)
-_BOX_KINDS = {
-    "labels": (read_labels, write_labels),
-    "predictions": (lambda path, frame_id, _: read_predictions(path, frame_id),
-                    write_predictions),
-}
+    return [item for _, item in rows]
 
 
 # Per-frame directories ----------------------------------------------------
@@ -443,19 +425,19 @@ def frame_file(frame_id: int, suffix: str) -> str:
 def write_box_dir(out_dir: str | Path, per_frame: dict,
                   kind: str = "labels") -> None:
     """Write one labels/predictions file per frame id."""
-    writer = _BOX_KINDS[kind][1]
+    _BOX_KINDS[kind]  # an unknown kind raises before any directory is made
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame_id in sorted(per_frame):
-        writer(out_dir / frame_file(frame_id, ".txt"), frame_id,
-               per_frame[frame_id])
+        write_boxes(out_dir / frame_file(frame_id, ".txt"), frame_id,
+                    per_frame[frame_id], kind)
 
 
 def read_box_dir(dir_path: str | Path, kind: str = "labels",
                  weight_thresholds: tuple[float, float] | None = None) -> dict:
     """Read the frame_<digits>.txt files of a directory, keyed by frame id;
     any other frame_*.txt name, or a second name of one id, is an error."""
-    reader = _BOX_KINDS[kind][0]
+    _BOX_KINDS[kind]  # an unknown kind raises before the directory is read
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
         raise FormatError(f"{dir_path}: not a directory")
@@ -469,7 +451,7 @@ def read_box_dir(dir_path: str | Path, kind: str = "labels",
         frame_id = int(m.group(1))
         if frame_id in out:
             raise FormatError(f"{f}: another file already holds frame {frame_id}")
-        out[frame_id] = reader(f, frame_id, weight_thresholds)
+        out[frame_id] = read_boxes(f, frame_id, kind, weight_thresholds)
     return out
 
 

@@ -140,8 +140,8 @@ class TestDbscan:
                                           brute_force_dbscan(pts, eps, min_pts))
 
     def test_far_outliers_stay_noise(self):
-        # Coordinates this far apart overflow packed cell keys unless the
-        # empty stretches between occupied cells are compressed.
+        # Coordinates this far apart overflow a key of floor offsets; the
+        # ranked keys compress the empty stretches between occupied floors.
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0],
                         [1e18, 1e18], [1e18 + 1e3, 0.0]])
         assert dbscan(pts, 0.15, 2).tolist() == [0, 0, 0, -1, -1]
@@ -330,9 +330,38 @@ class TestGroupedDbscan:
 _NEAR = np.array([0.0, -0.0, 0.1, -0.1, 0.25, -0.7, 1.0, -3.0, 12.5])
 
 
+def _cell_input(seed: int, dim: int, n_groups: int, far: bool):
+    """Points, eps per group and group ids for a _CellGrid: duplicate
+    points, +-0.0 and negative coordinates, and with far some coordinates
+    at up to +-1e18 beside the points near 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    pts = np.where(rng.integers(2, size=(n, dim)), rng.choice(_NEAR, (n, dim)),
+                   np.round(rng.normal(0, 5, (n, dim)), 1))
+    pts = pts[rng.integers(0, n, n)]  # duplicate points
+    if far:
+        at = rng.integers(0, n, int(rng.integers(1, n + 1)))
+        pts[at, rng.integers(0, dim, len(at))] = rng.choice(
+            [1e18, -1e18, 3e17, -5.5e17], len(at))
+    return pts, rng.choice([0.2, 0.3, 0.5, 1.0], n_groups), rng.integers(0, n_groups, n)
+
+
 class TestCellOrder:
-    """_CellGrid orders points as lexsort((*floor, group)) does: packed
-    into one int64 key where it fits, ranked per axis where it does not."""
+    """_CellGrid orders points as lexsort((*floor, group)) does, by one
+    int64 key: floor offsets where they fit, ranked floors where they do
+    not."""
+
+    @staticmethod
+    def ranked_calls(monkeypatch) -> list:
+        """Spy on the wide path: one entry per _ranked_digits call."""
+        calls, ranked = [], clustering._ranked_digits
+
+        def spy(*args):
+            calls.append(args)
+            return ranked(*args)
+
+        monkeypatch.setattr(clustering, "_ranked_digits", spy)
+        return calls
 
     @pytest.mark.parametrize("far", [False, True], ids=["packed", "ranked"])
     @settings(max_examples=150, deadline=None,
@@ -340,31 +369,35 @@ class TestCellOrder:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
            n_groups=st.integers(1, 5))
     def test_order_equals_lexsort(self, seed, dim, n_groups, far, monkeypatch):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 80))
-        pts = np.where(rng.integers(2, size=(n, dim)), rng.choice(_NEAR, (n, dim)),
-                       np.round(rng.normal(0, 5, (n, dim)), 1))
-        pts = pts[rng.integers(0, n, n)]  # duplicate points
-        if far:  # points at up to +-1e18 beside the points near 0
-            at = rng.integers(0, n, int(rng.integers(1, n + 1)))
-            pts[at, rng.integers(0, dim, len(at))] = rng.choice(
-                [1e18, -1e18, 3e17, -5.5e17], len(at))
-        group = rng.integers(0, n_groups, n)
-        eps = rng.choice([0.2, 0.3, 0.5, 1.0], n_groups)
-        packed = []
-
-        def spy(*args):
-            out = packed_order(*args)
-            packed.append(out is not None)
-            return out
-
-        packed_order = clustering._packed_order
-        monkeypatch.setattr(clustering, "_packed_order", spy)
-        grid = clustering._CellGrid(pts, eps, group)
+        pts, eps, group = _cell_input(seed, dim, n_groups, far)
+        with monkeypatch.context() as patch:  # undone before the next example
+            calls = self.ranked_calls(patch)
+            grid = clustering._CellGrid(pts, eps, group)
         want = np.lexsort((*np.floor(pts.T / (eps / math.sqrt(dim))[group]), group))
         assert grid.order.tobytes() == want.tobytes()
         assert (np.diff(grid.keys) > 0).all()
-        assert packed == [not far]
+        assert len(calls) == far
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           n_groups=st.integers(1, 5))
+    def test_wide_path_builds_the_same_grid(self, seed, dim, n_groups, monkeypatch):
+        # Offsets and ranks give different keys, but the same cells in the
+        # same order, and the same neighbours at the same offsets.
+        pts, eps, group = _cell_input(seed, dim, n_groups, far=False)
+        with monkeypatch.context() as patch:  # undone before the next example
+            calls = self.ranked_calls(patch)
+            grid = clustering._CellGrid(pts, eps, group)
+            patch.setattr(clustering, "_offset_digits", lambda *args: None)
+            wide = clustering._CellGrid(pts, eps, group)
+        assert len(calls) == 1  # the forced grid only
+        for g in (grid, wide):
+            assert (np.diff(g.keys) > 0).all()
+        for name in ("order", "start", "length"):
+            assert getattr(grid, name).tobytes() == getattr(wide, name).tobytes()
+        for a, b in zip(grid.neighbor_pairs(), wide.neighbor_pairs()):
+            assert a.tobytes() == b.tobytes()
 
     def test_floors_enter_the_key_as_offsets(self):
         # Side 1. As raw digits, the floors 2**52 - 1 and 2**52 of y would
@@ -372,8 +405,33 @@ class TestCellOrder:
         # first's; as offsets from the least floor they are 0 and 1.
         pts = np.array([[0.0, 2.0**52], [1023.0, 2.0**52 - 1]])
         grid = clustering._CellGrid(pts, np.array([math.sqrt(2)]), np.zeros(2, int))
-        assert clustering._packed_order(np.floor(pts.T), np.zeros(2, int), 1) is not None
+        assert clustering._offset_digits(np.floor(pts.T), 2, 1, 1) is not None
         assert grid.order.tolist() == [1, 0]
+
+    def test_floors_past_2_53_take_the_wide_path(self, monkeypatch):
+        # Side 1: the floors 1e19 and 1e19 + 4096 lie past 2**63, where
+        # float to int64 overflows. Side ~7e-301: 1e308's floor is inf.
+        calls = self.ranked_calls(monkeypatch)
+        pts = np.array([[1e19 + 4096, 0.0], [1e19, 0.0]])
+        grid = clustering._CellGrid(pts, np.array([math.sqrt(2)]), np.zeros(2, int))
+        assert grid.order.tolist() == [1, 0] and len(grid.start) == 2
+        pts = np.array([[1e308, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            grid = clustering._CellGrid(pts, np.array([1e-300]), np.zeros(2, int))
+        assert grid.order.tolist() == [1, 0] and len(grid.start) == 2
+        assert len(calls) == 2
+
+    def test_padding_alone_takes_the_wide_path(self, monkeypatch):
+        # Side 1, 4 points, so 2 index bits. The spans 2**30 and 2**31 - 1
+        # fit: 2**30 * (2**31 - 1) << 2 < 2**63. Padded by 2 * reach = 4
+        # per axis they do not.
+        x, y = 2**30 - 1, 2**31 - 2
+        pts = np.array([[x, 0.0], [0.0, y], [0.0, 0.0], [5.0, y]])
+        assert (x + 1) * (y + 1) << 2 < 1 << 63 <= (x + 5) * (y + 5) << 2
+        calls = self.ranked_calls(monkeypatch)
+        grid = clustering._CellGrid(pts, np.array([math.sqrt(2)]), np.zeros(4, int))
+        assert len(calls) == 1
+        assert grid.order.tolist() == np.lexsort(np.floor(pts.T)).tolist() == [2, 0, 1, 3]
 
 
 def rectangle_outline(l, w, yaw, n_per_side=50, z=(0.0, 1.5)):

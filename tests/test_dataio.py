@@ -405,13 +405,13 @@ class TestBulkMatchesLines:
                             ScoreBreakdown(-0.0, 1e-300, 1.0, 0.1), 0.0, "stcf-refined")]
         preds = [Prediction(lab.box, c) for lab, c in zip(labs, (0.1, -0.0, 1e-300))]
         for frame_id in (0, 123456789):
-            dataio.write_labels(tmp_path / "l.txt", frame_id, labs)
+            dataio.write_boxes(tmp_path / "l.txt", frame_id, labs, "labels")
             assert (tmp_path / "l.txt").read_text() == line_labels_text(frame_id, labs)
-            dataio.write_predictions(tmp_path / "p.txt", frame_id, preds)
+            dataio.write_boxes(tmp_path / "p.txt", frame_id, preds, "predictions")
             assert (tmp_path / "p.txt").read_text() == \
                 line_predictions_text(frame_id, preds)
-        dataio.write_labels(tmp_path / "l.txt", 0, [])
-        dataio.write_predictions(tmp_path / "p.txt", 0, [])
+        dataio.write_boxes(tmp_path / "l.txt", 0, [], "labels")
+        dataio.write_boxes(tmp_path / "p.txt", 0, [], "predictions")
         assert (tmp_path / "l.txt").read_text() == (tmp_path / "p.txt").read_text() == ""
 
     def test_pose_and_retained_bytes(self, tmp_path):
@@ -487,8 +487,8 @@ class TestLabels:
     def test_round_trip(self, tmp_path):
         labs = [label(), label(cx=5.0, yaw=-1.2)]
         path = tmp_path / "l.txt"
-        dataio.write_labels(path, 0, labs)
-        back = dataio.read_labels(path, 0)
+        dataio.write_boxes(path, 0, labs, "labels")
+        back = dataio.read_boxes(path, 0, "labels")
         assert len(back) == 2
         for a, b in zip(back, labs):
             for f in ("cx", "cy", "cz", "l", "w", "h", "yaw"):
@@ -502,23 +502,23 @@ class TestLabels:
         path = tmp_path / "l.txt"
         path.write_text("0 1 1.0 2.0 0.5 4.0 2.0 1.5 0.0 0.5 0.5 0.5 0.5 0.5\n")
         with pytest.raises(FormatError, match="source"):
-            dataio.read_labels(path, 0)
+            dataio.read_boxes(path, 0, "labels")
 
     def test_weight_inconsistency_warns(self, tmp_path, caplog):
         box = Box3D(1, 2, 0.5, 4, 2, 1.5, 0.0, class_id=1)
         bad = PseudoLabel(box, ScoreBreakdown(0.9, 0.9, 0.9, 0.9), 0.123, "init")
         path = tmp_path / "l.txt"
-        dataio.write_labels(path, 0, [bad])
+        dataio.write_boxes(path, 0, [bad], "labels")
         with caplog.at_level(logging.WARNING, logger="sembox"):
-            dataio.read_labels(path, 0, weight_thresholds=(0.4, 0.8))
+            dataio.read_boxes(path, 0, "labels", weight_thresholds=(0.4, 0.8))
         assert any("inconsistent" in r.message for r in caplog.records)
 
     def test_predictions_round_trip(self, tmp_path):
         preds = [Prediction(Box3D(3, 4, 0.7, 4.2, 1.7, 1.5, 0.9, class_id=2),
                             0.65)]
         path = tmp_path / "p.txt"
-        dataio.write_predictions(path, 5, preds)
-        back = dataio.read_predictions(path, 5)
+        dataio.write_boxes(path, 5, preds, "predictions")
+        back = dataio.read_boxes(path, 5, "predictions")
         assert back[0].confidence == pytest.approx(0.65, abs=1e-9)
         assert path.read_text().split()[0] == "5"
         assert back[0].box.class_id == 2
