@@ -5,21 +5,23 @@
         [--threads 1 2] [--work DIR]
 
 Each tree writes its own datasets: the five presets and perf_scene, in
-text and binary, at each of SEEDS. On each dataset it then runs, with its
-own code, generate with the default config and with each of CONFIGS,
-score-labels --out on the default labels, and two mock-detect --noise
-mild -> refine -> evaluate rounds (round 0 detects from ground truth,
-round 1 from round 0's refined labels), once per thread count. Commands
-run from the tree's work directory with relative paths, so printed paths
-agree; each command's exit code, standard output and standard error are
-kept as a file too. Every file of one tree is then
-compared with the same file of the other. The files that differ, the
-files that only one tree wrote and the commands that failed are listed,
-and the exit status is 1 if there are any. A differing labels file is
-listed with its row count in A and in B and the number of rows that
-differ once each side's rows are sorted. --quick limits the datasets to
-the presets, in text and binary, and perf_scene at the first seed in
-binary only: its ~100k-point frames are where clustering spends its time.
+text and binary, at each of SEEDS. On each dataset it then runs, with
+its own code, generate with the default config and with each of CONFIGS
+(a coarse yaw step, the closeness fit, and ragged radius lists whose
+longest is a later class's), score-labels --out on the default labels,
+and two mock-detect --noise mild -> refine -> evaluate rounds (round 0
+detects from ground truth, round 1 from round 0's refined labels), once
+per thread count. Commands run from the tree's work directory with
+relative paths, so printed paths agree; each command's exit code,
+standard output and standard error are kept as a file too. Every file of
+one tree is then compared with the same file of the other. The files
+that differ, the files that only one tree wrote and the commands that
+failed are listed, and the exit status is 1 if there are any. A
+differing labels file is listed with its row count in A and in B and the
+number of rows that differ once each side's rows are sorted. --quick
+limits the datasets to the presets, in text and binary, and perf_scene
+at the first seed in binary only: its ~100k-point frames are where
+clustering spends its time.
 
 Both modes also write `far`, in text and binary: preset mixed at the
 first seed, with a 64-point class-1 blob at x ~ 3e15 added to its middle
@@ -48,9 +50,18 @@ SEEDS = (0, 7)
 LABEL_DIRS = ("labels", "rescored", "gt_labels")
 
 # Configs generate also runs with, by name: the area fit at a coarse yaw
-# step, and the closeness fit, which fits each member set on its own.
+# step; the closeness fit, which fits each member set on its own; and
+# ragged radius lists, one for vehicles and four for pedestrians, so the
+# longest list is a later class's and the other classes lack radii there.
 CONFIGS = {"yaw2": {"yaw_step_deg": 2.0},
-           "closeness": {"fit_criterion": "closeness"}}
+           "closeness": {"fit_criterion": "closeness"},
+           "ragged": {"classes": {
+               "1": {"name": "vehicle", "radii": [1.0], "min_cluster_size": 10,
+                     "meta_shape": [4.6, 1.8, 1.6]},
+               "2": {"name": "pedestrian", "radii": [0.2, 0.35, 0.5, 0.8],
+                     "min_cluster_size": 5, "meta_shape": [0.8, 0.8, 1.7]},
+               "3": {"name": "cyclist", "radii": [0.3, 0.5, 0.8], "min_cluster_size": 5,
+                     "meta_shape": [1.8, 0.6, 1.7]}}}}
 
 # Run with a tree's src/ first on the path; refuses any other sembox.
 _WRITE_DATASETS = """

@@ -203,7 +203,7 @@ def cmd_score_labels(args) -> int:
                                (config.theta_low, config.theta_high))
     rescored: dict[int, list[PseudoLabel]] = {}
     for fid in sorted(loaded):
-        dense = pipeline.aggregate_window(frames, index_of[fid], config).points
+        dense = pipeline.aggregate_window(frames, index_of[fid], config)
         scores = config.score_boxes([lab.box for lab in loaded[fid]], PointIndex(dense))
         out = [config.label(lab.box, sc, lab.source)
                for lab, sc in zip(loaded[fid], scores)]

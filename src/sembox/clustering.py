@@ -565,93 +565,89 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
 
     Clustering distance is BEV (xy only). The union of per-radius fits is
     returned; every candidate records the radius that produced it and the
-    dense-cloud indices of its cluster. A cluster whose members a smaller
-    radius already found is a candidate again, with the box fitted then.
-    Per radius, one stable argsort of the labels gives every cluster's
-    members.
+    dense-cloud indices of its cluster, ascending. A cluster whose members
+    a smaller radius already found is a candidate again.
 
-    One clustering pass per call: every configured class's BEV points are
-    stacked once per radius, and one grouped dbscan call clusters every
-    (class, radius) run as its own group, with that radius and the class's
+    Run k is the k-th pair of a class with points and one of its radii,
+    classes ascending, then radii ascending. One grouped dbscan call
+    clusters every run as its own group, with that radius and the class's
     min_pts, so each run's labels are those of a lone call on its points.
+    Cluster l of run k is id first_id[k] + l, first_id the runs' cluster
+    counts summed before k: the clusters of every class and radius share
+    one id space, and ascending ids are the candidate order (class, radius,
+    cluster). One bincount of the ids drops every cluster below its
+    class's min_cluster_size, and one stable argsort of the ids gives
+    every cluster's members.
 
-    Under the "area" criterion one lexsort of the label columns splits
-    each class's points into atoms, the points that share a cluster at
-    every radius (clusters below min_cluster_size counting as noise). Each
-    atom's yaw extents are computed once, in one _yaw_extents call over
-    the atoms of every class, numbered class after class. Per radius, one
-    reduceat over the atoms' extents gives every cluster's extents, exactly
-    the min/max over its points, and one argmin its smallest-area yaw:
-    fit_box's box, with every clustered point reduced once rather than once
-    per radius. "closeness" sums over every point, so it fits each distinct
-    member set with fit_box.
+    Under the "area" criterion each dense point holds its id at every
+    radius index, -1 where its class has no cluster or no such radius. One
+    lexsort of those columns splits the clustered points into atoms, the
+    points that share a cluster at every radius; ids of two classes never
+    meet, so no atom spans two classes. One _yaw_extents call gives every
+    atom's extents. Per radius index, one reduceat over the atoms gives
+    every cluster's extents by id, exactly the min/max over its points,
+    and one argmin over all ids each cluster's smallest-area yaw:
+    fit_box's box, with every clustered point reduced once rather than
+    once per radius. "closeness" sums over every point, so it fits each
+    distinct member set once with fit_box.
     """
     angles = _yaw_angles(yaw_step_deg)
     a = len(angles)
-    present = []  # (class_id, params, dense-cloud indices) of classes with points
+    runs = []  # run k: (class_id, params, radius index, dense-cloud indices)
     for class_id in sorted(params):
         sel = np.flatnonzero(dense.class_id == class_id)
         if len(sel):
-            present.append((class_id, params[class_id], sel))
-    if not present:
+            runs += [(class_id, params[class_id], r, sel)
+                     for r in range(len(params[class_id].radii))]
+    if not runs:
         return []
-    # Group k of the one dbscan call is the k-th (class, radius) run.
-    sizes = [len(sel) for _, p, sel in present for _ in p.radii]
-    flat = dbscan(
-        dense.xyz[np.concatenate([np.tile(sel, len(p.radii)) for _, p, sel in present]),
-                  :2],
-        [radius for _, p, _ in present for radius in p.radii],
-        [p.min_pts for _, p, _ in present for _ in p.radii],
-        np.repeat(np.arange(len(sizes)), sizes))
-    classes = []  # (class_id, params, indices, labels) of classes with clusters
-    for class_id, p, sel in present:
-        # Per radius, each point's cluster; -1 for noise and small clusters.
-        labels, flat = np.split(flat, [len(p.radii) * len(sel)])
-        labels = labels.reshape(len(p.radii), len(sel))
-        for lab in labels:
-            lab[np.bincount(lab + 1)[lab + 1] < p.min_cluster_size] = -1
-        if (labels >= 0).any():
-            classes.append((class_id, p, sel, labels))
-    if fit_criterion == "area" and classes:
-        # Atoms: per class, the runs of equal label columns after one
-        # lexsort of its clustered points; ids ascend over the classes.
-        members, atom, atom_labels = [], [], []
-        atom_at = [0]  # class c's atom ids: atom_at[c] to atom_at[c + 1] - 1
-        for _, _, sel, labels in classes:
-            clustered = np.flatnonzero((labels >= 0).any(axis=0))
-            order = clustered[np.lexsort(labels[:, clustered])]
-            opens = np.r_[True, (np.diff(labels[:, order]) != 0).any(axis=0)]
-            members.append(sel[order])
-            atom.append(atom_at[-1] + np.cumsum(opens) - 1)
-            atom_labels.append(labels[:, order[opens]])
-            atom_at.append(atom_at[-1] + int(opens.sum()))
-        lo, hi = _yaw_extents(dense.xyz[np.concatenate(members)],
-                              np.concatenate(atom), atom_at[-1], angles)
+    sizes = [len(sel) for *_, sel in runs]
+    run = np.repeat(np.arange(len(runs)), sizes)  # each stacked point's run
+    stacked = np.concatenate([sel for *_, sel in runs])
+    labels = dbscan(dense.xyz[stacked, :2], [p.radii[r] for _, p, r, _ in runs],
+                    [p.min_pts for _, p, _, _ in runs], run)
+    count = np.maximum.reduceat(labels, np.cumsum(sizes) - sizes) + 1
+    first_id = np.cumsum(count) - count
+    ids = np.where(labels >= 0, labels + first_id[run], -1)
+    # Indexed by ids + 1: 0 for noise, then each id's min_cluster_size.
+    least = np.r_[0, np.repeat([p.min_cluster_size for _, p, _, _ in runs], count)]
+    ids[np.bincount(ids + 1)[ids + 1] < least[ids + 1]] = -1
+    # Id k's members: members[bounds[k]:bounds[k + 1]].
+    members = stacked[np.argsort(ids, kind="stable")]
+    bounds = np.cumsum(np.bincount(ids + 1, minlength=len(least)))
+    if fit_criterion == "area" and bounds[0] < len(ids):
+        # Each dense point's id per radius index; -1 where its class has no
+        # cluster there or no such radius.
+        at_radius = np.full((max(r for _, _, r, _ in runs) + 1, len(dense)), -1)
+        at_radius[np.repeat([r for _, _, r, _ in runs], sizes), stacked] = ids
+        clustered = np.flatnonzero((at_radius >= 0).any(axis=0))
+        order = clustered[np.lexsort(at_radius[:, clustered])]
+        opens = np.r_[True, (np.diff(at_radius[:, order]) != 0).any(axis=0)]
+        lo, hi = _yaw_extents(dense.xyz[order], np.cumsum(opens) - 1,
+                              int(opens.sum()), angles)
+        id_lo, id_hi = np.zeros((2, len(least) - 1, 2 * a + 1))
+        for row in at_radius[:, order[opens]]:  # each atom's id at one radius
+            by_id = np.argsort(row, kind="stable")
+            by_id = by_id[row[by_id] >= 0]
+            at = np.flatnonzero(np.diff(row[by_id], prepend=-1))
+            k = row[by_id[at]]
+            id_lo[k] = np.minimum.reduceat(lo[by_id], at)
+            id_hi[k] = np.maximum.reduceat(hi[by_id], at)
+        span = id_hi - id_lo
+        best = np.argmin(span[:, :a] * span[:, a:2 * a], axis=1)
+    run_of = np.repeat(np.arange(len(runs)), count)  # each id's run
     candidates: list[BoxCandidate] = []
-    for c, (class_id, p, sel, labels) in enumerate(classes):
-        fitted: dict[bytes, Box3D] = {}  # member indices -> box
-        for r, radius in enumerate(p.radii):
-            # Cluster k's members: by_label[bounds[k]:bounds[k + 1]].
-            by_label = np.argsort(labels[r], kind="stable")
-            bounds = np.cumsum(np.bincount(labels[r] + 1))
-            ids = np.flatnonzero(np.diff(bounds))
-            if fit_criterion == "area" and len(ids):
-                by_atom = np.argsort(atom_labels[c][r], kind="stable")
-                by_atom = by_atom[atom_labels[c][r, by_atom] >= 0]
-                at = np.flatnonzero(np.diff(atom_labels[c][r, by_atom], prepend=-1))
-                by_atom += atom_at[c]
-                c_lo = np.minimum.reduceat(lo[by_atom], at)
-                c_hi = np.maximum.reduceat(hi[by_atom], at)
-                span = c_hi - c_lo
-                best = np.argmin(span[:, :a] * span[:, a:2 * a], axis=1)
-            for n, k in enumerate(ids):
-                idx = sel[by_label[bounds[k]:bounds[k + 1]]]
-                key = idx.tobytes()
-                if key not in fitted:
-                    fitted[key] = (
-                        _box_from_extents(c_lo[n], c_hi[n], angles, class_id,
-                                          int(best[n]))
-                        if fit_criterion == "area" else
-                        fit_box(dense.xyz[idx], class_id, yaw_step_deg, fit_criterion))
-                candidates.append(BoxCandidate(fitted[key], radius, idx))
+    fitted: dict[bytes, Box3D] = {}  # "closeness": member indices -> box
+    for k in np.flatnonzero(np.diff(bounds)):
+        class_id, p, r, _ = runs[run_of[k]]
+        idx = members[bounds[k]:bounds[k + 1]]
+        if fit_criterion == "area":
+            box = _box_from_extents(id_lo[k], id_hi[k], angles, class_id, int(best[k]))
+        else:
+            key = idx.tobytes()
+            if key not in fitted:
+                fitted[key] = fit_box(dense.xyz[idx], class_id, yaw_step_deg,
+                                      fit_criterion)
+            box = fitted[key]
+        candidates.append(BoxCandidate(box, p.radii[r], idx))
     return candidates

@@ -199,9 +199,9 @@ def compute_report(per_frame: list[tuple[list[Box3D], list[float], list[Box3D]]]
                     sum(gts[j].class_id == cid for j in m.unmatched_gts)))
 
         analysis = _greedy_match(scores, iou, _ANALYSIS_IOU)
-        for i, j, iou in analysis.pairs:
+        for i, j, pair_iou in analysis.pairs:
             b, g = boxes[i], gts[j]
-            k = min(int(iou * _HIST_BINS), _HIST_BINS - 1)
+            k = min(int(pair_iou * _HIST_BINS), _HIST_BINS - 1)
             report.iou_histogram[k] += 1
             dist = math.hypot(g.cx, g.cy)
             rb = next((rb for rb in report.range_bins if rb.lo <= dist < rb.hi),

@@ -15,11 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .aggregation import (DenseCloud, Frame, build_dense_cloud,
-                          build_motion_grid, register_window)
+from .aggregation import (Frame, build_dense_cloud, build_motion_grid,
+                          register_window)
 from .clustering import multi_scale_cluster
 from .config import ConfigError, PipelineConfig
-from .geometry import BevGridSpec, PointIndex
+from .geometry import BevGridSpec, PointCloud, PointIndex
 from .scoring import SOURCE_INIT, PseudoLabel, nms_select
 
 THREADS_ENV_VAR = "SEMBOX_THREADS"
@@ -41,7 +41,7 @@ def resolve_threads(cli_value: int | None) -> int:
 
 
 def aggregate_window(frames: list[Frame], index: int,
-                     config: PipelineConfig) -> DenseCloud:
+                     config: PipelineConfig) -> PointCloud:
     """Foreground dense cloud of frames[index] from its window of up to
     window_half_size frames on each side: register, classify motion,
     aggregate.
@@ -54,17 +54,17 @@ def aggregate_window(frames: list[Frame], index: int,
     spec = BevGridSpec.centered(config.detection_range, config.cell_size)
     epsilon = config.effective_epsilon(len(registered))
     grid = build_motion_grid(registered, spec, epsilon)
-    return build_dense_cloud(registered, grid, index - lo)
+    return build_dense_cloud(registered, grid, index - lo).points
 
 
 def process_frame(frames: list[Frame], index: int,
                   config: PipelineConfig) -> list[PseudoLabel]:
     """Pseudo-labels for frames[index] from its aggregation window, in label_order."""
     dense = aggregate_window(frames, index, config)
-    candidates = multi_scale_cluster(dense.points, config.cluster_params(),
+    candidates = multi_scale_cluster(dense, config.cluster_params(),
                                      config.yaw_step_deg, config.fit_criterion)
     boxes = [c.box for c in candidates]
-    scores = config.score_boxes(boxes, PointIndex(dense.points))
+    scores = config.score_boxes(boxes, PointIndex(dense))
     return [config.label(boxes[i], scores[i], SOURCE_INIT)
             for i in nms_select(boxes, scores, config.nms_iou_threshold)]
 

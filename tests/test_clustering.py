@@ -699,6 +699,46 @@ class TestAtomFitOracle:
             assert want and [c.box for c in got] == [c.box for c in want]
 
 
+class TestCandidateListOracle:
+    """The whole candidate list, in order, equals one lone dbscan per class
+    and radius, classes then radii ascending, with every cluster of at
+    least min_cluster_size points fitted by fit_box in label order."""
+
+    @staticmethod
+    def reference(cloud, params, step, criterion):
+        want = []
+        for class_id in sorted(params):
+            p = params[class_id]
+            sel = np.flatnonzero(cloud.class_id == class_id)
+            for radius in p.radii:
+                labels = dbscan(cloud.xyz[sel, :2], radius, p.min_pts)
+                for label in range(labels.max(initial=-1) + 1):
+                    idx = sel[labels == label]
+                    if len(idx) >= p.min_cluster_size:
+                        want.append((fit_box(cloud.xyz[idx], class_id, step, criterion),
+                                     radius, idx.tolist()))
+        return want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), step=st.sampled_from([2.0, 7.0, 90.0]),
+           classes=st.sets(st.integers(1, 5), min_size=1),
+           n_radii=st.lists(st.integers(1, 4), min_size=5, max_size=5))
+    def test_equals_lone_calls(self, seed, step, classes, n_radii):
+        # oracle_cloud holds classes 1-3: classes 4 and 5 have no points, and
+        # points of a class missing from params are never clustered.
+        rng = np.random.default_rng(seed)
+        cloud = oracle_cloud(rng)
+        params = {c: ClusterParams(tuple(np.cumsum(rng.uniform(0.1, 1.0, n_radii[c - 1]))
+                                         .tolist()),
+                                   min_pts=int(rng.integers(1, 5)),
+                                   min_cluster_size=int(rng.integers(1, 9)))
+                  for c in sorted(classes)}
+        for criterion in ("area", "closeness"):
+            got = [(c.box, c.radius_used, c.cluster_point_indices.tolist())
+                   for c in multi_scale_cluster(cloud, params, step, criterion)]
+            assert got == self.reference(cloud, params, step, criterion)
+
+
 # Coordinates that tie under rounding: signed zeros, repeats and the
 # binary fractions that axis-parallel and collinear rows share.
 _TIED = np.array([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 3.0, 1e-300, -1e-300])
