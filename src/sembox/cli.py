@@ -109,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: Path | None) -> PipelineConfig:
-    return PipelineConfig() if path is None else read_json(path, PipelineConfig)
-
-
 def _load_noise(spec: str) -> NoiseModel:
     if spec in NOISE_PROFILES:
         return NOISE_PROFILES[spec]
@@ -138,17 +134,12 @@ def _load_frames(dataset: Path, config: PipelineConfig) -> list[Frame]:
     has no entry for: its points are never clustered, nor counted in any
     box's score."""
     frames = dataio.load_dataset(dataset)
-    unconfigured = []
-    for fr in frames:
-        class_id = fr.points.class_id
-        keep = class_id > 0
-        for cid in config.classes:
-            keep &= class_id != cid
-        unconfigured.append(class_id[keep])
-    ids, counts = np.unique(np.concatenate(unconfigured), return_counts=True)
+    ids, counts = np.unique(np.concatenate([fr.foreground.class_id for fr in frames]),
+                            return_counts=True)
     for cid, n in zip(ids.tolist(), counts.tolist()):
-        logger.warning("class id %d: %d foreground points, but the config has "
-                       "no entry for it, so none is clustered or scored", cid, n)
+        if cid not in config.classes:
+            logger.warning("class id %d: %d foreground points, but the config has "
+                           "no entry for it, so none is clustered or scored", cid, n)
     return frames
 
 
@@ -156,18 +147,16 @@ def _write_summary(out_dir: Path, summary: dict) -> None:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, config: PipelineConfig) -> int:
     spec = preset_scene(args.preset, args.seed)
     frames, gt = generate_sequence(spec)
-    config = _load_config(args.config)
     dataio.write_dataset(args.out, frames, config.class_names(), gt=gt,
                          points_format=args.format)
     print(f"wrote {len(frames)} frames to {args.out}")
     return 0
 
 
-def cmd_generate(args) -> int:
-    config = _load_config(args.config)
+def cmd_generate(args, config: PipelineConfig) -> int:
     frames = _load_frames(args.dataset, config)
     labels = pipeline.generate_labels(frames, config, threads=args.threads)
     out = Path(args.out)
@@ -178,8 +167,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_refine(args) -> int:
-    config = _load_config(args.config)
+def cmd_refine(args, config: PipelineConfig) -> int:
     frames = _load_frames(args.dataset, config)
     preds = _read_frame_boxes(args.preds, [fr.frame_id for fr in frames],
                               "predictions")
@@ -195,8 +183,7 @@ def cmd_refine(args) -> int:
     return 0
 
 
-def cmd_score_labels(args) -> int:
-    config = _load_config(args.config)
+def cmd_score_labels(args, config: PipelineConfig) -> int:
     frames = _load_frames(args.dataset, config)
     index_of = {fr.frame_id: i for i, fr in enumerate(frames)}
     loaded = _read_frame_boxes(args.labels, index_of, "labels",
@@ -217,8 +204,7 @@ def cmd_score_labels(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
+def cmd_evaluate(args, config: PipelineConfig) -> int:
     frame_ids = [e.frame_id for e in dataio.read_manifest(args.dataset)[0]]
     labels = _read_frame_boxes(args.labels, frame_ids, "labels")
     gts = _read_frame_boxes(args.gt, frame_ids, "labels")
@@ -243,8 +229,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_mock_detect(args) -> int:
-    config = _load_config(args.config)
+def cmd_mock_detect(args, config: PipelineConfig) -> int:
     frame_ids = [e.frame_id for e in dataio.read_manifest(args.dataset)[0]]
     noise = _load_noise(args.noise)
     loaded = _read_frame_boxes(args.labels, frame_ids, "labels")
@@ -271,9 +256,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Every command checks the thread count, though only generate uses it.
+        # Every command checks the thread count, though only generate uses
+        # it, and reads --config once, before any dataset file.
         args.threads = pipeline.resolve_threads(args.threads)
-        return _COMMANDS[args.command](args)
+        config = (PipelineConfig() if args.config is None
+                  else read_json(args.config, PipelineConfig))
+        return _COMMANDS[args.command](args, config)
     except (ConfigError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -16,9 +16,13 @@ import numpy as np
 
 from .geometry import Box3D, PointCloud
 
-# Absolute safety margin added to fitted spans so that cluster points stay
-# inside the box under floating-point round-trip, not a geometric padding.
+# Safety margin added to each side of a fitted span so that cluster points
+# stay inside the box under floating-point round-trip, not a geometric
+# padding: 1e-9 m, or _GUARD_PER_METRE times the summed magnitudes of the
+# extents (both BEV spans' ends, or z's) where that is larger, past ~7e4 m,
+# since the rounding of the extents, the centre and to_frame grows with them.
 _SPAN_GUARD = 1e-9
+_GUARD_PER_METRE = 2.0 ** -46
 
 # Spans below this are inflated to keep fitted boxes non-degenerate.
 _SPAN_FLOOR = 1e-3
@@ -491,6 +495,11 @@ def _yaw_extents(xyz: np.ndarray, group: np.ndarray, n_groups: int,
     return lo.T, hi.T
 
 
+def _span_guard(*ends: float) -> float:
+    """The margin on each side of the spans with these ends (see _SPAN_GUARD)."""
+    return max(_SPAN_GUARD, _GUARD_PER_METRE * float(sum(map(abs, ends))))
+
+
 def _box_from_extents(lo: np.ndarray, hi: np.ndarray, angles: np.ndarray,
                       class_id: int, best: int | None = None) -> Box3D:
     """The box of one point set from its _yaw_extents row: at yaw index
@@ -501,8 +510,9 @@ def _box_from_extents(lo: np.ndarray, hi: np.ndarray, angles: np.ndarray,
     if best is None:
         best = int(np.argmin((u_max - u_min) * (v_max - v_min)))
 
-    span_u = max(float(u_max[best] - u_min[best]), _SPAN_FLOOR) + 2 * _SPAN_GUARD
-    span_v = max(float(v_max[best] - v_min[best]), _SPAN_FLOOR) + 2 * _SPAN_GUARD
+    guard = _span_guard(u_min[best], u_max[best], v_min[best], v_max[best])
+    span_u = max(float(u_max[best] - u_min[best]), _SPAN_FLOOR) + 2 * guard
+    span_v = max(float(v_max[best] - v_min[best]), _SPAN_FLOOR) + 2 * guard
     mid_u = (u_max[best] + u_min[best]) / 2.0
     mid_v = (v_max[best] + v_min[best]) / 2.0
     yaw = float(angles[best])
@@ -511,7 +521,7 @@ def _box_from_extents(lo: np.ndarray, hi: np.ndarray, angles: np.ndarray,
     cy = sb * mid_u + cb * mid_v
 
     z_min, z_max = float(lo[2 * a]), float(hi[2 * a])
-    h = max(z_max - z_min, _SPAN_FLOOR) + 2 * _SPAN_GUARD
+    h = max(z_max - z_min, _SPAN_FLOOR) + 2 * _span_guard(z_min, z_max)
     cz = (z_min + z_max) / 2.0
     return Box3D(cx, cy, cz, span_u, span_v, h, yaw, class_id)
 
@@ -529,7 +539,9 @@ def fit_box(xyz: np.ndarray, class_id: int, yaw_step_deg: float = 1.0,
     sparse surface returns where the area landscape is nearly flat. Ties
     go to the smaller yaw. Extents are the min/max spans (no padding),
     height and vertical center come from the z range, and the result is
-    canonical (l >= w). All input points are inside the returned box.
+    canonical (l >= w). All input points are inside the returned box,
+    at any distance from the origin: each span gains a guard on both
+    sides that grows with its ends' magnitude (see _SPAN_GUARD).
     """
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     if len(xyz) == 0:

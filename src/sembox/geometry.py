@@ -69,7 +69,8 @@ class Pose:
         err = np.abs(rotate(r, r) - np.eye(3)).max()
         if err > 1e-6:
             raise ValueError(f"pose rotation not orthonormal (max error {err:.2e})")
-        det = np.linalg.det(r)
+        # The rows are orthonormal, so the determinant is their triple product.
+        det = float((np.cross(r[0], r[1]) * r[2]).sum())
         if abs(det - 1.0) > 1e-6:
             raise ValueError(f"pose rotation determinant {det:.8f} != +1")
 
@@ -430,7 +431,7 @@ class BevGridSpec:
 def grid_indices(xy: np.ndarray, spec: BevGridSpec) -> np.ndarray:
     """Cell coordinates of BEV points: (N, 2) int array, -1 rows off-grid."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    ij = np.floor((xy - np.array([spec.x0, spec.y0])) / spec.cell_size).astype(np.int64)
+    ij = np.floor((xy - np.array([spec.x0, spec.y0])) / spec.cell_size)
     ok = (ij[:, 0] >= 0) & (ij[:, 0] < spec.nx) & (ij[:, 1] >= 0) & (ij[:, 1] < spec.ny)
-    ij[~ok] = -1
-    return ij
+    ij[~ok] = -1  # before the cast: a float past int64's range has no defined cast
+    return ij.astype(np.int64)

@@ -555,6 +555,22 @@ class TestMultiScale:
             member_xyz = cloud.xyz[cand.cluster_point_indices]
             assert points_in_box(member_xyz, cand.box).all()
 
+    @pytest.mark.parametrize("criterion", ["area", "closeness"])
+    @pytest.mark.parametrize("offset", [1e8, 1e12, 1e15])
+    def test_far_candidates_contain_their_points(self, offset, criterion):
+        # Far from the origin the rounding of the extents, the centre and
+        # to_frame outgrows a fixed 1e-9 m guard.
+        params = {1: ClusterParams((0.5, 1.0, 1.5, 2.0), min_pts=3, min_cluster_size=4)}
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            xyz = (rng.uniform([0, 0, 0], [4, 2, 1.5], (80, 3))
+                   + [offset, -0.7 * offset, 0.3 * offset])
+            cloud = PointCloud(xyz, np.ones(80, dtype=np.int32))
+            cands = multi_scale_cluster(cloud, params, 1.0, criterion)
+            assert cands
+            for cand in cands:
+                assert points_in_box(xyz[cand.cluster_point_indices], cand.box).all()
+
     def test_adding_radius_keeps_existing_candidates(self, rng):
         cloud = two_blob_cloud(0.5, rng=rng)
         small = multi_scale_cluster(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,8 +73,8 @@ class TestTransform:
     def test_bad_rotation_rejected(self):
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 2.0, np.zeros(3))
-        with pytest.raises(ValueError):
-            Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det -1
+        with pytest.raises(ValueError, match=r"determinant -1\.00000000 != \+1"):
+            Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
 class TestPointInBox:
@@ -335,6 +336,16 @@ class TestGrid:
     def test_out_of_range(self):
         assert self.cell(-0.1, 0.0) == (-1, -1)
         assert self.cell(5.0, 0.0) == (-1, -1)  # right edge exclusive
+
+    def test_far_points_are_off_grid_without_a_cast(self):
+        # Their cells lie past int64's range, where a cast is undefined.
+        xy = np.array([[1e150, 1.0], [0.7, 1.2], [-3e18, 0.0], [1.0, 3e18],
+                       [4.9, 4.9], [-1e150, -1e150]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ij = grid_indices(xy, self.SPEC)
+        assert ij.dtype == np.int64
+        assert ij.tolist() == [[-1, -1], [1, 2], [-1, -1], [-1, -1], [9, 9], [-1, -1]]
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

@@ -104,14 +104,14 @@ def float_kernels(source: str) -> list[str]:
 
 
 def test_no_cpu_selected_float_kernel():
-    """Label bytes do not depend on the CPU: no matrix product is left, the
-    only np.linalg call is Pose's determinant check, and only synth's
-    per-point angles use numpy's transcendentals."""
+    """Label bytes do not depend on the CPU: no matrix product or np.linalg
+    call is left, and only synth's per-point angles use numpy's
+    transcendentals."""
     package = sorted(Path(sembox.__file__).parent.glob("*.py"))
     sites = [f"{p.name}:{site}" for p in package
              for site in float_kernels(p.read_text(encoding="utf-8"))
              if not (p.name == "synth.py" and site.split(": ")[1] in _TRANSCENDENTALS)]
-    assert sites == ["geometry.py:Pose.__post_init__: np.linalg.det"]
+    assert sites == []
 
 
 def test_float_kernels_are_found():
