@@ -7,9 +7,8 @@ from .clustering import BoxCandidate, ClusterParams, dbscan, fit_box, \
     multi_scale_cluster
 from .config import ClassConfig, ConfigError, PipelineConfig
 from .evaluation import EvalReport, compute_report, match_labels, write_report
-from .geometry import (BevGridSpec, Box3D, PointCloud, PointIndex, Pose,
-                       bev_iou, grid_indices, iou_3d, points_in_box,
-                       transform_box)
+from .geometry import (BevGridSpec, Box3D, PointCloud, Pose, bev_iou,
+                       grid_indices, iou_3d, points_in_box, transform_box)
 from .pipeline import aggregate_window, generate_labels, process_frame
 from .refine import (NoiseModel, Prediction, RefinedLabelSet,
                      box_absent_foreground_filter, mock_detector, refine_round,

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import BevGridSpec, PointCloud, PointIndex, Pose, grid_indices
+from .geometry import BevGridSpec, PointCloud, Pose, grid_indices
 
 CELL_EMPTY = 0
 CELL_STATIC = 1
@@ -35,14 +35,9 @@ class Frame:
     @cached_property
     def foreground(self) -> PointCloud:
         """The foreground points, in their order: the only points that are
-        clustered, scored or counted against a box. Selected on first use."""
+        clustered, scored or counted against a box. Selected on first use
+        and kept, so every box query on this frame shares its x order."""
         return self.points.select(self.points.foreground)
-
-    @cached_property
-    def foreground_index(self) -> PointIndex:
-        """The foreground points and their class ids, indexed on first use
-        and kept: the one index every box query on this frame goes through."""
-        return PointIndex(self.foreground)
 
     @cached_property
     def global_foreground(self) -> PointCloud:

@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from . import dataio, evaluation, pipeline
 from .aggregation import Frame
 from .config import ConfigError, PipelineConfig, read_json
 from .dataio import FormatError
-from .geometry import PointIndex
 from .refine import NOISE_PROFILES, NoiseModel, mock_detector, refine_round
 from .scoring import PseudoLabel
 from .synth import PRESET_NAMES, generate_sequence, preset_scene
@@ -119,13 +119,14 @@ def _load_noise(spec: str) -> NoiseModel:
         f"{sorted(NOISE_PROFILES)} or a JSON file path)")
 
 
-def _read_frame_boxes(dir_path: Path, frame_ids, kind: str,
-                      weight_thresholds: tuple[float, float] | None = None) -> dict:
-    """read_box_dir, rejecting a file of a frame the manifest lacks."""
-    boxes = dataio.read_box_dir(dir_path, kind, weight_thresholds)
+def _read_frame_boxes(dir_path: Path, dataset: Path, frame_ids, kind: str,
+                      config: PipelineConfig | None = None) -> dict:
+    """read_box_dir, rejecting a file of a frame the dataset's manifest lacks."""
+    boxes = dataio.read_box_dir(dir_path, kind, config)
     for fid in sorted(boxes):
         if fid not in frame_ids:
-            raise FormatError(f"{dir_path}: frame {fid} is not in the dataset's manifest")
+            raise FormatError(f"{dir_path}: frame {fid} is not in the dataset's "
+                              f"manifest {dataset / 'manifest.json'}")
     return boxes
 
 
@@ -169,10 +170,14 @@ def cmd_generate(args, config: PipelineConfig) -> int:
 
 def cmd_refine(args, config: PipelineConfig) -> int:
     frames = _load_frames(args.dataset, config)
-    preds = _read_frame_boxes(args.preds, [fr.frame_id for fr in frames],
-                              "predictions")
+    preds = _read_frame_boxes(args.preds, args.dataset,
+                              [fr.frame_id for fr in frames], "predictions")
     if not any(preds.values()):
         logger.warning("predictions directory %s holds no boxes", args.preds)
+    for cid, n in sorted(Counter(p.box.class_id for ps in preds.values() for p in ps
+                                 if p.box.class_id not in config.classes).items()):
+        logger.warning("class id %d: %d predictions, but the config has no "
+                       "entry for it, so refine sets them aside", cid, n)
     result = refine_round(frames, preds, config)
     out = Path(args.out)
     dataio.write_box_dir(out / "labels", result.labels, kind="labels")
@@ -186,12 +191,11 @@ def cmd_refine(args, config: PipelineConfig) -> int:
 def cmd_score_labels(args, config: PipelineConfig) -> int:
     frames = _load_frames(args.dataset, config)
     index_of = {fr.frame_id: i for i, fr in enumerate(frames)}
-    loaded = _read_frame_boxes(args.labels, index_of, "labels",
-                               (config.theta_low, config.theta_high))
+    loaded = _read_frame_boxes(args.labels, args.dataset, index_of, "labels", config)
     rescored: dict[int, list[PseudoLabel]] = {}
     for fid in sorted(loaded):
         dense = pipeline.aggregate_window(frames, index_of[fid], config)
-        scores = config.score_boxes([lab.box for lab in loaded[fid]], PointIndex(dense))
+        scores = config.score_boxes([lab.box for lab in loaded[fid]], dense)
         out = [config.label(lab.box, sc, lab.source)
                for lab, sc in zip(loaded[fid], scores)]
         rescored[fid] = out
@@ -206,8 +210,8 @@ def cmd_score_labels(args, config: PipelineConfig) -> int:
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
     frame_ids = [e.frame_id for e in dataio.read_manifest(args.dataset)[0]]
-    labels = _read_frame_boxes(args.labels, frame_ids, "labels")
-    gts = _read_frame_boxes(args.gt, frame_ids, "labels")
+    labels = _read_frame_boxes(args.labels, args.dataset, frame_ids, "labels")
+    gts = _read_frame_boxes(args.gt, args.dataset, frame_ids, "labels")
     per_frame = []
     for fid in frame_ids:
         labs = labels.get(fid, [])
@@ -232,7 +236,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 def cmd_mock_detect(args, config: PipelineConfig) -> int:
     frame_ids = [e.frame_id for e in dataio.read_manifest(args.dataset)[0]]
     noise = _load_noise(args.noise)
-    loaded = _read_frame_boxes(args.labels, frame_ids, "labels")
+    loaded = _read_frame_boxes(args.labels, args.dataset, frame_ids, "labels")
     boxes = {fid: [lab.box for lab in labs] for fid, labs in loaded.items()}
     seed = args.seed if args.seed is not None else config.seed
     preds = mock_detector(boxes, noise, seed, num_classes=config.num_classes)

@@ -598,9 +598,9 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
     meet, so no atom spans two classes. One _yaw_extents call gives every
     atom's extents. Per radius index, one reduceat over the atoms gives
     every cluster's extents by id, exactly the min/max over its points,
-    and one argmin over all ids each cluster's smallest-area yaw:
-    fit_box's box, with every clustered point reduced once rather than
-    once per radius. "closeness" sums over every point, so it fits each
+    and _box_from_extents picks each cluster's smallest-area yaw from
+    them: fit_box's box, with every clustered point reduced once rather
+    than once per radius. "closeness" sums over every point, so it fits each
     distinct member set once with fit_box.
     """
     angles = _yaw_angles(yaw_step_deg)
@@ -645,8 +645,6 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
             k = row[by_id[at]]
             id_lo[k] = np.minimum.reduceat(lo[by_id], at)
             id_hi[k] = np.maximum.reduceat(hi[by_id], at)
-        span = id_hi - id_lo
-        best = np.argmin(span[:, :a] * span[:, a:2 * a], axis=1)
     run_of = np.repeat(np.arange(len(runs)), count)  # each id's run
     candidates: list[BoxCandidate] = []
     fitted: dict[bytes, Box3D] = {}  # "closeness": member indices -> box
@@ -654,7 +652,7 @@ def multi_scale_cluster(dense: PointCloud, params: dict[int, ClusterParams],
         class_id, p, r, _ = runs[run_of[k]]
         idx = members[bounds[k]:bounds[k + 1]]
         if fit_criterion == "area":
-            box = _box_from_extents(id_lo[k], id_hi[k], angles, class_id, int(best[k]))
+            box = _box_from_extents(id_lo[k], id_hi[k], angles, class_id)
         else:
             key = idx.tobytes()
             if key not in fitted:

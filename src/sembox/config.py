@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .clustering import ClusterParams
-from .geometry import Box3D, PointIndex
+from .geometry import Box3D, PointCloud
 from .scoring import (MetaShape, PseudoLabel, ScoreBreakdown, label_weight,
                       msf_score_in_frame, validate_lambdas)
 
@@ -273,18 +273,18 @@ class PipelineConfig:
         return MetaShape(*cc.meta_shape)
 
     def score_boxes(self, boxes: list[Box3D],
-                    index: PointIndex) -> list[ScoreBreakdown]:
+                    cloud: PointCloud) -> list[ScoreBreakdown]:
         """Score breakdown of each box against the points of its class in
-        the caller's indexed cloud, under this config's shape prior, score
-        weights and occupancy grid. Each box is scored on its in-box points
-        of its class, which is all msf_score reads, in the box frame the
-        index query rotated them into; equal boxes are scored once."""
+        the caller's cloud, under this config's shape prior, score weights
+        and occupancy grid. Each box is scored on its in-box points of its
+        class, which is all msf_score reads, in the box frame the cloud's
+        box query rotated them into; equal boxes are scored once."""
         scores: dict[Box3D, ScoreBreakdown] = {}
         for b in boxes:
             if b not in scores:
-                hits, p = index.inside_frame(b)
+                hits, p = cloud.inside_frame(b)
                 scores[b] = msf_score_in_frame(
-                    b, p[index.class_id[hits] == b.class_id],
+                    b, p[cloud.class_id[hits] == b.class_id],
                     self.meta_shape(b.class_id), self.lambdas, self.occ_grid_r)
         return [scores[b] for b in boxes]
 

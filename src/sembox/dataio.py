@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import Frame
-from .config import _check_types, read_json
+from .config import PipelineConfig, _check_types, read_json
 from .geometry import Box3D, PointCloud, Pose
 from .refine import Prediction
 from .scoring import SOURCE_INIT, PseudoLabel, ScoreBreakdown, label_weight
@@ -384,13 +384,13 @@ def write_boxes(path: str | Path, frame_id: int, items: list, kind: str) -> None
 
 
 def read_boxes(path: str | Path, frame_id: int, kind: str,
-               weight_thresholds: tuple[float, float] | None = None) -> list:
+               config: PipelineConfig | None = None) -> list:
     """Read frame frame_id's labels or predictions file: each line states
     the file's frame_id, a class_id >= 1 and a box, then the kind's fields.
 
-    When thresholds are given, a label's stored weight inconsistent with
-    its stored combined score raises a warning in the log but loads
-    anyway; predictions hold no weight to check.
+    Under a config each box must be of its classes, and a label's stored
+    weight inconsistent with its stored combined score under the config's
+    thresholds raises a warning in the log but loads anyway.
     """
     fields, _, _, make = _BOX_KINDS[kind]
     path = Path(path)
@@ -402,12 +402,15 @@ def read_boxes(path: str | Path, frame_id: int, kind: str,
                              "of the file name")
         if class_id < 1:
             raise ValueError(f"class_id {class_id} is not a foreground class (>= 1)")
+        if config is not None and class_id not in config.classes:
+            raise ValueError(f"class_id {class_id} has no entry in the config, "
+                             f"so this box of frame {frame_id} cannot be scored")
         return make(Box3D(*map(float, parts[2:9]), class_id=class_id), parts[9:])
 
     rows = _rows(path, path.read_bytes(), fields, convert)
-    if weight_thresholds is not None and kind == "labels":
+    if config is not None and kind == "labels":
         for lineno, lab in rows:
-            expect = label_weight(lab.scores.msf, *weight_thresholds)
+            expect = label_weight(lab.scores.msf, config.theta_low, config.theta_high)
             if not math.isclose(lab.weight, expect, abs_tol=1e-9):
                 logger.warning("%s:%d: stored weight %.9g inconsistent with "
                                "msf %.9g (expected %.9g)", path, lineno,
@@ -434,7 +437,7 @@ def write_box_dir(out_dir: str | Path, per_frame: dict,
 
 
 def read_box_dir(dir_path: str | Path, kind: str = "labels",
-                 weight_thresholds: tuple[float, float] | None = None) -> dict:
+                 config: PipelineConfig | None = None) -> dict:
     """Read the frame_<digits>.txt files of a directory, keyed by frame id;
     any other frame_*.txt name, or a second name of one id, is an error."""
     _BOX_KINDS[kind]  # an unknown kind raises before the directory is read
@@ -451,7 +454,7 @@ def read_box_dir(dir_path: str | Path, kind: str = "labels",
         frame_id = int(m.group(1))
         if frame_id in out:
             raise FormatError(f"{f}: another file already holds frame {frame_id}")
-        out[frame_id] = read_boxes(f, frame_id, kind, weight_thresholds)
+        out[frame_id] = read_boxes(f, frame_id, kind, config)
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +99,7 @@ class Pose:
         return Pose(rotate(other.rotation.T, self.rotation).T, self.apply(other.translation))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointCloud:
     """Columnar batch of semantic points.
 
@@ -110,8 +111,8 @@ class PointCloud:
     class_id: np.ndarray  # (N,) int32
 
     def __post_init__(self) -> None:
-        self.xyz = np.ascontiguousarray(np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3))
-        self.class_id = np.asarray(self.class_id, dtype=np.int32).reshape(-1)
+        object.__setattr__(self, "xyz", np.ascontiguousarray(self.xyz, np.float64).reshape(-1, 3))
+        object.__setattr__(self, "class_id", np.asarray(self.class_id, dtype=np.int32).reshape(-1))
         if len(self.xyz) != len(self.class_id):
             raise ValueError("point cloud columns have mismatched lengths")
 
@@ -144,6 +145,42 @@ class PointCloud:
             np.concatenate([c.xyz for c in clouds]),
             np.concatenate([c.class_id for c in clouds]),
         )
+
+    @cached_property
+    def x_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points' order by x and their x in that order, which every box
+        query reads: computed on the first and kept, so a cloud is sorted
+        at most once. Points of equal x may rank in any order: a slab is a
+        range of x values, so it holds the same points whatever their
+        order, and inside_frame sorts them by index."""
+        order = np.argsort(self.xyz[:, 0])
+        return order, self.xyz[order, 0]
+
+    def inside(self, box: Box3D) -> np.ndarray:
+        """Ascending indices of the points inside box."""
+        return self.inside_frame(box)[0]
+
+    def inside_frame(self, box: Box3D) -> tuple[np.ndarray, np.ndarray]:
+        """inside(box), equal to np.flatnonzero(points_in_box(xyz, box)), and
+        those points in the box frame: the rows of box.to_frame(xyz[inside(box)]),
+        since to_frame works row by row. A query, of any class, tests only
+        the x-slab under the box.
+
+        The slab is cx +- (|cos yaw| l/2 + |sin yaw| w/2), the x half-extent
+        of the BEV footprint, widened by _DISJOINT_MARGIN times the box's
+        coordinates' magnitude, as bev_candidate_pairs widens. An accepted
+        point may lie outside the unpadded slab only by the rounding of
+        to_frame, which is far below the pad, so the slab loses no point
+        and the containment test alone decides every result."""
+        order, x = self.x_order
+        half = (abs(math.cos(box.yaw)) * box.l + abs(math.sin(box.yaw)) * box.w) / 2.0
+        reach = half + _DISJOINT_MARGIN * (abs(box.cx) + abs(box.cy) + box.l + box.w)
+        lo = np.searchsorted(x, box.cx - reach, side="left")
+        hi = np.searchsorted(x, box.cx + reach, side="right")
+        slab = np.sort(order[lo:hi])
+        p = box.to_frame(self.xyz[slab])
+        keep = in_box_frame(p, box)
+        return slab[keep], p[keep]
 
 
 @dataclass(frozen=True)
@@ -229,46 +266,6 @@ def in_box_frame(p: np.ndarray, box: Box3D) -> np.ndarray:
         & (np.abs(p[:, 1]) <= box.w / 2.0)
         & (np.abs(p[:, 2]) <= box.h / 2.0)
     )
-
-
-class PointIndex:
-    """A cloud's xyz and class_id, its points sorted by x, so that a box
-    query, of any class, tests only the x-slab under the box.
-
-    inside(box) equals np.flatnonzero(points_in_box(cloud.xyz, box)). The
-    slab is cx +- (|cos yaw| l/2 + |sin yaw| w/2), the x half-extent of the
-    BEV footprint, widened by _DISJOINT_MARGIN times the box's coordinates'
-    magnitude, as bev_candidate_pairs widens. An accepted point may lie
-    outside the unpadded slab only by the rounding of to_frame, which is
-    far below the pad, so the slab loses no point and the containment test
-    alone decides every result.
-
-    order may rank points of equal x in any order: a slab is a range of x
-    values, so it holds the same points whatever their order, and
-    inside_frame sorts them by index.
-    """
-
-    def __init__(self, cloud: PointCloud):
-        self.xyz = cloud.xyz
-        self.class_id = cloud.class_id
-        self.order = np.argsort(self.xyz[:, 0])
-        self.x = self.xyz[self.order, 0]
-
-    def inside(self, box: Box3D) -> np.ndarray:
-        """Ascending indices of the points inside box."""
-        return self.inside_frame(box)[0]
-
-    def inside_frame(self, box: Box3D) -> tuple[np.ndarray, np.ndarray]:
-        """inside(box), and those points in the box frame: the rows of
-        box.to_frame(xyz[inside(box)]), since to_frame works row by row."""
-        half = (abs(math.cos(box.yaw)) * box.l + abs(math.sin(box.yaw)) * box.w) / 2.0
-        reach = half + _DISJOINT_MARGIN * (abs(box.cx) + abs(box.cy) + box.l + box.w)
-        lo = np.searchsorted(self.x, box.cx - reach, side="left")
-        hi = np.searchsorted(self.x, box.cx + reach, side="right")
-        slab = np.sort(self.order[lo:hi])
-        p = box.to_frame(self.xyz[slab])
-        keep = in_box_frame(p, box)
-        return slab[keep], p[keep]
 
 
 def transform_box(box: Box3D, pose: Pose) -> Box3D:

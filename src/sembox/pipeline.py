@@ -19,7 +19,7 @@ from .aggregation import (Frame, build_dense_cloud, build_motion_grid,
                           register_window)
 from .clustering import multi_scale_cluster
 from .config import ConfigError, PipelineConfig
-from .geometry import BevGridSpec, PointCloud, PointIndex
+from .geometry import BevGridSpec, PointCloud
 from .scoring import SOURCE_INIT, PseudoLabel, nms_select
 
 THREADS_ENV_VAR = "SEMBOX_THREADS"
@@ -64,7 +64,7 @@ def process_frame(frames: list[Frame], index: int,
     candidates = multi_scale_cluster(dense, config.cluster_params(),
                                      config.yaw_step_deg, config.fit_criterion)
     boxes = [c.box for c in candidates]
-    scores = config.score_boxes(boxes, PointIndex(dense))
+    scores = config.score_boxes(boxes, dense)
     return [config.label(boxes[i], scores[i], SOURCE_INIT)
             for i in nms_select(boxes, scores, config.nms_iou_threshold)]
 
@@ -74,9 +74,9 @@ def process_frame(frames: list[Frame], index: int,
 _ACTIVE: tuple[list[Frame], PipelineConfig] | None = None
 
 
-def _worker(index: int) -> tuple[int, list[PseudoLabel]]:
+def _worker(index: int) -> list[PseudoLabel]:
     frames, config = _ACTIVE
-    return index, process_frame(frames, index, config)
+    return process_frame(frames, index, config)
 
 
 def _init_active(frames: list[Frame], config: PipelineConfig) -> None:
@@ -103,8 +103,9 @@ def generate_labels(frames: list[Frame], config: PipelineConfig,
                              mp_context=ctx,
                              initializer=_init_active,
                              initargs=(frames, config)) as pool:
-        results = dict(pool.map(_worker, indices))
-    return {frames[i].frame_id: results[i] for i in indices}
+        # map yields the results in the order of indices.
+        return {fr.frame_id: labels
+                for fr, labels in zip(frames, pool.map(_worker, indices))}
 
 
 def summarize_labels(labels: dict[int, list[PseudoLabel]]) -> dict:

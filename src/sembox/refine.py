@@ -20,8 +20,8 @@ from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
 from .config import PipelineConfig, _check_types
-from .geometry import (BevGridSpec, Box3D, PointCloud, PointIndex,
-                       bev_candidate_pairs, bev_iou, transform_box)
+from .geometry import (BevGridSpec, Box3D, PointCloud, bev_candidate_pairs,
+                       bev_iou, transform_box)
 from .scoring import SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_order
 
 
@@ -57,10 +57,10 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
     class disagrees with the predicted one, or when two or more foreground
     classes are present at once.
     """
-    index = frame.foreground_index
+    fg = frame.foreground
     kept: list[Prediction] = []
     for pred in preds:
-        inside = index.class_id[index.inside(pred.box)]
+        inside = fg.class_id[fg.inside(pred.box)]
         if len(inside) == 0:
             continue
         ids, counts = np.unique(inside, return_counts=True)
@@ -119,7 +119,7 @@ def _prediction_motion_state(box: Box3D, global_box: Box3D, frame: Frame,
     label = int(grid.labels_at(np.array([[global_box.cx, global_box.cy]]))[0])
     if label != CELL_EMPTY:
         return label
-    inside = frame.foreground_index.inside(box)
+    inside = frame.foreground.inside(box)
     if len(inside) == 0:
         return CELL_EMPTY
     states = grid.labels_at(frame.global_foreground.xyz[inside, :2])
@@ -161,7 +161,7 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
     if static_by_class:
         # Foreground points in static cells, global coordinates.
         moved = PointCloud.concatenate([fr.global_foreground for fr in frames])
-        static = PointIndex(moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC))
+        static = moved.select(grid.labels_at(moved.xyz[:, :2]) == CELL_STATIC)
         to_local = {fr.frame_id: fr.pose.inverse() for fr in frames}
         for cid in sorted(static_by_class):
             global_boxes = static_by_class[cid]
@@ -171,8 +171,8 @@ def spatial_temporal_fine_tune(preds_per_frame: dict[int, list[Prediction]],
                     global_boxes[g], scores[g]))]
                 for fr in frames:
                     local = transform_box(winner, to_local[fr.frame_id])
-                    index = fr.foreground_index
-                    if np.any(index.class_id[index.inside(local)] == cid):
+                    fg = fr.foreground
+                    if np.any(fg.class_id[fg.inside(local)] == cid):
                         # The broadcast replaces whatever same-class
                         # predictions it overlaps in this frame.
                         out[fr.frame_id] = [
@@ -192,7 +192,7 @@ def box_absent_foreground_filter(frame: Frame,
     keep = ~frame.points.foreground
     fg_idx = np.flatnonzero(frame.points.foreground)
     for lab in labels:
-        keep[fg_idx[frame.foreground_index.inside(lab.box)]] = True
+        keep[fg_idx[frame.foreground.inside(lab.box)]] = True
     return np.flatnonzero(keep)
 
 
@@ -200,14 +200,16 @@ def refine_round(frames: list[Frame],
                  preds_per_frame: dict[int, list[Prediction]],
                  config: PipelineConfig) -> RefinedLabelSet:
     """Run one refinement round: confidence floor, semantic filtering,
-    static-object broadcast, rescoring and weighting, foreground filtering."""
+    static-object broadcast, rescoring and weighting, foreground filtering.
+    The floor also drops predictions of a class the config cannot score."""
     frame_by_id = {fr.frame_id: fr for fr in frames}
     filtered: dict[int, list[Prediction]] = {}
     for fid in sorted(preds_per_frame):
         if fid not in frame_by_id:
             raise ValueError(f"predictions reference unknown frame {fid}")
         preds = [p for p in preds_per_frame[fid]
-                 if p.confidence >= config.confidence_floor]
+                 if p.confidence >= config.confidence_floor
+                 and p.box.class_id in config.classes]
         filtered[fid] = semantic_consistency_filter(
             preds, frame_by_id[fid], config.scf_min_fraction,
             config.scf_min_points)
@@ -221,7 +223,7 @@ def refine_round(frames: list[Frame],
     retained: dict[int, np.ndarray] = {}
     for fr in frames:
         boxes = refined[fr.frame_id]
-        scores = config.score_boxes([rb.box for rb in boxes], fr.foreground_index)
+        scores = config.score_boxes([rb.box for rb in boxes], fr.foreground)
         frame_labels = [config.label(rb.box, sc, rb.source)
                         for rb, sc in zip(boxes, scores)]
         frame_labels.sort(key=lambda lab: label_order(lab.box, lab.scores))

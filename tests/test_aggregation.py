@@ -281,8 +281,7 @@ class TestFrameForeground:
         with pytest.raises(FrozenInstanceError):
             fr.points = fr.foreground
 
-    @pytest.mark.parametrize("name", ["foreground", "foreground_index",
-                                      "global_foreground"])
+    @pytest.mark.parametrize("name", ["foreground", "global_foreground"])
     def test_cached_on_first_read(self, name):
         fr = generate_sequence(preset_scene("mixed", 0))[0][3]
         assert getattr(fr, name) is getattr(fr, name)

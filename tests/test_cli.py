@@ -145,6 +145,44 @@ class TestUnconfiguredClass:
         assert fg > 0 and len(labels) == 11
         assert all(p.read_bytes() == b"" for p in labels)
 
+    def test_refine_sets_aside_predictions_of_the_class(self, tmp_path, caplog):
+        # mixed holds pedestrians (class 2), which this config lacks: their
+        # exact predictions survive SCF, yet cannot be scored. The round
+        # equals the one whose predictions never held them.
+        from dataclasses import asdict
+        from sembox import dataio
+        from sembox.config import PipelineConfig
+        ds, preds, kept = tmp_path / "ds", tmp_path / "preds", tmp_path / "kept"
+        config = asdict(PipelineConfig())
+        config["classes"] = {str(c): config["classes"][c] for c in (1, 3)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--preset", "mixed", "--seed", "0",
+                     "--format", "binary", "--out", str(ds)]) == 0
+        assert main(["mock-detect", str(ds), "--labels", str(ds / "gt_labels"),
+                     "--noise", "none", "--out", str(preds),
+                     "--config", str(cfg)]) == 0
+        all_preds = dataio.read_box_dir(preds, "predictions")
+        dataio.write_box_dir(kept, {fid: [p for p in ps if p.box.class_id != 2]
+                                    for fid, ps in all_preds.items()},
+                             "predictions")
+        n = sum(p.box.class_id == 2 for ps in all_preds.values() for p in ps)
+        outputs, warnings = [], []
+        for source in (preds, kept):
+            out = tmp_path / f"out_{source.name}"
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="sembox"):
+                assert main(["refine", str(ds), "--preds", str(source),
+                             "--out", str(out), "--config", str(cfg)]) == 0
+            warnings.append(caplog.messages[1:])  # after the points' warning
+            outputs.append({str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert n > 0 and warnings == [
+            [f"class id 2: {n} predictions, but the config has no entry for "
+             "it, so refine sets them aside"], []]
+        assert any(v for k, v in outputs[0].items() if k.startswith("labels/"))
+        assert outputs[0] == outputs[1]
+
 
 class TestManifestOnlyCommands:
     def test_no_points_read(self, dataset, tmp_path, monkeypatch, capsys):
@@ -404,6 +442,7 @@ def _dataset_command(command, ds, tmp):
                         "--out", str(tmp / "out")],
         "evaluate": ["evaluate", str(ds), "--labels", gt, "--gt", gt,
                      "--report", str(tmp / "r.json")],
+        "score-labels": ["score-labels", str(ds), "--labels", gt],
     }[command]
 
 
@@ -412,6 +451,7 @@ _TEXT_FILES = {
     "points": ("ds/points/frame_000002.txt", "generate"),
     "pose": ("ds/poses/frame_000002.txt", "generate"),
     "labels": ("ds/gt_labels/frame_000002.txt", "mock-detect"),
+    "scored-labels": ("ds/gt_labels/frame_000002.txt", "score-labels"),
     "predictions": ("preds/frame_000002.txt", "refine"),
     "manifest": ("ds/manifest.json", "mock-detect"),
 }
@@ -503,6 +543,12 @@ MALFORMED = {
     "label-class-0": _bad_bytes(
         "labels", b"2 0 10 0 0.8 4 1.8 1.6 0 1 1 1 1 1 init\n",
         ":1: class_id 0 is not a foreground class"),
+    # score-labels scores only the config's classes; the default lacks 4 and 7.
+    **{f"label-class-{cid}-score-labels": _bad_bytes(
+        "scored-labels", b"2 1 10 0 0.8 4 1.8 1.6 0 1 1 1 1 1 init\n"
+        b"2 %d 20 0 0.8 4 1.8 1.6 0 1 1 1 1 1 init\n" % cid,
+        f":2: class_id {cid} has no entry in the config")
+       for cid in (4, 7)},
     "prediction-class-0": _bad_bytes(
         "predictions", b"2 1 10 0 0.8 4 1.8 1.6 0 0.9\n2 0 20 0 0.8 4 1.8 1.6 0 0.9\n",
         ":2: class_id 0 is not a foreground class"),

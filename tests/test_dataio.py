@@ -510,7 +510,7 @@ class TestLabels:
         path = tmp_path / "l.txt"
         dataio.write_boxes(path, 0, [bad], "labels")
         with caplog.at_level(logging.WARNING, logger="sembox"):
-            dataio.read_boxes(path, 0, "labels", weight_thresholds=(0.4, 0.8))
+            dataio.read_boxes(path, 0, "labels", config=PipelineConfig())
         assert any("inconsistent" in r.message for r in caplog.records)
 
     def test_predictions_round_trip(self, tmp_path):

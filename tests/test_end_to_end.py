@@ -9,8 +9,16 @@ point 1e9 m away. Every command must exit 0, every stored weight must agree
 with its msf, every cluster candidate must hold its cluster points, and the
 outputs must not depend on the order of each points file nor on the worker
 count.
+
+A dyadic scene places its objects and frames at yaw 0 on a 1/16 m grid,
+and keeps every point, so registration and the shift into a box frame
+are exact. Its "split" objects, two lattice patches of one class farther
+apart than the class's smallest radius, then yield nested candidates
+whose msf and occ are bitwise equal, the ties that label_order breaks by
+geometry.
 """
 
+import itertools
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +32,7 @@ from sembox.aggregation import Frame
 from sembox.cli import main
 from sembox.clustering import multi_scale_cluster
 from sembox.config import PipelineConfig
-from sembox.geometry import Box3D, PointCloud, Pose, points_in_box
+from sembox.geometry import Box3D, PointCloud, Pose, bev_iou, points_in_box
 from sembox.pipeline import aggregate_window
 from sembox.scoring import label_weight
 
@@ -34,7 +42,7 @@ CONFIG = PipelineConfig()
 CLASS_NAMES = {**CONFIG.class_names(), 4: "unconfigured"}
 # Half the frames hold the scene's objects; the rest are one of these.
 SPARSE_FRAMES = ("empty", "one_foreground", "background")
-SHAPES = ("blob", "duplicate", "collinear", "stack")
+SHAPES = ("blob", "duplicate", "collinear", "stack", "split")
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,7 @@ class Scene:
     classes: tuple[int, ...]
     outlier: bool
     points_format: str
+    dyadic: bool = False
 
 
 @st.composite
@@ -58,11 +67,20 @@ def scenes(draw) -> Scene:
         shapes=tuple(draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=3))),
         classes=draw(st.sampled_from([(1,), (2,), (3,), (1, 2, 3), (1, 4)])),
         outlier=draw(st.booleans()),
-        points_format=draw(st.sampled_from(["text", "binary"])))
+        points_format=draw(st.sampled_from(["text", "binary"])),
+        dyadic=draw(st.booleans()))
 
 
 def object_points(shape: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points of one object in its own frame, about the origin."""
+    """n points of one object in its own frame, about the origin; a split
+    object has its own 110."""
+    if shape == "split":
+        # Lattices of 9 x 5 and 13 x 5 points, 1/8 m apart, in one plane;
+        # 7/16 m apart, more than each class's smallest radius and at most
+        # its largest.
+        x = np.r_[np.arange(-8, 1), np.arange(0, 13) + 3.5] / 8 - 7 / 32
+        xy = np.stack(np.meshgrid(x, np.arange(5) / 8, indexing="ij"), -1)
+        return np.column_stack([xy.reshape(-1, 2), np.zeros(xy.size // 2)])
     l, w, h = rng.uniform([0.5, 0.4, 0.8], [4.5, 2.0, 2.0])
     if shape == "blob":
         return rng.uniform([-l / 2, -w / 2, 0], [l / 2, w / 2, h], (n, 3))
@@ -85,6 +103,8 @@ def build(scene: Scene) -> tuple[list[Frame], dict[int, list[Box3D]]]:
         n = int(rng.integers(20, 81) if rng.random() < 0.8 else rng.integers(1, 20))
         local = object_points(shape, n, rng)
         x, y, yaw = rng.uniform([-25, -25, -np.pi], [25, 25, np.pi])
+        if scene.dyadic:
+            x, y, yaw = *np.round(np.array([x, y]) * 16) / 16, 0.0
         pose = Pose.from_xyz_yaw(x, y, -1.5, yaw)
         lo, hi = local.min(axis=0), local.max(axis=0)
         box = Box3D(*pose.apply((lo + hi) / 2), *np.maximum(hi - lo, 0.1), yaw, cid)
@@ -92,12 +112,13 @@ def build(scene: Scene) -> tuple[list[Frame], dict[int, list[Box3D]]]:
 
     frames, gt = [], {}
     for t, kind in enumerate(scene.frame_kinds):
-        pose = Pose.from_xyz_yaw(0.8 * t, 0.1 * t, 0.0, 0.03 * t)
+        pose = (Pose.from_xyz_yaw(0.5 * t, 0.25 * t, 0.0, 0.0) if scene.dyadic
+                else Pose.from_xyz_yaw(0.8 * t, 0.1 * t, 0.0, 0.03 * t))
         to_sensor = pose.inverse()
         xyz, cls, boxes = [np.zeros((0, 3))], [np.zeros(0, np.int32)], []
         if kind == "objects":
             for world, ids, box in objects:
-                keep = rng.random(len(world)) < 0.8
+                keep = rng.random(len(world)) < (1.0 if scene.dyadic else 0.8)
                 xyz.append(to_sensor.apply(world[keep]))
                 cls.append(ids[keep])
                 c = to_sensor.apply(box.center)
@@ -162,18 +183,48 @@ def check_weights(labels_dir: Path) -> None:
                                               CONFIG.theta_high)
 
 
-def check_candidates(ds: Path) -> None:
+def check_candidates(ds: Path) -> int:
+    """Check that every candidate holds its cluster points, and count the
+    exact ties: pairs of distinct same-class candidates of a frame with
+    bitwise-equal msf and occ, overlapping at nms_iou_threshold or above."""
     frames = dataio.load_dataset(ds)
+    ties = 0
     for i in range(len(frames)):
         dense = aggregate_window(frames, i, CONFIG)
-        for cand in multi_scale_cluster(dense, CONFIG.cluster_params(),
-                                        CONFIG.yaw_step_deg, CONFIG.fit_criterion):
+        cands = multi_scale_cluster(dense, CONFIG.cluster_params(),
+                                    CONFIG.yaw_step_deg, CONFIG.fit_criterion)
+        for cand in cands:
             assert points_in_box(dense.xyz[cand.cluster_point_indices], cand.box).all()
+        boxes = [c.box for c in cands]
+        scores = CONFIG.score_boxes(boxes, dense)
+        ties += sum(boxes[a] != boxes[b] and boxes[a].class_id == boxes[b].class_id
+                    and (scores[a].msf, scores[a].occ) == (scores[b].msf, scores[b].occ)
+                    and bev_iou(boxes[a], boxes[b]) >= CONFIG.nms_iou_threshold
+                    for a, b in itertools.combinations(range(len(boxes)), 2))
+    return ties
 
 
 @settings(max_examples=100, deadline=None)
 @given(scene=scenes())
 def test_chain_invariants(scene):
+    check_chain(scene)
+
+
+# In both scenes the permutation reverses the candidate order of tied
+# boxes, so a label_order without its geometric keys fails them.
+@pytest.mark.parametrize("scene", [
+    Scene(0, ("objects", "objects", "objects"), ("split",), (1,), False, "text",
+          dyadic=True),
+    Scene(4, ("objects", "background"), ("split", "blob"), (3, 1), True, "binary",
+          dyadic=True),
+], ids=["text", "binary"])
+def test_chain_invariants_with_exact_score_ties(scene):
+    assert check_chain(scene) > 0
+
+
+def check_chain(scene: Scene) -> int:
+    """Run the chain on the scene and on a copy with its points permuted,
+    check the invariants, and return check_candidates' tie count."""
     frames, gt = build(scene)
     shuffled, perms = permuted(frames, np.random.default_rng(scene.seed + 1))
     with tempfile.TemporaryDirectory() as tmp:
@@ -186,7 +237,7 @@ def test_chain_invariants(scene):
 
         check_weights(out / "gen" / "labels")
         check_weights(out / "ref" / "labels")
-        check_candidates(tmp / "ds")
+        ties = check_candidates(tmp / "ds")
 
         # Labels, predictions, summaries and the report do not depend on
         # point order; retained indices name the same points.
@@ -198,6 +249,7 @@ def test_chain_invariants(scene):
         assert kept.keys() == kept_perm.keys() == perms.keys()
         for fid, idx in kept.items():
             assert np.sort(perms[fid][kept_perm[fid]]).tolist() == idx.tolist()
+    return ties
 
 
 @pytest.mark.parametrize("scene", [

@@ -1,12 +1,13 @@
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sembox import geometry
-from sembox.geometry import (BevGridSpec, Box3D, PointCloud, PointIndex, Pose,
+from sembox.geometry import (BevGridSpec, Box3D, PointCloud, Pose,
                              bev_iou, bev_intersection_area, grid_indices,
                              iou_3d, points_in_box)
 
@@ -273,11 +274,11 @@ class TestPointIndex:
     @given(case=indexed_queries())
     def test_equals_points_in_box(self, case):
         box, xyz = case
-        index = PointIndex(make_cloud(xyz, np.arange(len(xyz)) % 3))
-        got = index.inside(box)
+        cloud = make_cloud(xyz, np.arange(len(xyz)) % 3)
+        got = cloud.inside(box)
         np.testing.assert_array_equal(got, np.flatnonzero(points_in_box(xyz, box)))
-        np.testing.assert_array_equal(index.class_id[got], got % 3)
-        hits, p = index.inside_frame(box)
+        np.testing.assert_array_equal(cloud.class_id[got], got % 3)
+        hits, p = cloud.inside_frame(box)
         np.testing.assert_array_equal(hits, got)
         assert p.tobytes() == box.to_frame(xyz[got]).tobytes()
 
@@ -292,8 +293,14 @@ class TestPointIndex:
         assert points_in_box(_NEAR_CORNER, _SIXTH_TURN)[0]
 
     def test_empty_cloud(self):
-        got = PointIndex(make_cloud(np.zeros((0, 3)))).inside(_SIXTH_TURN)
+        got = make_cloud(np.zeros((0, 3))).inside(_SIXTH_TURN)
         assert got.size == 0 and got.dtype == np.intp
+
+    def test_frozen_and_sorted_once(self):
+        cloud = make_cloud(_TIED_X)
+        assert cloud.x_order is cloud.x_order
+        with pytest.raises(FrozenInstanceError):
+            cloud.xyz = _NEAR_CORNER
 
 
 class TestIou3d:

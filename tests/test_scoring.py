@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sembox import config as config_module, scoring
 from sembox.clustering import BoxCandidate
 from sembox.config import PipelineConfig
-from sembox.geometry import (Box3D, PointCloud, PointIndex, Pose, bev_iou,
+from sembox.geometry import (Box3D, PointCloud, Pose, bev_iou,
                              in_box_frame)
 from sembox.pipeline import generate_labels
 from sembox.refine import NOISE_PROFILES, mock_detector, refine_round
@@ -262,7 +263,7 @@ class TestScoreBoxes:
         want = [msf_score(b, cloud.xyz[cloud.class_id == b.class_id],
                           config.meta_shape(b.class_id), config.lambdas,
                           config.occ_grid_r) for b in boxes]
-        assert config.score_boxes(boxes, PointIndex(cloud)) == want
+        assert config.score_boxes(boxes, cloud) == want
 
     def test_scores_each_distinct_box_once(self, monkeypatch, rng):
         calls = []
@@ -275,12 +276,12 @@ class TestScoreBoxes:
         boxes = [random_box(rng, span=5, class_id=c) for c in (1, 1, 2)]
         boxes = [boxes[i] for i in (0, 1, 0, 2, 1, 0)]
         cloud = PointCloud(rng.uniform(-6, 6, (200, 3)), rng.integers(0, 3, 200))
-        scores = PipelineConfig().score_boxes(boxes, PointIndex(cloud))
+        scores = PipelineConfig().score_boxes(boxes, cloud)
         assert calls == boxes[:2] + boxes[3:4]
         assert scores[0] == scores[2] == scores[5] and scores[1] == scores[4]
 
     def test_rotates_each_scored_point_once(self, monkeypatch, rng):
-        # The index query's box-frame rows are the ones scored.
+        # The box query's box-frame rows are the ones scored.
         rotated = []
         to_frame = Box3D.to_frame
 
@@ -290,9 +291,8 @@ class TestScoreBoxes:
 
         boxes = [random_box(rng, span=5, class_id=c) for c in (1, 2, 2)]
         cloud = PointCloud(rng.uniform(-6, 6, (300, 3)), rng.integers(0, 3, 300))
-        index = PointIndex(cloud)
         monkeypatch.setattr(Box3D, "to_frame", counting_to_frame)
-        PipelineConfig().score_boxes(boxes + boxes[:1], index)
+        PipelineConfig().score_boxes(boxes + boxes[:1], cloud)
         assert rotated == boxes
 
     def test_msf_tests_containment_once(self, monkeypatch, rng):
@@ -315,19 +315,21 @@ class TestScoreBoxes:
 
 
 class TestIndexBuilds:
-    """Each point set is indexed once: a frame's foreground, each dense
+    """Each point set is sorted by x once: a frame's foreground, each dense
     cloud, and the static cloud of the static-object broadcast."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         sizes = []
-        init = PointIndex.__init__
+        x_order = PointCloud.__dict__["x_order"].func
 
-        def counting(index, cloud):
+        def counting(cloud):
             sizes.append(len(cloud))
-            init(index, cloud)
+            return x_order(cloud)
 
-        monkeypatch.setattr(PointIndex, "__init__", counting)
+        prop = cached_property(counting)
+        prop.__set_name__(PointCloud, "x_order")
+        monkeypatch.setattr(PointCloud, "x_order", prop)
         return sizes
 
     def test_generate_indexes_each_dense_cloud_once(self, builds):
