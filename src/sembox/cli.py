@@ -52,8 +52,8 @@ def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="pipeline config JSON (defaults used when omitted)")
     p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help=(f"worker count (default: all cores, or "
-                         f"${pipeline.THREADS_ENV_VAR})") if workers else
+                   help=(f"worker count (default: the CPUs this process may "
+                         f"run on, or ${pipeline.THREADS_ENV_VAR})") if workers else
                         ("checked but unused: only generate starts workers, "
                          "this command runs in one process"))
 
@@ -239,7 +239,8 @@ def cmd_mock_detect(args, config: PipelineConfig) -> int:
     loaded = _read_frame_boxes(args.labels, args.dataset, frame_ids, "labels")
     boxes = {fid: [lab.box for lab in labs] for fid, labs in loaded.items()}
     seed = args.seed if args.seed is not None else config.seed
-    preds = mock_detector(boxes, noise, seed, num_classes=config.num_classes)
+    preds = mock_detector(boxes, noise, seed,
+                          class_ids=tuple(sorted(config.classes)))
     dataio.write_box_dir(Path(args.out), preds, kind="predictions")
     print(f"wrote {sum(len(v) for v in preds.values())} predictions to {args.out}")
     return 0

@@ -295,9 +295,5 @@ class PipelineConfig:
         return PseudoLabel(box, scores, label_weight(
             scores.msf, self.theta_low, self.theta_high), source)
 
-    @property
-    def num_classes(self) -> int:
-        return max(self.classes)
-
     def class_names(self) -> dict[int, str]:
         return {cid: cc.name for cid, cc in self.classes.items()}

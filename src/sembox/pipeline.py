@@ -26,7 +26,8 @@ THREADS_ENV_VAR = "SEMBOX_THREADS"
 
 
 def resolve_threads(cli_value: int | None) -> int:
-    """Thread count precedence: explicit CLI value, env override, all cores."""
+    """Thread count precedence: explicit CLI value, env override, the CPUs
+    this process may run on (its affinity set, where the platform has one)."""
     if cli_value is not None:
         return cli_value
     env = os.environ.get(THREADS_ENV_VAR)
@@ -37,6 +38,8 @@ def resolve_threads(cli_value: int | None) -> int:
         except ValueError:
             pass
         raise ConfigError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

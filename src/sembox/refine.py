@@ -272,9 +272,11 @@ NOISE_PROFILES = {
 
 
 def mock_detector(boxes_per_frame: dict[int, list[Box3D]], noise: NoiseModel,
-                  seed: int, num_classes: int = 3) -> dict[int, list[Prediction]]:
+                  seed: int, class_ids: tuple[int, ...] = (1, 2, 3)
+                  ) -> dict[int, list[Prediction]]:
     """Stand-in for a trained detector: input boxes plus seeded noise.
 
+    Flipped and false-positive classes are drawn from class_ids.
     Deterministic for a fixed seed; with a zero noise model the output
     boxes equal the input boxes.
     """
@@ -292,8 +294,8 @@ def mock_detector(boxes_per_frame: dict[int, list[Box3D]], noise: NoiseModel,
             dsize = rng.normal(0.0, noise.size_sigma * g, 3)
             dyaw = rng.normal(0.0, math.radians(noise.yaw_sigma_deg) * g)
             class_id = box.class_id
-            if rng.uniform() < noise.class_flip_prob and num_classes > 1:
-                others = [c for c in range(1, num_classes + 1) if c != class_id]
+            if rng.uniform() < noise.class_flip_prob and len(class_ids) > 1:
+                others = [c for c in class_ids if c != class_id]
                 class_id = int(others[rng.integers(len(others))])
             conf = noise.confidence_base - noise.confidence_range_slope * r
             if noise.confidence_sigma > 0:
@@ -308,7 +310,7 @@ def mock_detector(boxes_per_frame: dict[int, list[Box3D]], noise: NoiseModel,
         for _ in range(n_fp):
             r = math.sqrt(rng.uniform(5.0 ** 2, 60.0 ** 2))
             az = rng.uniform(0.0, 2.0 * math.pi)
-            cls = int(rng.integers(1, num_classes + 1))
+            cls = int(class_ids[rng.integers(len(class_ids))])
             preds.append(Prediction(
                 Box3D(r * math.cos(az), r * math.sin(az), 0.8,
                       4.0 + rng.uniform(-1, 1), 1.8 + rng.uniform(-0.5, 0.5),

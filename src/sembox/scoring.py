@@ -70,26 +70,16 @@ def label_order(box: Box3D, scores: ScoreBreakdown) -> tuple:
             box.yaw, box.l, box.w, box.h)
 
 
-def _box_grid_counts(box: Box3D, p: np.ndarray, r: int):
-    """Bin in-box points, given in the box frame, into an r x r BEV grid.
-
-    Returns (counts, cell_i, cell_j, p). Boundary points land in the
-    outermost cells.
-    """
+def _footprint_cells(box: Box3D, p: np.ndarray, r: int):
+    """The r x r BEV footprint cell (ci, cj) of each in-box point, given in
+    the box frame. Boundary points land in the outermost cells."""
     if r < 1:
         raise ValueError("grid resolution must be >= 1")
     ci = np.floor((p[:, 0] + box.l / 2.0) / (box.l / r)).astype(np.int64)
     cj = np.floor((p[:, 1] + box.w / 2.0) / (box.w / r)).astype(np.int64)
     np.clip(ci, 0, r - 1, out=ci)
     np.clip(cj, 0, r - 1, out=cj)
-    counts = np.zeros((r, r), dtype=np.int64)
-    np.add.at(counts, (ci, cj), 1)
-    return counts, ci, cj, p
-
-
-def _occupancy(grid) -> float:
-    """Fraction of the r x r footprint grid occupied by in-box points."""
-    return float(np.count_nonzero(grid[0])) / float(grid[0].size)
+    return ci, cj
 
 
 def alignment_from_angles(alpha: float, theta: float) -> float:
@@ -109,19 +99,19 @@ def alignment_from_angles(alpha: float, theta: float) -> float:
     return 1.0 - math.sin(dev)
 
 
-def _alignment(grid) -> float:
+def _alignment(counts: np.ndarray, ci: np.ndarray, cj: np.ndarray,
+               p: np.ndarray) -> float:
     """Alignment of the densest in-box region with the box heading.
 
-    The densest cell of the r x r footprint grid plus its 8-neighborhood is
-    selected; the leading direction of its xy covariance, in closed form
+    The densest cell of the r x r footprint grid (counts, with each point's
+    cell in ci, cj) plus its 8-neighborhood is selected; the leading
+    direction of its xy covariance, in closed form
     theta = atan2(2 sxy, sxx - syy) / 2, is compared with the heading.
     Fewer than two points, or zero spatial variance, scores 0. An isotropic
     region (sxx == syy, sxy == 0) has none: theta is 0 and it scores 1.0.
     """
-    counts, ci, cj, p = grid
     r = counts.shape[0]
-    flat = int(np.argmax(counts))  # ties: first cell in row-major order
-    bi, bj = flat // r, flat % r
+    bi, bj = divmod(int(np.argmax(counts)), r)  # ties: first in row-major order
     region = (np.abs(ci - bi) <= 1) & (np.abs(cj - bj) <= 1)
     pts = p[region, :2]
     if len(pts) < 2:
@@ -185,10 +175,12 @@ def msf_score_in_frame(box: Box3D, p: np.ndarray, meta: MetaShape,
                        lambdas: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
                        occ_r: int = 7) -> ScoreBreakdown:
     """msf_score from the in-box points of the box's class, already in the
-    box frame; the footprint grid is built once for occupancy and
-    alignment."""
-    grid = _box_grid_counts(box, p, occ_r)
-    return combine_scores(_occupancy(grid), _alignment(grid),
+    box frame; each point is binned once, and the footprint grid counted
+    once, for occupancy and alignment."""
+    ci, cj = _footprint_cells(box, p, occ_r)
+    counts = np.bincount(ci * occ_r + cj, minlength=occ_r * occ_r).reshape(occ_r, occ_r)
+    occ = np.count_nonzero(counts) / counts.size
+    return combine_scores(occ, _alignment(counts, ci, cj, p),
                           meta_shape_score(box, meta), lambdas)
 
 

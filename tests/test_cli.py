@@ -183,6 +183,34 @@ class TestUnconfiguredClass:
         assert any(v for k, v in outputs[0].items() if k.startswith("labels/"))
         assert outputs[0] == outputs[1]
 
+    def test_mock_detect_draws_only_configured_classes(self, tmp_path, caplog):
+        # A config holding classes 1 and 3 only: flipped and false-positive
+        # classes come from its table, so refine sets nothing aside.
+        from dataclasses import asdict
+        from sembox import dataio
+        from sembox.config import PipelineConfig
+        ds, gen, preds = tmp_path / "ds", tmp_path / "gen", tmp_path / "preds"
+        config = asdict(PipelineConfig())
+        config["classes"] = {str(c): config["classes"][c] for c in (1, 3)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--preset", "mixed", "--seed", "0",
+                     "--format", "binary", "--out", str(ds)]) == 0
+        assert main(["generate", str(ds), "--out", str(gen), "--threads", "1",
+                     "--config", str(cfg)]) == 0
+        assert main(["mock-detect", str(ds), "--labels", str(gen / "labels"),
+                     "--noise", "default", "--out", str(preds),
+                     "--config", str(cfg)]) == 0
+        classes = {p.box.class_id for ps in
+                   dataio.read_box_dir(preds, "predictions").values() for p in ps}
+        assert classes == {1, 3}
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sembox"):
+            assert main(["refine", str(ds), "--preds", str(preds),
+                         "--out", str(tmp_path / "refined"),
+                         "--config", str(cfg)]) == 0
+        assert not any("sets them aside" in m for m in caplog.messages)
+
 
 class TestManifestOnlyCommands:
     def test_no_points_read(self, dataset, tmp_path, monkeypatch, capsys):
@@ -264,6 +292,16 @@ class TestThreadResolution:
         monkeypatch.setenv(THREADS_ENV_VAR, "junk")
         with pytest.raises(ValueError):
             resolve_threads(None)
+
+    def test_default_is_the_affinity_set(self, monkeypatch):
+        import os
+        from sembox.pipeline import resolve_threads, THREADS_ENV_VAR
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_threads(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_threads(None) == 8
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_flag_below_one_rejected_at_parse(self, dataset, tmp_path,

@@ -461,3 +461,18 @@ class TestMockDetector:
         noise = NoiseModel(false_positives_per_frame=3.0)
         preds = mock_detector(gt, noise, seed=1)
         assert sum(len(v) for v in preds.values()) > sum(len(v) for v in gt.values())
+
+    def test_gapped_class_table(self):
+        # Every box flips, to the one other id of the table (1, 3), and
+        # false positives draw from the table too: class 2 never appears.
+        _, gt = generate_sequence(preset_scene("mixed", 0))
+        gt = {fid: [b for b in boxes if b.class_id != 2] for fid, boxes in gt.items()}
+        noise = NoiseModel(drop_prob=0.0, class_flip_prob=1.0,
+                           false_positives_per_frame=3.0)
+        preds = mock_detector(gt, noise, seed=4, class_ids=(1, 3))
+        drawn = []
+        for fid, boxes in gt.items():
+            assert [p.box.class_id for p in preds[fid][:len(boxes)]] == \
+                [4 - b.class_id for b in boxes]
+            drawn += [p.box.class_id for p in preds[fid][len(boxes):]]
+        assert {b.class_id for bs in gt.values() for b in bs} == set(drawn) == {1, 3}

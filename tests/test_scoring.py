@@ -120,10 +120,9 @@ _ALIGN_BOX = Box3D(0, 0, 0, 4, 2, 1.5, 0)
 angles = st.floats(-math.pi, math.pi)
 
 
-def eigh_alignment(grid) -> float:
+def eigh_alignment(counts, ci, cj, p) -> float:
     """scoring._alignment as it was before the closed form: the covariance
     by a matrix product and its leading eigenvector by LAPACK's eigh."""
-    counts, ci, cj, p = grid
     if len(p) < 2 or counts.max() == 0:
         return 0.0
     r = counts.shape[0]
@@ -165,9 +164,10 @@ def alignment_regions(draw):
 
 
 def one_cell_grid(xy: np.ndarray):
-    """The footprint grid of xy at resolution 1, so the whole set is the
-    region _alignment fits."""
-    return scoring._box_grid_counts(_ALIGN_BOX, np.c_[xy, np.zeros(len(xy))], 1)
+    """(counts, ci, cj, p): the footprint grid of xy at resolution 1, so
+    the whole set is the region _alignment fits."""
+    cell = np.zeros(len(xy), dtype=np.int64)
+    return np.array([[len(xy)]]), cell, cell, np.c_[xy, np.zeros(len(xy))]
 
 
 class TestAlignmentOracle:
@@ -175,14 +175,65 @@ class TestAlignmentOracle:
     @given(xy=alignment_regions())
     def test_closed_form_matches_eigh(self, xy):
         grid = one_cell_grid(xy)
-        assert abs(scoring._alignment(grid) - eigh_alignment(grid)) <= 1e-12
+        assert abs(scoring._alignment(*grid) - eigh_alignment(*grid)) <= 1e-12
 
     @pytest.mark.parametrize("arm, at", [(1.0, 0.0), (0.25, 3.5), (3.0, -1024.0)])
     def test_isotropic_cross_scores_one(self, arm, at):
         # sxx == syy and sxy == 0: no leading direction; theta is 0.
         xy = np.array([[arm, 0], [-arm, 0], [0, arm], [0, -arm]]) + at
         grid = one_cell_grid(xy)
-        assert scoring._alignment(grid) == eigh_alignment(grid) == 1.0
+        assert scoring._alignment(*grid) == eigh_alignment(*grid) == 1.0
+
+
+def add_at_grid(box: Box3D, p: np.ndarray, r: int):
+    """The footprint grid as scoring built it before one bincount: each
+    point's cell by floor and clip, the counts by an np.add.at scatter."""
+    ci = np.clip(np.floor((p[:, 0] + box.l / 2) / (box.l / r)).astype(np.int64), 0, r - 1)
+    cj = np.clip(np.floor((p[:, 1] + box.w / 2) / (box.w / r)).astype(np.int64), 0, r - 1)
+    counts = np.zeros((r, r), dtype=np.int64)
+    np.add.at(counts, (ci, cj), 1)
+    return counts, ci, cj
+
+
+@st.composite
+def in_box_points(draw):
+    """In-box points of _ALIGN_BOX, in its frame: none, a few, or many,
+    some on the footprint's edges and corners, repeats allowed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 2, 5, 50, 400]))
+    half = np.array([_ALIGN_BOX.l, _ALIGN_BOX.w, _ALIGN_BOX.h]) / 2
+    p = rng.uniform(-half, half, (n, 3))
+    edge = rng.random((n, 2)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    p[:, :2] = np.where(edge, np.sign(p[:, :2]) * half[:2], p[:, :2])
+    return p
+
+
+class TestFootprintGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(p=in_box_points(), r=st.sampled_from([1, 2, 7]))
+    def test_bincount_matches_add_at(self, p, r):
+        ref, ref_ci, ref_cj = add_at_grid(_ALIGN_BOX, p, r)
+        ci, cj = scoring._footprint_cells(_ALIGN_BOX, p, r)
+        assert np.array_equal(ci, ref_ci) and np.array_equal(cj, ref_cj)
+        counts = np.bincount(ci * r + cj, minlength=r * r)
+        assert np.array_equal(counts.reshape(r, r), ref)
+        s = scoring.msf_score_in_frame(_ALIGN_BOX, p, VEH_META, occ_r=r)
+        assert s.occ == float(np.count_nonzero(ref)) / float(ref.size)
+        assert s.alg == scoring._alignment(ref, ref_ci, ref_cj, p)
+
+    def test_boundary_points_land_in_outermost_cells(self):
+        half_l, half_w = _ALIGN_BOX.l / 2, _ALIGN_BOX.w / 2
+        p = np.array([[-half_l, -half_w, 0], [half_l, half_w, 0],
+                      [half_l, -half_w, 0], [-half_l, half_w, 0]])
+        ci, cj = scoring._footprint_cells(_ALIGN_BOX, p, 7)
+        assert ci.tolist() == [0, 6, 6, 0] and cj.tolist() == [0, 6, 0, 6]
+        assert scoring.msf_score_in_frame(_ALIGN_BOX, p, VEH_META).occ == 4 / 49
+
+    @pytest.mark.parametrize("r", [1, 7])
+    def test_empty_box(self, r):
+        s = scoring.msf_score_in_frame(_ALIGN_BOX, np.zeros((0, 3)), VEH_META,
+                                       occ_r=r)
+        assert (s.occ, s.alg) == (0.0, 0.0)
 
 
 class TestMetaShape:
