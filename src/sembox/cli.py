@@ -16,6 +16,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -29,7 +30,6 @@ from .aggregation import Frame
 from .config import ConfigError, PipelineConfig, read_json
 from .dataio import FormatError
 from .refine import NOISE_PROFILES, NoiseModel, mock_detector, refine_round
-from .scoring import PseudoLabel
 from .synth import PRESET_NAMES, generate_sequence, preset_scene
 
 logger = logging.getLogger("sembox")
@@ -48,14 +48,13 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="pipeline config JSON (defaults used when omitted)")
     p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help=(f"worker count (default: the CPUs this process may "
-                         f"run on, or ${pipeline.THREADS_ENV_VAR})") if workers else
-                        ("checked but unused: only generate starts workers, "
-                         "this command runs in one process"))
+                   help=(f"worker count of generate and score-labels, the commands that "
+                         f"start workers (default: the CPUs this process may run on, or "
+                         f"${pipeline.THREADS_ENV_VAR})"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate pseudo-labels for a dataset")
     p.add_argument("dataset", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p, workers=True)
+    _add_common(p)
 
     p = sub.add_parser("refine", help="run one self-training refinement round")
     p.add_argument("dataset", type=Path)
@@ -190,16 +189,13 @@ def cmd_refine(args, config: PipelineConfig) -> int:
 
 def cmd_score_labels(args, config: PipelineConfig) -> int:
     frames = _load_frames(args.dataset, config)
-    index_of = {fr.frame_id: i for i, fr in enumerate(frames)}
-    loaded = _read_frame_boxes(args.labels, args.dataset, index_of, "labels", config)
-    rescored: dict[int, list[PseudoLabel]] = {}
-    for fid in sorted(loaded):
-        dense = pipeline.aggregate_window(frames, index_of[fid], config)
-        scores = config.score_boxes([lab.box for lab in loaded[fid]], dense)
-        out = [config.label(lab.box, sc, lab.source)
-               for lab, sc in zip(loaded[fid], scores)]
-        rescored[fid] = out
-        for old, new in zip(loaded[fid], out):
+    loaded = _read_frame_boxes(args.labels, args.dataset,
+                               [fr.frame_id for fr in frames], "labels", config)
+    scored = pipeline.map_frames(functools.partial(pipeline.score_frame, loaded),
+                                 frames, config, args.threads)
+    rescored = {fr.frame_id: labs for fr, labs in zip(frames, scored) if labs is not None}
+    for fid, labs in rescored.items():
+        for old, new in zip(loaded[fid], labs):
             print(f"frame {fid} class {old.box.class_id} msf {old.scores.msf:.4f} "
                   f"-> {new.scores.msf:.4f}")
     if args.out is not None:
@@ -212,15 +208,9 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
     frame_ids = [e.frame_id for e in dataio.read_manifest(args.dataset)[0]]
     labels = _read_frame_boxes(args.labels, args.dataset, frame_ids, "labels")
     gts = _read_frame_boxes(args.gt, args.dataset, frame_ids, "labels")
-    per_frame = []
-    for fid in frame_ids:
-        labs = labels.get(fid, [])
-        g = gts.get(fid, [])
-        per_frame.append((
-            [lab.box for lab in labs],
-            [lab.scores.msf for lab in labs],
-            [lab.box for lab in g],
-        ))
+    per_frame = [([lab.box for lab in labels.get(fid, [])],
+                  [lab.scores.msf for lab in labels.get(fid, [])],
+                  [g.box for g in gts.get(fid, [])]) for fid in frame_ids]
     report = evaluation.compute_report(
         per_frame, thresholds=config.eval_iou_thresholds,
         range_bin_edges=config.range_bin_edges,
@@ -261,8 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Every command checks the thread count, though only generate uses
-        # it, and reads --config once, before any dataset file.
+        # Every command checks --threads and reads --config once, before any dataset file.
         args.threads = pipeline.resolve_threads(args.threads)
         config = (PipelineConfig() if args.config is None
                   else read_json(args.config, PipelineConfig))

@@ -161,6 +161,19 @@ def _class_id(key: str, where: str) -> int:
                       f"form, got {key!r}")
 
 
+# Bounds on what a config makes the program allocate, each far past any
+# useful value, so that a config that passes validation can run:
+# BEV cells per side of the motion grid, ceil(2 * detection_range /
+# cell_size): its per-cell label array holds 16384^2 bytes, 256 MiB;
+_MAX_BEV_CELLS = 16384
+# yaws the box fit tries, ceil(90 / yaw_step_deg): each is a projection of
+# every cluster point, and 900 is a 0.1 degree step;
+_MAX_YAWS = 900
+# occ_grid_r: the score's r x r footprint grid; at 100, its 10^4 cells far
+# outnumber the points of a box, so occupancy would only measure sparsity.
+_MAX_OCC_GRID_R = 100
+
+
 def _default_classes() -> dict[int, ClassConfig]:
     return {
         1: ClassConfig("vehicle", (0.4, 0.7, 1.0, 1.5), 10, (4.6, 1.8, 1.6)),
@@ -205,14 +218,22 @@ class PipelineConfig:
             raise ConfigError("cell_size: must be > 0")
         if self.detection_range <= 0:
             raise ConfigError("detection_range: must be > 0")
+        # x > n exactly when ceil(x) > n; a float quotient past the range is inf.
+        if (cells := 2.0 * self.detection_range / self.cell_size) > _MAX_BEV_CELLS:
+            raise ConfigError(f"detection_range/cell_size: the BEV cells per side, "
+                              f"2 * detection_range / cell_size, must be <= "
+                              f"{_MAX_BEV_CELLS}, got {cells:g}")
         if self.min_pts < 1:
             raise ConfigError("min_pts: must be >= 1")
         if self.yaw_step_deg <= 0 or self.yaw_step_deg > 90:
             raise ConfigError("yaw_step_deg: must be in (0, 90]")
+        if (yaws := 90.0 / self.yaw_step_deg) > _MAX_YAWS:
+            raise ConfigError(f"yaw_step_deg: the yaws each box fit tries, 90 / "
+                              f"yaw_step_deg, must be <= {_MAX_YAWS}, got {yaws:g}")
         if self.fit_criterion not in ("area", "closeness"):
             raise ConfigError("fit_criterion: must be 'area' or 'closeness'")
-        if self.occ_grid_r < 1:
-            raise ConfigError("occ_grid_r: must be >= 1")
+        if not 1 <= self.occ_grid_r <= _MAX_OCC_GRID_R:
+            raise ConfigError(f"occ_grid_r: must be in [1, {_MAX_OCC_GRID_R}]")
         try:
             validate_lambdas(self.lambdas)
         except ValueError as e:
@@ -236,8 +257,9 @@ class PipelineConfig:
         if not self.eval_iou_thresholds or any(
                 not 0 < t <= 1 for t in self.eval_iou_thresholds):
             raise ConfigError("eval_iou_thresholds: must be in (0, 1]")
-        if len(set(self.eval_iou_thresholds)) < len(self.eval_iou_thresholds):
-            raise ConfigError("eval_iou_thresholds: must be distinct")
+        if len({f"{t:g}" for t in self.eval_iou_thresholds}) < len(self.eval_iou_thresholds):
+            raise ConfigError("eval_iou_thresholds: must be distinct as the report "
+                              "keys them, printed with %g")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if not self.classes:

@@ -225,10 +225,6 @@ class Box3D:
         return np.array([self.cx, self.cy, self.cz])
 
     @property
-    def size(self) -> tuple[float, float, float]:
-        return (self.l, self.w, self.h)
-
-    @property
     def bev_area(self) -> float:
         return self.l * self.w
 

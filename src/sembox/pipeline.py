@@ -1,10 +1,10 @@
 """End-to-end pseudo-label generation over a sequence.
 
 Each frame is processed from its own aggregation window, so frames are
-independent work units. Parallel runs use forked worker processes that
-inherit the loaded sequence, keeping per-task overhead at a frame index in
-and a small label list out; results are ordered by frame id, so output is
-identical to a sequential run.
+independent work units. map_frames runs one such job over every frame
+(generate's process_frame, score-labels' score_frame), in this process or
+in forked workers that inherit the loaded sequence: a frame index in, a
+small label list out, results in frame order as a sequential run gives.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -72,30 +73,39 @@ def process_frame(frames: list[Frame], index: int,
             for i in nms_select(boxes, scores, config.nms_iou_threshold)]
 
 
+def score_frame(labels: dict[int, list[PseudoLabel]], frames: list[Frame],
+                index: int, config: PipelineConfig) -> list[PseudoLabel] | None:
+    """labels' entry for frames[index], rescored against its window's cloud,
+    each label keeping its source; None, building no window, if it has none."""
+    loaded = labels.get(frames[index].frame_id)
+    if loaded is None:
+        return None
+    scores = config.score_boxes([lab.box for lab in loaded],
+                                aggregate_window(frames, index, config))
+    return [config.label(lab.box, sc, lab.source) for lab, sc in zip(loaded, scores)]
+
+
 # Each worker holds the active job in module state, set once by the pool
 # initializer; only the frame index crosses the process boundary per task.
-_ACTIVE: tuple[list[Frame], PipelineConfig] | None = None
+_JOB: tuple[Callable, list[Frame], PipelineConfig] | None = None
 
 
-def _worker(index: int) -> list[PseudoLabel]:
-    frames, config = _ACTIVE
-    return process_frame(frames, index, config)
+def _run_job(index: int):
+    fn, frames, config = _JOB
+    return fn(frames, index, config)
 
 
-def _init_active(frames: list[Frame], config: PipelineConfig) -> None:
-    global _ACTIVE
-    _ACTIVE = (frames, config)
+def _init_job(fn: Callable, frames: list[Frame], config: PipelineConfig) -> None:
+    global _JOB
+    _JOB = (fn, frames, config)
 
 
-def generate_labels(frames: list[Frame], config: PipelineConfig,
-                    threads: int = 1) -> dict[int, list[PseudoLabel]]:
-    """Pseudo-labels for every frame of the sequence, keyed by frame id."""
-    if not frames:
-        raise ValueError("empty sequence")
-    indices = list(range(len(frames)))
-    if threads <= 1 or len(frames) == 1:
-        return {frames[i].frame_id: process_frame(frames, i, config)
-                for i in indices}
+def map_frames(fn: Callable, frames: list[Frame], config: PipelineConfig,
+               threads: int = 1) -> list:
+    """fn(frames, i, config) for every frame index i, in frame order: in this
+    process at threads <= 1 or for one frame, else by at most threads workers."""
+    if threads <= 1 or len(frames) <= 1:
+        return [fn(frames, i, config) for i in range(len(frames))]
 
     # Under fork the initializer's arguments are inherited, never pickled.
     # Python >= 3.11 forks every worker at the first submit, so the pool
@@ -103,12 +113,18 @@ def generate_labels(frames: list[Frame], config: PipelineConfig,
     ctx = (multiprocessing.get_context("fork")
            if "fork" in multiprocessing.get_all_start_methods() else None)
     with ProcessPoolExecutor(max_workers=min(threads, len(frames)),
-                             mp_context=ctx,
-                             initializer=_init_active,
-                             initargs=(frames, config)) as pool:
-        # map yields the results in the order of indices.
-        return {fr.frame_id: labels
-                for fr, labels in zip(frames, pool.map(_worker, indices))}
+                             mp_context=ctx, initializer=_init_job,
+                             initargs=(fn, frames, config)) as pool:
+        return list(pool.map(_run_job, range(len(frames))))
+
+
+def generate_labels(frames: list[Frame], config: PipelineConfig,
+                    threads: int = 1) -> dict[int, list[PseudoLabel]]:
+    """Pseudo-labels for every frame of the sequence, keyed by frame id."""
+    if not frames:
+        raise ValueError("empty sequence")
+    return {fr.frame_id: labels for fr, labels in
+            zip(frames, map_frames(process_frame, frames, config, threads))}
 
 
 def summarize_labels(labels: dict[int, list[PseudoLabel]]) -> dict:

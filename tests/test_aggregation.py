@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sembox import pipeline
+from sembox import dataio, pipeline
 from sembox.aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                                 build_dense_cloud, build_motion_grid,
                                 register_window)
+from sembox.cli import main
 from sembox.config import PipelineConfig
 from sembox.geometry import BevGridSpec, PointCloud, Pose, grid_indices
 from sembox.refine import NOISE_PROFILES, mock_detector, refine_round
@@ -294,15 +295,15 @@ class TestFrameForeground:
 
 
 class TestWorkerPool:
-    def test_at_most_one_worker_per_frame(self, monkeypatch):
-        frames, _ = generate_sequence(preset_scene("mixed", 0))
-        frames = frames[:3]
-        config = PipelineConfig()
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of every pool map_frames starts, with
+        ProcessPoolExecutor replaced by a pool without a process."""
         recorded = []
 
         class InlinePool:
-            """ProcessPoolExecutor without a process: records max_workers,
-            runs the initializer and maps in this process."""
+            """Records max_workers, runs the initializer and maps in this
+            process."""
 
             def __init__(self, max_workers, mp_context, initializer,
                          initargs):
@@ -319,7 +320,26 @@ class TestWorkerPool:
                 return map(fn, iterable)
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(pipeline, "_ACTIVE", None)
+        monkeypatch.setattr(pipeline, "_JOB", None)
+        return recorded
+
+    def test_at_most_one_worker_per_frame(self, pools):
+        frames, _ = generate_sequence(preset_scene("mixed", 0))
+        frames = frames[:3]
+        config = PipelineConfig()
         pooled = pipeline.generate_labels(frames, config, threads=8)
-        assert recorded == [3]
+        assert pools == [3]
         assert pooled == pipeline.generate_labels(frames, config, threads=1)
+
+    def test_score_labels_pools_only_above_one_thread(self, pools, tmp_path):
+        frames, gt = generate_sequence(preset_scene("mixed", 0))
+        ds = tmp_path / "ds"
+        dataio.write_dataset(ds, frames, PipelineConfig().class_names(), gt=gt)
+        rescored = {}
+        for threads, started in ((1, []), (2, [2])):
+            out = tmp_path / f"t{threads}"
+            assert main(["score-labels", str(ds), "--labels", str(ds / "gt_labels"),
+                         "--out", str(out), "--threads", str(threads)]) == 0
+            assert pools == started
+            rescored[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert rescored[1] and rescored[1] == rescored[2]

@@ -622,6 +622,22 @@ MALFORMED = {
     "config-eval_iou_thresholds-repeated": _bad_config(
         {"eval_iou_thresholds": [0.5, 0.5]},
         "eval_iou_thresholds: must be distinct", "evaluate"),
+    # 0.3 and 0.30000000000000004 would share the report's key "0.3".
+    "config-eval_iou_thresholds-print-alike": _bad_config(
+        {"eval_iou_thresholds": [0.3, 0.30000000000000004, 0.5]},
+        "eval_iou_thresholds: must be distinct as the report keys them", "evaluate"),
+    # Each passed the field's own check but could not be allocated (exit 1).
+    "config-detection_range-1e12": _bad_config(
+        {"detection_range": 1e12}, "detection_range/cell_size: the BEV cells per "
+        "side, 2 * detection_range / cell_size, must be <= 16384, got 6.66667e+12"),
+    "config-cell_size-1e-9": _bad_config(
+        {"cell_size": 1e-9}, "detection_range/cell_size: the BEV cells per side, "
+        "2 * detection_range / cell_size, must be <= 16384, got 1.6e+11"),
+    "config-yaw_step_deg-1e-9": _bad_config(
+        {"yaw_step_deg": 1e-9}, "yaw_step_deg: the yaws each box fit tries, "
+        "90 / yaw_step_deg, must be <= 900, got 9e+10"),
+    "config-occ_grid_r-100000000": _bad_config(
+        {"occ_grid_r": 100000000}, "occ_grid_r: must be in [1, 100]"),
     "config-seed--1": _bad_config({"seed": -1}, "seed: must be >= 0",
                                   "mock-detect"),
     "config-class_agnostic_eval-1": _bad_config(

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sembox import dataio
+from sembox.clustering import _yaw_angles
 from sembox.config import (ClassConfig, ConfigError, PipelineConfig, build,
                            read_json)
 from sembox.dataio import FormatError
-from sembox.geometry import Box3D, PointCloud, Pose
+from sembox.geometry import BevGridSpec, Box3D, PointCloud, Pose
 from sembox.refine import Prediction
 from sembox.scoring import PseudoLabel, ScoreBreakdown
 from sembox.synth import generate_sequence, perf_scene, preset_scene
@@ -616,6 +617,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="radii"):
             PipelineConfig(classes={1: ClassConfig("vehicle", (1.0, 0.5), 5,
                                                    (4.6, 1.8, 1.6))})
+
+    def test_allocation_bounds(self):
+        # The largest grid, yaw count and footprint grid each bound admits
+        # build; one past it, or a quotient past the float range, is refused.
+        edge = PipelineConfig(detection_range=1024.0, cell_size=0.125,
+                              yaw_step_deg=0.1, occ_grid_r=100)
+        assert BevGridSpec.centered(edge.detection_range, edge.cell_size).nx == 16384
+        assert len(_yaw_angles(edge.yaw_step_deg)) == 900
+        for kwargs, field in (
+                ({"detection_range": 1024.0625, "cell_size": 0.125}, "cell_size"),
+                ({"detection_range": 1e308, "cell_size": 1e-300}, "cell_size"),
+                ({"yaw_step_deg": 90 / 901}, "yaw_step_deg"),
+                ({"occ_grid_r": 101}, "occ_grid_r")):
+            with pytest.raises(ConfigError, match=field):
+                PipelineConfig(**kwargs)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):

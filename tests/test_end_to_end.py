@@ -155,9 +155,12 @@ def permuted(frames: list[Frame], rng: np.random.Generator):
 
 
 def run_chain(ds: Path, out: Path, threads: int) -> None:
-    """generate -> mock-detect -> refine -> evaluate; each must exit 0."""
+    """generate -> score-labels -> mock-detect -> refine -> evaluate; each
+    must exit 0."""
     for argv in (
             ["generate", ds, "--out", out / "gen"],
+            ["score-labels", ds, "--labels", out / "gen" / "labels",
+             "--out", out / "scored"],
             ["mock-detect", ds, "--labels", out / "gen" / "labels",
              "--noise", "mild", "--out", out / "preds"],
             ["refine", ds, "--preds", out / "preds", "--out", out / "ref"],

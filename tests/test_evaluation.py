@@ -164,6 +164,13 @@ class TestReport:
         assert compute_report([(gts, [0.9], gts)],
                               thresholds=(0.5,)).counts[0.5]["overall"].tp == 1
 
+    def test_thresholds_printing_alike_rejected(self):
+        # The report keys each threshold by its %g form, so these two would
+        # share the key "0.3" and the CSV would repeat its rows.
+        gts = [veh(5, 0)]
+        with pytest.raises(ValueError, match="repeated IoU threshold"):
+            compute_report([(gts, [0.9], gts)], thresholds=(0.3, 0.30000000000000004))
+
     def test_empty_dataset(self):
         rep = compute_report([])
         assert rep.n_frames == 0

@@ -76,30 +76,34 @@ _PRODUCTS = {"np.dot", "np.matmul", "np.einsum", "np.inner"}
 _TRANSCENDENTALS = {"np.log", "np.exp", "np.cos", "np.sin"}
 
 
-def float_kernels(source: str) -> list[str]:
-    """'scope: what' for each float operation in a module whose kernel the
-    CPU selects at run time: a matrix product (@), an np.linalg call, a
-    BLAS-backed product (_PRODUCTS or a .dot method) or a SIMD-dispatched
-    transcendental (_TRANSCENDENTALS). scope names the enclosing classes
-    and functions, dotted."""
-    found = []
-
+def scoped_nodes(source: str):
+    """(scope, node) for each node of a module, parents first; scope names
+    the node's enclosing classes and functions, dotted ("" at module level)."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = f"{scope}.{child.name}".lstrip(".")
-            if (isinstance(child, (ast.BinOp, ast.AugAssign))
-                    and isinstance(child.op, ast.MatMult)):
-                found.append(f"{inner}: @")
-            elif isinstance(child, ast.Call):
-                name = ast.unparse(child.func)
-                if (name.startswith("np.linalg.") or name.endswith(".dot")
-                        or name in _PRODUCTS | _TRANSCENDENTALS):
-                    found.append(f"{inner}: {name}")
-            visit(child, inner)
+            yield inner, child
+            yield from visit(child, inner)
 
-    visit(ast.parse(source), "")
+    return visit(ast.parse(source), "")
+
+
+def float_kernels(source: str) -> list[str]:
+    """'scope: what' for each float operation in a module whose kernel the
+    CPU selects at run time: a matrix product (@), an np.linalg call, a
+    BLAS-backed product (_PRODUCTS or a .dot method) or a SIMD-dispatched
+    transcendental (_TRANSCENDENTALS)."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{scope}: @")
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if (name.startswith("np.linalg.") or name.endswith(".dot")
+                    or name in _PRODUCTS | _TRANSCENDENTALS):
+                found.append(f"{scope}: {name}")
     return found
 
 
@@ -184,3 +188,34 @@ def test_bare_unique_is_found():
               "d = np.unique(x, axis=0)\n"
               "e = np.unique(x, return_inverse=False)\n")
     assert bare_uniques(source) == [2, 4, 5]
+
+
+def name_scopes(source: str, name: str) -> list[str]:
+    """The scope of each place a module names name: an import, a read or
+    an attribute."""
+    return [scope for scope, node in scoped_nodes(source)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, (ast.Import, ast.ImportFrom))
+                and any(a.name.split(".")[-1] == name for a in node.names))]
+
+
+def test_one_process_pool():
+    """Every command that starts workers goes through pipeline.map_frames:
+    no other function of the package names ProcessPoolExecutor."""
+    package = sorted(Path(sembox.__file__).parent.glob("*.py"))
+    sites = {p.name: name_scopes(p.read_text(encoding="utf-8"), "ProcessPoolExecutor")
+             for p in package}
+    assert {name: scopes for name, scopes in sites.items() if scopes} == {
+        "pipeline.py": ["", "map_frames"]}
+
+
+def test_process_pool_is_found():
+    source = ("import concurrent.futures\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "class A:\n"
+              "    def f(self):\n"
+              "        return concurrent.futures.ProcessPoolExecutor(2)\n"
+              "def g(pool=ProcessPoolExecutor):\n"
+              "    return ProcessPoolExecutor\n")
+    assert name_scopes(source, "ProcessPoolExecutor") == ["", "A.f", "g", "g"]
