@@ -29,7 +29,8 @@ from . import dataio, evaluation, pipeline
 from .aggregation import Frame
 from .config import ConfigError, PipelineConfig, read_json
 from .dataio import FormatError
-from .refine import NOISE_PROFILES, NoiseModel, mock_detector, refine_round
+from .refine import (NOISE_PROFILES, NoiseModel, PoseSpanError, mock_detector,
+                     refine_round)
 from .synth import PRESET_NAMES, generate_sequence, preset_scene
 
 logger = logging.getLogger("sembox")
@@ -177,7 +178,12 @@ def cmd_refine(args, config: PipelineConfig) -> int:
                                  if p.box.class_id not in config.classes).items()):
         logger.warning("class id %d: %d predictions, but the config has no "
                        "entry for it, so refine sets them aside", cid, n)
-    result = refine_round(frames, preds, config)
+    try:
+        result = refine_round(frames, preds, config)
+    except PoseSpanError as e:  # the poses are data: name their files
+        poses = {m.frame_id: args.dataset / m.pose
+                 for m in dataio.read_manifest(args.dataset)[0]}
+        raise FormatError(f"{', '.join(str(poses[f]) for f in e.frame_ids)}: {e}") from e
     out = Path(args.out)
     dataio.write_box_dir(out / "labels", result.labels, kind="labels")
     dataio.write_retained_indices(out / "retained", result.retained_indices)

@@ -30,7 +30,9 @@ field count checked, and a conversion's ``ValueError`` raised as
 ``\\x1c``-``\\x1e`` go to ``np.loadtxt`` as a path first (numpy reads it in C
 chunks), unless numpy would decompress a file of that name. Other text (no
 writer here makes any) and text ``loadtxt`` rejects take the slower row
-reader, which names the first bad ``path:line``.
+reader, which names the first bad ``path:line``. Either parse is kept in
+``.sembox-cache/<file name>`` beside the points file, keyed by the SHA-256
+of the text bytes, so each file content is parsed once (see read_points).
 
 Text points are written from numpy, in chunks of rows, with the bytes of
 ``"%.10g %.10g %.10g %d\\n"`` per point. Each coordinate whose text can be
@@ -45,9 +47,11 @@ laid out in a fixed-width uint8 row padded with 0 bytes, which are dropped.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -66,6 +70,11 @@ logger = logging.getLogger("sembox")
 POINTS_MAGIC = b"S2BPTS01"
 _POINT_RECORD = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "<u2")])
 _TEXT_POINT = np.dtype([("xyz", "<f8", 3), ("c", "<i4")])
+# A text parse's cache entry: this magic, the SHA-256 of the text bytes and
+# the point count as a <u8, then the _TEXT_POINT records.
+_PARSE_CACHE_DIR = ".sembox-cache"
+_PARSE_CACHE_MAGIC = b"S2BPTC01"
+_PARSE_CACHE_HEADER = len(_PARSE_CACHE_MAGIC) + 32 + 8
 # The ASCII bytes at which str.splitlines breaks a line and a file read
 # does not; a search for any byte but the ASCII ones that str.strip()
 # strips; and the file name suffixes that np.loadtxt opens through a
@@ -288,6 +297,12 @@ def read_points(path: str | Path) -> PointCloud:
     that pass rejects, goes through the row reader, which names the first
     bad ``path:line`` or accepts what only Python's ``float``/``int``
     accept (``1_0``, non-ASCII digits).
+
+    Each text parse is kept in a cache entry, ``.sembox-cache/<file name>``
+    beside the points file, keyed by the SHA-256 of the text bytes; a later
+    read of the same bytes loads the records from it instead of parsing.
+    An entry is ~0.7x the size of the text and safe to delete. Malformed
+    text is never cached, and a failed entry write is ignored.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -303,6 +318,18 @@ def read_points(path: str | Path) -> PointCloud:
     first = raw[:1]
     if first and not (first.isdigit() or first in b"-+.") and _NOT_ASCII_SPACE.match(first):
         raise FormatError(f"{path}: unrecognized points file magic")
+    import hashlib  # here, so binary-only runs never map OpenSSL's libcrypto (~3.4 MB)
+    entry = path.parent / _PARSE_CACHE_DIR / path.name
+    digest = hashlib.sha256(raw).digest()
+    rec = _cached_parse(entry, digest)
+    if rec is None:
+        rec = _parse_points_text(path, raw)
+        _store_parse(entry, digest, rec)
+    return PointCloud(rec["xyz"], rec["c"].copy())
+
+
+def _parse_points_text(path: Path, raw: bytes) -> np.ndarray:
+    """The _TEXT_POINT records of a text points file's bytes."""
     # Read as a file, loadtxt breaks lines only at \n, \r and \r\n; the row
     # reader's splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and
     # \u2029. So only ASCII text without those goes to loadtxt, as a path,
@@ -314,14 +341,48 @@ def read_points(path: str | Path) -> PointCloud:
             with warnings.catch_warnings():
                 # Older numpy loads an int column's "1.0" with only this warning.
                 warnings.simplefilter("error", DeprecationWarning)
-                rec = np.loadtxt(path, dtype=_TEXT_POINT, comments=None, ndmin=1)
+                return np.loadtxt(path, dtype=_TEXT_POINT, comments=None, ndmin=1)
         except (ValueError, DeprecationWarning):
             pass  # the row reader names the first bad line
-        else:
-            return PointCloud(rec["xyz"], rec["c"].copy())
     rows = _rows(path, raw, _POINT_FIELDS, _point)
     m = np.array([p for _, p in rows], dtype=np.float64).reshape(-1, 4)
-    return PointCloud(m[:, :3], m[:, 3].astype(np.int32))
+    rec = np.empty(len(m), dtype=_TEXT_POINT)
+    rec["xyz"], rec["c"] = m[:, :3], m[:, 3]  # class ids are exact in float64
+    return rec
+
+
+def _cached_parse(entry: Path, digest: bytes) -> np.ndarray | None:
+    """The records of a cache entry written for text of this digest, or None
+    when the entry is missing, unreadable, foreign or of another length."""
+    try:
+        data = np.fromfile(entry, dtype=np.uint8)  # owned, so the cloud is writable
+    except OSError:
+        return None
+    head = _PARSE_CACHE_MAGIC + digest
+    n = int.from_bytes(data[len(head):_PARSE_CACHE_HEADER].tobytes(), "little")
+    if (data[:len(head)].tobytes() != head
+            or len(data) != _PARSE_CACHE_HEADER + n * _TEXT_POINT.itemsize):
+        return None
+    return data[_PARSE_CACHE_HEADER:].view(_TEXT_POINT)
+
+
+def _store_parse(entry: Path, digest: bytes, rec: np.ndarray) -> None:
+    """Write a cache entry through a per-process temporary file renamed into
+    place, so no reader sees a partial entry; a read-only or otherwise
+    unwritable dataset keeps working without one. The temporary file is
+    removed on any exception, KeyboardInterrupt included."""
+    tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        with open(tmp, "wb") as f:
+            f.write(_PARSE_CACHE_MAGIC + digest + len(rec).to_bytes(8, "little"))
+            rec.tofile(f)
+        os.replace(tmp, entry)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)  # already gone after os.replace
 
 
 def _point(parts: list[str]) -> tuple:

@@ -19,7 +19,7 @@ import numpy as np
 from .aggregation import (CELL_EMPTY, CELL_MOVING, CELL_STATIC, Frame,
                           MotionGrid, build_motion_grid)
 from .clustering import connected_components
-from .config import PipelineConfig, _check_types
+from .config import _MAX_BEV_CELLS, PipelineConfig, _check_types
 from .geometry import (BevGridSpec, Box3D, PointCloud, bev_candidate_pairs,
                        bev_iou, transform_box)
 from .scoring import SOURCE_INIT, SOURCE_REFINED, PseudoLabel, label_order
@@ -74,20 +74,40 @@ def semantic_consistency_filter(preds: list[Prediction], frame: Frame,
     return kept
 
 
+class PoseSpanError(ValueError):
+    """A sequence's poses lie too far apart for one motion grid; frame_ids
+    are the frames at the ends of each side that is too long."""
+
+    def __init__(self, message: str, frame_ids: list[int]) -> None:
+        super().__init__(message)
+        self.frame_ids = frame_ids
+
+
 def sequence_motion_grid(frames: list[Frame], cell_size: float,
                          detection_range: float, epsilon: int) -> MotionGrid:
     """Motion grid over a whole sequence in global coordinates, built from
     each frame's Frame.global_foreground: the foreground points, the only
-    ones it counts, registered once per frame and shared with STCF."""
+    ones it counts, registered once per frame and shared with STCF.
+
+    The grid covers every pose centre +- detection_range. A span of more
+    than _MAX_BEV_CELLS cells per side raises PoseSpanError before any
+    allocation."""
     if not frames:
         raise ValueError("empty sequence")
-    registered = [fr.global_foreground for fr in frames]
     centers = np.array([fr.pose.translation[:2] for fr in frames])
-    spec = BevGridSpec.covering(
-        centers[:, 0].min() - detection_range, centers[:, 1].min() - detection_range,
-        centers[:, 0].max() + detection_range, centers[:, 1].max() + detection_range,
-        cell_size)
-    return build_motion_grid(registered, spec, epsilon)
+    lo = centers.min(axis=0) - detection_range
+    hi = centers.max(axis=0) + detection_range
+    with np.errstate(over="ignore"):  # a span past float range is inf cells
+        cells = (hi - lo) / cell_size
+    if (too_long := cells > _MAX_BEV_CELLS).any():
+        ends = {frames[k].frame_id for axis in np.flatnonzero(too_long)
+                for k in (centers[:, axis].argmin(), centers[:, axis].argmax())}
+        raise PoseSpanError(
+            f"the motion grid over the poses +- detection_range ({detection_range:g} m) "
+            f"needs {cells.max():g} cells of {cell_size:g} m per side, more than "
+            f"{_MAX_BEV_CELLS}", sorted(ends))
+    spec = BevGridSpec.covering(lo[0], lo[1], hi[0], hi[1], cell_size)
+    return build_motion_grid([fr.global_foreground for fr in frames], spec, epsilon)
 
 
 def _connected_groups(boxes: list[Box3D]) -> list[list[int]]:

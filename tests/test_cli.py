@@ -110,6 +110,37 @@ class TestExitCodes:
         assert "Not a directory" in capsys.readouterr().err
 
 
+    def test_pose_span_at_the_grid_bound_runs(self, dataset, tmp_path):
+        # (4755 + 2 * 80) / 0.3 rounds up to 16384 cells per side, the bound:
+        # the grid's 256 MiB of labels are zero-filled lazily.
+        argv, _ = _shifted_pose(4755.0)(dataset, tmp_path)
+        assert main(argv) == 0
+
+
+class TestParseCache:
+    def test_second_refine_parses_no_text(self, tmp_path, monkeypatch):
+        # A self-training round is a new refine process on the same text
+        # points: each file's bytes are parsed once, then read from its
+        # parse cache entry.
+        ds, preds = tmp_path / "ds", tmp_path / "preds"
+        assert main(["synth", "--preset", "adjacent", "--seed", "3",
+                     "--out", str(ds)]) == 0
+        assert main(["mock-detect", str(ds), "--labels", str(ds / "gt_labels"),
+                     "--out", str(preds)]) == 0
+        sources = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda src, **kw: sources.append(src) or loadtxt(src, **kw))
+        calls = []
+        for out in ("first", "second"):
+            assert main(["refine", str(ds), "--preds", str(preds),
+                         "--out", str(tmp_path / out), "--threads", "1"]) == 0
+            calls.append(len(sources))
+            sources.clear()
+        assert calls == [11, 0]
+        assert len(list((ds / "points" / ".sembox-cache").iterdir())) == 11
+
+
 class TestUnconfiguredClass:
     def test_warns_once_per_class_with_its_count(self, dataset, tmp_path, caplog):
         # A copy whose foreground is all class 4, which the manifest names
@@ -415,6 +446,27 @@ def _deleted_pose(command):
     return build
 
 
+def _shifted_pose(shift):
+    """A dataset copy whose frame 2 pose is moved by (shift, shift) m, and a
+    refine of one prediction on it; adjacent's other poses sit at the
+    origin. The error names frame 2's pose file last."""
+    def build(dataset, tmp):
+        import shutil
+        copy = tmp / "ds"
+        shutil.copytree(dataset, copy)
+        pose = copy / "poses" / "frame_000002.txt"
+        rows = [line.split() for line in pose.read_text().splitlines()]
+        for row in rows[:2]:
+            row[3] = repr(float(row[3]) + shift)
+        pose.write_text("".join(" ".join(row) + "\n" for row in rows))
+        preds = tmp / "preds"
+        preds.mkdir()
+        (preds / "frame_000002.txt").write_text("2 1 10 0 0.8 4 1.8 1.6 0 0.9\n")
+        return (["refine", str(copy), "--preds", str(preds), "--out", str(tmp / "out"),
+                 "--threads", "1"], f"{pose}: the motion grid over the poses")
+    return build
+
+
 def _frame_99(command):
     """A box directory holding a file of frame 99, which the dataset lacks."""
     def build(dataset, tmp):
@@ -551,6 +603,10 @@ MALFORMED = {
     "manifest-class-id-x": _bad_manifest(
         lambda manifest: manifest["classes"].update(x="car"),
         "classes: keys must be integers in canonical decimal form, got 'x'"),
+    # Refine's sequence grid spans every pose centre +- detection_range, 80 m;
+    # at 0.3 m cells, 16384 cells per side leave poses 4755.2 m apart.
+    "pose-span-1e9": _shifted_pose(1e9),
+    "pose-span-4756": _shifted_pose(4756.0),
     "pose-deleted-generate": _deleted_pose("generate"),
     "pose-deleted-mock-detect": _deleted_pose("mock-detect"),
     **{f"frame-99-{command}": _frame_99(command)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import re
@@ -94,6 +95,138 @@ class TestPoints:
         back = dataio.read_points(path)
         np.testing.assert_array_equal(back.xyz, [[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(back.class_id, [1])
+
+
+class TestParseCache:
+    """A text parse is kept in .sembox-cache/<file name> beside the points
+    file, keyed by the SHA-256 of the text bytes."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths that each text parse (loadtxt or row reader) read."""
+        calls = []
+        parse = dataio._parse_points_text
+        monkeypatch.setattr(dataio, "_parse_points_text",
+                            lambda path, raw: calls.append(path) or parse(path, raw))
+        return calls
+
+    @staticmethod
+    def write(tmp_path, text: bytes):
+        path = tmp_path / "p.txt"
+        path.write_bytes(text)
+        return path, tmp_path / ".sembox-cache" / "p.txt"
+
+    @staticmethod
+    def assert_bitwise_equal(a: PointCloud, b: PointCloud):
+        assert a.xyz.dtype == b.xyz.dtype and a.class_id.dtype == b.class_id.dtype
+        assert a.xyz.tobytes() == b.xyz.tobytes()
+        assert a.class_id.tobytes() == b.class_id.tobytes()
+
+    @pytest.mark.parametrize("route, text", [
+        ("loadtxt", b"1 2 3 1\n-0.0 1e-300 -2.5e+07 -7\r\n5e-324 .5 5. 2147483647\n"),
+        ("rows", b"1_0 2 3 1\n4 5 6 2\n"),
+        ("rows", " \u0661 2 3 1\n4 5 6 \u0662\n".encode()),
+        ("rows", b""),
+    ])
+    def test_warm_read_equals_cold(self, tmp_path, monkeypatch, parses, route, text):
+        row_reads = []
+        rows = dataio._rows
+        monkeypatch.setattr(dataio, "_rows", lambda path, *args:
+                            row_reads.append(path) or rows(path, *args))
+        path, entry = self.write(tmp_path, text)
+        cold = dataio.read_points(path)
+        assert row_reads == ([] if route == "loadtxt" else [path])
+        data = entry.read_bytes()
+        # magic, digest of the text, point count, then the records
+        assert data[:8] == dataio._PARSE_CACHE_MAGIC
+        assert data[8:40] == hashlib.sha256(text).digest()
+        assert int.from_bytes(data[40:48], "little") == len(cold)
+        assert len(data) == 48 + 28 * len(cold)
+        warm = dataio.read_points(path)
+        assert parses == [path]
+        self.assert_bitwise_equal(warm, cold)
+        assert warm.xyz.flags.writeable and warm.class_id.flags.writeable
+
+    def test_edited_byte_is_seen(self, tmp_path, parses):
+        path, entry = self.write(tmp_path, b"1 2 3 1\n4 5 6 2\n")
+        dataio.read_points(path)
+        path.write_bytes(b"1 2 3 1\n4 5 7 2\n")
+        back = dataio.read_points(path)
+        np.testing.assert_array_equal(back.xyz, [[1, 2, 3], [4, 5, 7]])
+        assert parses == [path, path]
+        assert list(entry.parent.iterdir()) == [entry]
+        assert entry.read_bytes()[8:40] == hashlib.sha256(path.read_bytes()).digest()
+
+    @pytest.mark.parametrize("spoil", [
+        lambda data: b"S2BPTC00" + data[8:],                        # foreign magic
+        lambda data: data[:8] + bytes(32) + data[40:],              # another digest
+        lambda data: data[:-1],                                     # truncated
+        lambda data: data + b"\0",                                  # one byte longer
+        lambda data: data[:20],                                     # short header
+        lambda data: data[:40] + (3).to_bytes(8, "little") + data[48:],  # wrong count
+    ], ids=["magic", "digest", "truncated", "longer", "short", "count"])
+    def test_spoiled_entry_is_a_miss(self, tmp_path, parses, spoil):
+        path, entry = self.write(tmp_path, b"1 2 3 1\n4 5 6 2\n")
+        cold = dataio.read_points(path)
+        good = entry.read_bytes()
+        entry.write_bytes(spoil(good))
+        self.assert_bitwise_equal(dataio.read_points(path), cold)
+        assert parses == [path, path]
+        assert entry.read_bytes() == good
+
+    def test_unwritable_cache_location(self, tmp_path, parses):
+        # A regular file where the cache directory would be; root ignores
+        # chmod, so a read-only directory would not test this.
+        path, entry = self.write(tmp_path, b"1 2 3 1\n4 5 6 2\n")
+        entry.parent.write_bytes(b"not a directory")
+        for _ in range(2):
+            back = dataio.read_points(path)
+            np.testing.assert_array_equal(back.xyz, [[1, 2, 3], [4, 5, 6]])
+            np.testing.assert_array_equal(back.class_id, [1, 2])
+        assert parses == [path, path]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".sembox-cache", "p.txt"]
+        assert entry.parent.read_bytes() == b"not a directory"
+
+    def test_interrupted_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        # An interrupt is no OSError: the temporary file must go all the same,
+        # whether it comes while the records are written or before the rename.
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        class Records:  # stands in for the parse's records
+            __len__ = lambda self: 2
+            tofile = interrupt
+
+        path, entry = self.write(tmp_path, b"1 2 3 1\n4 5 6 2\n")
+        entry.parent.mkdir()
+        with pytest.raises(KeyboardInterrupt):
+            dataio._store_parse(entry, bytes(32), Records())
+        assert list(entry.parent.iterdir()) == []
+        monkeypatch.setattr(dataio.os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            dataio.read_points(path)
+        assert list(entry.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("text, where", [
+        (b"1 2 3 1\n1 2\n", ":2: expected 4 fields"),
+        (b"1 2 3 1\n1 2 3 99999999999\n", ":2: class id 99999999999"),
+        ("1 2 3 1\n1 \u0661x 3 1\n".encode(), ":2: could not convert"),
+    ])
+    def test_malformed_text_is_never_cached(self, tmp_path, text, where):
+        path, entry = self.write(tmp_path, text)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(FormatError, match=re.escape(f"{path}{where}")) as e:
+                dataio.read_points(path)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+        assert not entry.parent.exists()
+
+    def test_binary_points_leave_no_entry(self, tmp_path, rng):
+        path = tmp_path / "p.bin"
+        dataio.write_points_binary(path, random_cloud(rng))
+        dataio.read_points(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["p.bin"]
 
 
 # The per-line reader and writers that the bulk ones replaced, kept as the
